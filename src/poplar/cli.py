@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import synth
-from .config import SearchConfig, config_from_tree
+from .config import SearchConfig, config_from_tree, parse_precedence
 from .diagnostics import Diagnostic, DiagnosticSink, E_PLAN
 from .effects import QueryContext, check_program, query_contexts
 from .model import AssignStmt, NameExpr, Program, VarDeclStmt
@@ -20,15 +20,22 @@ from .planner import PlanFailure, plan_query, render_dot, render_plan
 from .resolver import load_program
 
 
+def _read_source(path: Path) -> tuple[str, str]:
+    try:
+        return str(path), path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8: byte 0x{e.object[e.start]:02x} "
+                         f"at offset {e.start} ({e.reason})") from None
+
+
 def _collect_sources(paths: list[str]) -> list[tuple[str, str]]:
     sources = []
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            for f in sorted(p.rglob("*.pop")):
-                sources.append((str(f), f.read_text()))
+            sources.extend(_read_source(f) for f in sorted(p.rglob("*.pop")))
         elif p.is_file():
-            sources.append((str(p), p.read_text()))
+            sources.append(_read_source(p))
         else:
             raise FileNotFoundError(raw)
     if not sources:
@@ -50,19 +57,8 @@ def _config(args, paths: list[str]) -> SearchConfig:
     if args.rewrite_summaries:
         overrides["summary_rewrite_policy"] = "rewrite"
     if args.precedence:
-        prec = {}
-        for entry in args.precedence:
-            name, _, num = entry.partition("=")
-            if not num:
-                raise ValueError(f"bad --precedence entry '{entry}'")
-            prec[name] = int(num)
-        overrides["api_precedence"] = prec
+        overrides["api_precedence"] = parse_precedence(args.precedence)
     return config_from_tree(_tree_root(paths), overrides)
-
-
-def _load_or_fail(sources: list[tuple[str, str]]) -> tuple[Program, bool]:
-    program = load_program(sources)
-    return program, program.diagnostics.has_errors
 
 
 def _all_query_contexts(program: Program):
@@ -79,8 +75,8 @@ def _all_query_contexts(program: Program):
 
 def cmd_check(args) -> int:
     sources = _collect_sources(args.paths)
-    program, had_errors = _load_or_fail(sources)
-    if had_errors:
+    program = load_program(sources)
+    if program.diagnostics.has_errors:
         print(program.diagnostics.render())
         return 1
     violations = check_program(program)
@@ -133,8 +129,8 @@ def _solve_tree(program: Program, cfg: SearchConfig):
 def cmd_synth(args) -> int:
     sources = _collect_sources(args.paths)
     cfg = _config(args, args.paths)
-    program, had_errors = _load_or_fail(sources)
-    if had_errors:
+    program = load_program(sources)
+    if program.diagnostics.has_errors:
         print(program.diagnostics.render())
         return 1
     solutions, per_path, failures = _solve_tree(program, cfg)
@@ -164,8 +160,8 @@ def cmd_verify_upgrade(args) -> int:
     if not assume_dir.is_dir():
         raise FileNotFoundError(args.assumptions)
     sources = _collect_sources(args.paths)
-    program, had_errors = _load_or_fail(sources)
-    if had_errors:
+    program = load_program(sources)
+    if program.diagnostics.has_errors:
         print(program.diagnostics.render())
         return 1
     failed = False
@@ -185,8 +181,8 @@ def cmd_verify_upgrade(args) -> int:
 def cmd_explain(args) -> int:
     sources = _collect_sources(args.paths)
     cfg = _config(args, args.paths)
-    program, had_errors = _load_or_fail(sources)
-    if had_errors:
+    program = load_program(sources)
+    if program.diagnostics.has_errors:
         print(program.diagnostics.render())
         return 1
     wanted = args.explain

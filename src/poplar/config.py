@@ -16,7 +16,6 @@ class SearchConfig:
     max_plan_length: int = 12
     summary_rewrite_policy: str = "reject"  # "reject" | "rewrite"
     api_precedence: dict[str, int] = field(default_factory=dict)
-    deterministic_seed: int = 0
     require_unique_solution: bool = False
 
     def __post_init__(self) -> None:
@@ -42,6 +41,21 @@ def load_config_file(path: Path) -> dict[str, str]:
     return out
 
 
+def parse_precedence(entries: list[str]) -> dict[str, int]:
+    """`Type=N` entries, from `--precedence` flags or a `precedence` line."""
+    prec: dict[str, int] = {}
+    for entry in entries:
+        name, _, num = entry.partition("=")
+        try:
+            if not name.strip():
+                raise ValueError("no type name")
+            prec[name.strip()] = int(num)
+        except ValueError:
+            raise ValueError(f"bad precedence entry '{entry.strip()}' "
+                             f"(expected Type=N)") from None
+    return prec
+
+
 def config_from_tree(root: Path, overrides: dict | None = None) -> SearchConfig:
     """Build a SearchConfig from a tree's poplar.cfg plus explicit overrides."""
     values: dict = {}
@@ -57,13 +71,7 @@ def config_from_tree(root: Path, overrides: dict | None = None) -> SearchConfig:
                 "rewrite" if raw["rewrite-summaries"].lower() in ("1", "true", "yes")
                 else "reject")
         if "precedence" in raw:
-            prec = {}
-            for part in raw["precedence"].split(","):
-                name, _, num = part.strip().partition("=")
-                prec[name.strip()] = int(num)
-            values["api_precedence"] = prec
-        if "seed" in raw:
-            values["deterministic_seed"] = int(raw["seed"])
+            values["api_precedence"] = parse_precedence(raw["precedence"].split(","))
     if overrides:
         merged_prec = dict(values.get("api_precedence", {}))
         merged_prec.update(overrides.pop("api_precedence", {}))

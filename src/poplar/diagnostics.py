@@ -14,7 +14,6 @@ E_UNIQ = "E-UNIQ"
 E_OVR = "E-OVR"
 E_SPAN = "E-SPAN"
 E_PLAN = "E-PLAN"
-E_GEN = "E-GEN"
 
 
 @dataclass(frozen=True)
@@ -36,9 +35,6 @@ class DiagnosticSink:
 
     def error(self, path: str, line: int, col: int, code: str, message: str) -> None:
         self.items.append(Diagnostic(path, line, col, "error", code, message))
-
-    def extend(self, other: "DiagnosticSink") -> None:
-        self.items.extend(other.items)
 
     @property
     def has_errors(self) -> bool:

@@ -9,18 +9,17 @@ planner seeds itself with at each query site.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .diagnostics import E_SPAN, E_SUM, E_UNIQ, E_OVR
 from .model import (
-    AddLabel, AssignStmt, Atom, BlockStmt, CallExpr, ClassModel, Conjunct,
-    Expr, ExprStmt, FieldAccessExpr, FieldDecl, Invariant, LabelAtom,
-    LiteralExpr, MethodSpec, MutationTarget, NameExpr, NewExpr, Pos,
-    PRIMITIVES, Program, ProtectStmt, ProtocolDecl, Query, QueryStmt,
-    ResourcePath, ReturnStmt, StateAtom, Stmt, SuperExpr, ThisExpr,
-    Transition, UniquenessKind, VarDeclStmt, any_target, can_flow,
-    can_override_arg, can_override_return, flow_consumes, this_target,
-    var_target,
+    AddLabel, AssignStmt, Atom, BlockStmt, CallExpr, ClassModel, Expr,
+    ExprStmt, FieldAccessExpr, FieldDecl, Invariant, LiteralExpr, MethodSpec,
+    MutationTarget, NameExpr, NewExpr, Pos, PRIMITIVES, Program, ProtectStmt,
+    ProtocolDecl, Query, QueryStmt, ResourcePath, ReturnStmt, StateAtom, Stmt,
+    SuperExpr, ThisExpr, Transition, UniquenessKind, VarDeclStmt, any_target,
+    can_flow, can_override_arg, can_override_return, flow_consumes,
+    this_target, var_target,
 )
 
 KIND = UniquenessKind
@@ -131,6 +130,22 @@ def subject_effects(method: MethodSpec, group: Optional[int] = None) -> list[tup
     return out
 
 
+def postconditions(method: MethodSpec, group: Optional[int] = None) -> list[tuple[str, Atom, tuple[ResourcePath, ...]]]:
+    """(subject, atom, residence) for every fact that holds after
+    invocation, `result` included."""
+    out: list[tuple[str, Atom, tuple[ResourcePath, ...]]] = [
+        ("result", atom, ()) for atom in method.result_labels]
+    for cj in method.all_conjuncts(group):
+        for cond in cj.conditions:
+            if isinstance(cond, Invariant):
+                out.append((cj.subject, cond.atom, ()))
+            elif isinstance(cond, AddLabel):
+                out.append((cj.subject, cond.atom, cond.residence))
+            elif isinstance(cond, Transition):
+                out.append((cj.subject, cond.target_atom(), cond.residence))
+    return out
+
+
 def goal_residence(program: Program, goal: Atom) -> tuple[ResourcePath, ...]:
     """Residence of a goal established by unknown means: the union of the
     residences declared on corpus effects that achieve the goal."""
@@ -165,6 +180,53 @@ def paths_comparable(program: Program, root_type: str, a: ResourcePath, b: Resou
         return True
     b_up = {t.path for t in program.target_ancestors(tb, root_type)}
     return ta.path in b_up
+
+
+def span_hits(program: Program, unit: str, values: dict[str, ValueState],
+              spans: list[SpanObligation],
+              target: MutationTarget) -> Iterator[SpanObligation]:
+    """Each protection span that a mutation of `target` may break, seen
+    from a method of `unit` whose in-scope values are `values`. This one
+    rule guards hand-written statements and generated plan steps alike."""
+    for span in spans:
+        if not span.protected_resource:
+            continue
+        protected = values.get(span.protected_variable)
+        if protected is None:
+            continue
+        path = target.path
+        if target.root_kind == "any":
+            # Mutating any aliasable object of an assignable type.
+            if protected.kind.unshared:
+                continue
+            if not program.is_subtype(protected.type, target.root_name):
+                continue
+        elif target.root_kind == "var":
+            if target.root_name != span.protected_variable:
+                # A different variable may still alias the protected one
+                # unless one of the two is known unshared.
+                other = values.get(target.root_name)
+                if other is None or other.kind.unshared:
+                    continue
+                if protected.kind.unshared:
+                    continue
+                if not _alias_compatible(program, other.type, protected.type):
+                    continue
+        else:
+            # this-rooted: a normal-kind field may alias the protected
+            # variable; unshared fields and plain resources cannot.
+            if not path:
+                continue
+            fld = program.find_field(unit, path[0])
+            if fld is None or fld.uniqueness.unshared:
+                continue
+            if protected.kind.unshared:
+                continue
+            if not _alias_compatible(program, fld.type, protected.type):
+                continue
+            path = path[1:]
+        if paths_comparable(program, protected.type, path, span.protected_resource):
+            yield span
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +368,7 @@ class BodyAnalyzer:
                             span=s.span)
             else:
                 value = self._eval(s.init, s.pos) if s.init is not None else None
-                st = self._bind_local(s.name, s.type, value, s.pos)
+                self._bind_local(s.name, s.type, value, s.pos)
         elif isinstance(s, AssignStmt):
             self._assign(s)
         elif isinstance(s, ExprStmt):
@@ -316,7 +378,7 @@ class BodyAnalyzer:
         elif isinstance(s, QueryStmt):
             self._query(s.query, s.pos, s, span=s.span)
         elif isinstance(s, ProtectStmt):
-            self._with_span(SpanObligation(s.var, s.resource, s.pos), s.body)
+            self._with_spans([SpanObligation(s.var, s.resource, s.pos)], s.body)
         elif isinstance(s, BlockStmt):
             self._walk(s.body)
         else:
@@ -487,9 +549,6 @@ class BodyAnalyzer:
             obligations = [SpanObligation(holder, p, pos) for p in residence] \
                 or [SpanObligation(holder, (), pos)]
             self._with_spans(obligations, span)
-
-    def _with_span(self, obligation: SpanObligation, body: list[Stmt]) -> None:
-        self._with_spans([obligation], body)
 
     def _with_spans(self, obligations: list[SpanObligation], body: list[Stmt]) -> None:
         self.spans.extend(obligations)
@@ -726,50 +785,13 @@ class BodyAnalyzer:
         return any_target(formal_type or st.type, path)
 
     def _check_spans(self, target: MutationTarget, pos: Pos) -> None:
-        for span in self.spans:
-            if not span.protected_resource:
-                continue
-            protected = self.values.get(span.protected_variable)
-            if protected is None:
-                continue
-            path = target.path
-            if target.root_kind == "any":
-                # Mutating any aliasable object of an assignable type.
-                if protected.kind.unshared:
-                    continue
-                if not self.program.is_subtype(protected.type, target.root_name):
-                    continue
-            elif target.root_kind == "var":
-                if target.root_name != span.protected_variable:
-                    # A different variable may still alias the protected one
-                    # unless one of the two is known unshared.
-                    other = self.values.get(target.root_name)
-                    if other is None or other.kind.unshared:
-                        continue
-                    if protected.kind.unshared:
-                        continue
-                    if not _alias_compatible(self.program, other.type, protected.type):
-                        continue
-            else:
-                # this-rooted: a normal-kind field may alias the protected
-                # variable; unshared fields and plain resources cannot.
-                if not path:
-                    continue
-                fld = self.program.find_field(self.unit.name, path[0])
-                if fld is None or fld.uniqueness.unshared:
-                    continue
-                if protected.kind.unshared:
-                    continue
-                if not _alias_compatible(self.program, fld.type, protected.type):
-                    continue
-                path = path[1:]
-            if paths_comparable(self.program, protected.type, path,
-                                span.protected_resource):
-                self._violate(E_SPAN, "SpanViolation",
-                              f"statement may mutate protected resource "
-                              f"'{span.protected_variable}."
-                              f"{'.'.join(span.protected_resource)}' "
-                              f"(summary hits '{target.text()}')", pos)
+        for span in span_hits(self.program, self.unit.name, self.values,
+                              self.spans, target):
+            self._violate(E_SPAN, "SpanViolation",
+                          f"statement may mutate protected resource "
+                          f"'{span.protected_variable}."
+                          f"{'.'.join(span.protected_resource)}' "
+                          f"(summary hits '{target.text()}')", pos)
 
     def _apply_callee_effects(self, callee: MethodSpec, recv: Optional[ValueState],
                               args: list[Expr], arg_states: list[Optional[ValueState]]) -> None:
@@ -826,15 +848,19 @@ def verify_summary(program: Program, unit: ClassModel, method: MethodSpec) -> li
         return []
     analyzer = analyze_method(program, unit, method)
     out = [v for v in analyzer.violations if v.rule == "MissingCalleeSummary"]
+    return out + _summary_too_narrow(program, unit.name, method, analyzer.inferred)
+
+
+def _summary_too_narrow(program: Program, unit: str, method: MethodSpec,
+                        inferred: set[MutationTarget]) -> list[Violation]:
+    """One violation per inferred mutation the declared summary misses."""
     declared = program.effective_summary(method)
     var_types = {a.name: a.type for a in method.args}
-    missing = program.summary_covers(declared, frozenset(analyzer.inferred),
-                                     unit.name, var_types)
-    for t in missing:
-        out.append(Violation(E_SUM, "SummaryTooNarrow",
-                             f"'{unit.name}.{method.name}' mutates '{t.text()}' "
-                             f"but does not declare it", method.pos, unit.name))
-    return out
+    return [Violation(E_SUM, "SummaryTooNarrow",
+                      f"'{unit}.{method.name}' mutates '{t.text()}' "
+                      f"but does not declare it", method.pos, unit)
+            for t in program.summary_covers(declared, frozenset(inferred),
+                                            unit, var_types)]
 
 
 def check_uniqueness(program: Program, unit: ClassModel, method: MethodSpec) -> list[Violation]:
@@ -976,19 +1002,7 @@ def check_override(program: Program, sub: MethodSpec, sup: MethodSpec) -> list[V
 
 
 def _postconditions(m: MethodSpec, rename: dict[str, str]) -> set[tuple[str, Atom]]:
-    out: set[tuple[str, Atom]] = set()
-    for cj in m.conjuncts:
-        subject = rename.get(cj.subject, cj.subject)
-        for cond in cj.conditions:
-            if isinstance(cond, Invariant):
-                out.add((subject, cond.atom))
-            elif isinstance(cond, AddLabel):
-                out.add((subject, cond.atom))
-            elif isinstance(cond, Transition):
-                out.add((subject, cond.target_atom()))
-    for atom in m.result_labels:
-        out.add(("result", atom))
-    return out
+    return {(rename.get(s, s), atom) for s, atom, _ in postconditions(m)}
 
 
 def _check_groups(program: Program, sub: MethodSpec, sup: MethodSpec,
@@ -1157,11 +1171,5 @@ def check_program(program: Program) -> list[Violation]:
                 continue
             analyzer = analyze_method(program, unit, m)
             out.extend(analyzer.violations)
-            declared = program.effective_summary(m)
-            var_types = {a.name: a.type for a in m.args}
-            for t in program.summary_covers(declared, frozenset(analyzer.inferred),
-                                            cname, var_types):
-                out.append(Violation(E_SUM, "SummaryTooNarrow",
-                                     f"'{cname}.{m.name}' mutates '{t.text()}' "
-                                     f"but does not declare it", m.pos, cname))
+            out.extend(_summary_too_narrow(program, cname, m, analyzer.inferred))
     return out

@@ -3,8 +3,9 @@
 Everything the later phases consume lives here: declarations (classes,
 fields, methods, labels, protocols, resources, externals), the condition
 vocabulary shared with the planner, mutation targets with their upward
-closure, the uniqueness lattices, and the source printer used for
-round-tripping and for emitting annotation-stripped output.
+closure, and the uniqueness lattices. The source printer, used for
+round-tripping and for emitting annotation-stripped output, lives in
+`printer.py`.
 
 Model objects are immutable by convention once resolution has finished;
 they are shared freely between concurrent checks.
@@ -481,9 +482,6 @@ class Program:
 
     # -- type hierarchy -----------------------------------------------------
 
-    def unit(self, name: str) -> Optional[ClassModel]:
-        return self.units.get(name)
-
     def supertype_chain(self, name: str) -> list[str]:
         """The class chain starting at `name` (itself included)."""
         chain = []
@@ -670,17 +668,11 @@ class Program:
         fields = self.managed_fields(owner)
         fld = fields.get(last)
         if fld is None:
-            u_fields = self._any_field(owner, last)
-            if u_fields is not None:
-                fld = u_fields
+            fld = self.find_field(owner, last)
         if fld is not None:
             home = fld.managed_resource or ()
             return target.with_path(prefix + tuple(home))
         return target.with_path(prefix)
-
-    def _any_field(self, type_name: str, field_name: str) -> Optional[FieldDecl]:
-        f = self.find_field(type_name, field_name)
-        return f
 
     def target_ancestors(self, target: MutationTarget, root_type: str) -> Iterator[MutationTarget]:
         """The target itself, then every ancestor up to the object root."""

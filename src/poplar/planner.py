@@ -15,11 +15,11 @@ from typing import Iterator, Optional
 
 from .config import SearchConfig
 from .effects import (
-    QueryContext, paths_comparable, result_atoms, subject_effects,
+    QueryContext, paths_comparable, result_atoms, span_hits, subject_effects,
     subject_preconditions,
 )
 from .model import (
-    Atom, FieldDecl, MethodSpec, MutationTarget, PRIMITIVES, Program,
+    Atom, FieldDecl, MethodSpec, MutationTarget, Program,
     ResourcePath, StateAtom, UniquenessKind, any_target, this_target,
     var_target,
 )
@@ -320,6 +320,14 @@ def spec_summary(program: Program, spec: ActionSpec) -> frozenset[MutationTarget
     return program.effective_summary(spec.method)
 
 
+def spec_names(spec: ActionSpec) -> set[str]:
+    """What a with-clause may name to select an action: its owner, its
+    member and the labels it establishes."""
+    atoms = [a for a, _ in spec_result_atoms(spec)]
+    atoms.extend(a for _, a, _, _ in spec_subject_effects(spec))
+    return {spec.owner, spec.member} | {a.name for a in atoms if hasattr(a, "name")}
+
+
 def can_substitute(program: Program, value_type: str, value_labels: set,
                    need_type: str, need_labels: set) -> bool:
     """An existing value stands in for a requirement when its type is a
@@ -376,24 +384,11 @@ class Planner:
 
     def _check_with_names(self) -> None:
         for name in self.ctx.query.with_names:
-            if self._universe_mentions(name):
+            if name in self.program.units or \
+                    any(name in spec_names(spec) for spec in self.universe):
                 continue
             raise WithUnsatisfiable(
                 f"with-clause element '{name}' matches nothing in the corpus")
-
-    def _universe_mentions(self, name: str) -> bool:
-        if name in self.program.units:
-            return True
-        for spec in self.universe:
-            if spec.member == name or spec.owner == name:
-                return True
-            for atom, _ in spec_result_atoms(spec):
-                if getattr(atom, "name", None) == name:
-                    return True
-            for _, atom, _, _ in spec_subject_effects(spec):
-                if getattr(atom, "name", None) == name:
-                    return True
-        return False
 
     def initial_plan(self) -> Plan:
         plan = Plan()
@@ -672,22 +667,13 @@ class Planner:
     # -- span and summary-policy filters (candidate level) --------------------------
 
     def _span_admits(self, spec: ActionSpec) -> bool:
+        """Whether an action's any(T) mutations spare every span. Targets
+        rooted at plan objects are checked once the plan is closed."""
         if not self.spans:
             return True
-        summary = spec_summary(self.program, spec)
-        for t in summary:
-            if t.root_kind != "any":
-                continue
-            for span in self.spans:
-                protected = self.ctx.values.get(span.protected_variable)
-                if protected is None or protected.kind.unshared:
-                    continue
-                if not self.program.is_subtype(protected.type, t.root_name):
-                    continue
-                if paths_comparable(self.program, protected.type, t.path,
-                                    span.protected_resource):
-                    return False
-        return True
+        return not any(self._target_hits_span(t)
+                       for t in spec_summary(self.program, spec)
+                       if t.root_kind == "any")
 
     def _policy_admits(self, spec: ActionSpec) -> bool:
         if self.cfg.summary_rewrite_policy == "rewrite":
@@ -927,7 +913,7 @@ class Planner:
             if missing:
                 return False
         for action in plan.real_actions():
-            for t in self._action_span_targets(plan, action):
+            for t in self._action_targets(plan, action, for_span=True):
                 if self._target_hits_span(t):
                     return False
         try:
@@ -938,56 +924,44 @@ class Planner:
 
     def _with_satisfied(self, plan: Plan) -> bool:
         wanted = set(self.ctx.query.with_names)
-        if not wanted:
-            return True
-        seen: set[str] = set()
-        for a in plan.real_actions():
-            seen.add(a.spec.owner)
-            seen.add(a.spec.member)
-            for atom, _ in spec_result_atoms(a.spec):
-                if hasattr(atom, "name"):
-                    seen.add(atom.name)
-            for _, atom, _, _ in spec_subject_effects(a.spec):
-                if hasattr(atom, "name"):
-                    seen.add(atom.name)
-        return wanted <= seen
+        return not wanted or wanted <= set().union(
+            *(spec_names(a.spec) for a in plan.real_actions()))
 
     def visible_targets(self, plan: Plan) -> set[MutationTarget]:
         out: set[MutationTarget] = set()
         for action in plan.real_actions():
-            out.update(self._action_visible_targets(plan, action))
+            out.update(self._action_targets(plan, action))
         return out
 
-    def _action_visible_targets(self, plan: Plan, action: PlanAction) -> set[MutationTarget]:
-        """Mutations of one plan step as the enclosing method's caller sees
-        them: plan-created values are invisible, context values keep their
-        names or generalize by kind."""
+    def _action_targets(self, plan: Plan, action: PlanAction,
+                        for_span: bool = False) -> set[MutationTarget]:
+        """Mutations of one plan step, named from the enclosing method.
+
+        Plan-created values are brand new and alias nothing, so they are
+        left out. As the method's caller sees them, values the method
+        created itself are invisible too, and normal-kind values generalize
+        to any(T). For protection checking (`for_span`), named context
+        values keep their identity even when freshly produced, since spans
+        protect exactly those variables.
+        """
         out: set[MutationTarget] = set()
-        spec = action.spec
-        if spec is None:
-            return out
-        m = spec.method
+        m = action.spec.method
         by_index = {a.name: i for i, a in enumerate(m.args)} if m else {}
-        for t in spec_summary(self.program, spec):
+        for t in spec_summary(self.program, action.spec):
             if t.root_kind == "this":
-                oid = action.receiver
-                formal_type = m.declared_in if m else None
+                oid, formal_type = action.receiver, m.declared_in
             elif t.root_kind == "var" and t.root_name in by_index:
                 idx = by_index[t.root_name]
                 oid = action.args[idx] if idx < len(action.args) else None
-                formal_type = m.args[idx].type if m else None
+                formal_type = m.args[idx].type
             else:
                 out.add(t)
                 continue
-            if oid is None:
-                continue
             obj = plan.objects.get(oid)
-            if obj is None or obj.fresh:
-                continue
-            if obj.ctx_name is None:
+            if obj is None or obj.ctx_name is None:
                 continue
             st = self.ctx.values.get(obj.ctx_name)
-            if st is None or st.fresh:
+            if st is None or (st.fresh and not for_span):
                 continue
             if st.variable == "this":
                 out.add(this_target(t.path))
@@ -995,91 +969,15 @@ class Planner:
                 out.add(this_target(st.field_path + t.path))
             elif st.is_field:
                 continue  # unmanaged field: hidden state
-            elif st.kind is KIND.NORMAL:
-                out.add(any_target(formal_type or st.type, t.path))
-            else:
-                out.add(var_target(st.variable, t.path))
-        return out
-
-    def _action_span_targets(self, plan: Plan, action: PlanAction) -> set[MutationTarget]:
-        """Mutations of one plan step for protection checking: named context
-        values keep their identity even when freshly produced, since spans
-        protect exactly those variables."""
-        out: set[MutationTarget] = set()
-        spec = action.spec
-        if spec is None:
-            return out
-        m = spec.method
-        by_index = {a.name: i for i, a in enumerate(m.args)} if m else {}
-        for t in spec_summary(self.program, spec):
-            if t.root_kind == "this":
-                oid = action.receiver
-                formal_type = m.declared_in if m else None
-            elif t.root_kind == "var" and t.root_name in by_index:
-                idx = by_index[t.root_name]
-                oid = action.args[idx] if idx < len(action.args) else None
-                formal_type = m.args[idx].type if m else None
-            else:
-                out.add(t)
-                continue
-            if oid is None:
-                continue
-            obj = plan.objects.get(oid)
-            if obj is None:
-                continue
-            if obj.ctx_name is None:
-                continue  # plan-created: brand new, aliases nothing protected
-            st = self.ctx.values.get(obj.ctx_name)
-            if st is None:
-                continue
-            if st.variable == "this":
-                out.add(this_target(t.path))
-            elif st.field_path is not None:
-                out.add(this_target(st.field_path + t.path))
-            elif st.is_field:
-                continue
+            elif st.kind is KIND.NORMAL and not for_span:
+                out.add(any_target(formal_type, t.path))
             else:
                 out.add(var_target(st.variable, t.path))
         return out
 
     def _target_hits_span(self, t: MutationTarget) -> bool:
-        for span in self.spans:
-            protected = self.ctx.values.get(span.protected_variable)
-            if protected is None:
-                continue
-            path = t.path
-            if t.root_kind == "any":
-                if protected.kind.unshared:
-                    continue
-                if not self.program.is_subtype(protected.type, t.root_name):
-                    continue
-            elif t.root_kind == "var":
-                if t.root_name != span.protected_variable:
-                    other = self.ctx.values.get(t.root_name)
-                    if other is None or other.kind.unshared:
-                        continue
-                    if protected.kind.unshared:
-                        continue
-                    if not (self.program.is_subtype(other.type, protected.type)
-                            or self.program.is_subtype(protected.type, other.type)):
-                        continue
-            else:
-                # this-rooted: only a shareable field may alias the variable.
-                if not path:
-                    continue
-                fld = self.program.find_field(self.ctx.unit, path[0])
-                if fld is None or fld.uniqueness.unshared:
-                    continue
-                if protected.kind.unshared:
-                    continue
-                if not (self.program.is_subtype(fld.type, protected.type)
-                        or self.program.is_subtype(protected.type, fld.type)):
-                    continue
-                path = path[1:]
-            if paths_comparable(self.program, protected.type, path,
-                                span.protected_resource):
-                return True
-        return False
+        return any(span_hits(self.program, self.ctx.unit, self.ctx.values,
+                             self.spans, t))
 
 
 def detect_stagnation(branch: frozenset, fingerprint: tuple) -> bool:

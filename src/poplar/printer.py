@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .model import (
     AddLabel, AssignStmt, BlockStmt, CallExpr, ClassModel, Condition, Conjunct,
-    ExprStmt, Expr, ExternalDecl, FieldAccessExpr, FieldDecl, Invariant,
-    LiteralExpr, MethodSpec, NameExpr, NewExpr, ProtectStmt, Program, Query,
+    ExprStmt, Expr, FieldAccessExpr, FieldDecl, Invariant,
+    LiteralExpr, MethodSpec, NameExpr, NewExpr, ProtectStmt, Query,
     QueryStmt, ResourceNode, ReturnStmt, Stmt, SuperExpr, ThisExpr, Transition,
     UniquenessKind, VarDeclStmt,
 )

@@ -10,10 +10,10 @@ from typing import Optional
 from . import parser as P
 from .diagnostics import DiagnosticSink, E_RES, E_SYN
 from .model import (
-    AddLabel, ArgDecl, Atom, ClassModel, Condition, Conjunct, ExternalDecl,
+    AddLabel, ArgDecl, ClassModel, Condition, Conjunct, ExternalDecl,
     FieldDecl, Invariant, LabelAtom, LabelDecl, MethodSpec, MutationTarget,
     Pos, PRIMITIVES, Program, ProtocolDecl, Query, QueryStmt, ResourceNode,
-    OBJECT, STRING, StateAtom, Stmt, Transition, UniquenessKind, VarDeclStmt,
+    OBJECT, STRING, StateAtom, Stmt, Transition, VarDeclStmt,
     any_target, this_target, var_target,
 )
 
@@ -92,6 +92,28 @@ class Resolver:
                 self.error(path, raw.pos, f"unknown interface '{i}'")
             elif not u.is_interface:
                 self.error(path, raw.pos, f"'{i}' is not an interface")
+        cycle = self._inheritance_cycle(raw.name)
+        if cycle:
+            self.error(path, raw.pos, f"cyclic inheritance: {' -> '.join(cycle)}")
+
+    def _inheritance_cycle(self, name: str) -> list[str]:
+        """The supertype path that leads from `name` back to itself, or []."""
+        parent: dict[str, Optional[str]] = {name: None}
+        work = [name]
+        while work:
+            t = work.pop()
+            u = self.program.units[t]
+            for s in ([u.superclass] if u.superclass else []) + list(u.interfaces):
+                if s == name:
+                    chain = [name]
+                    while t is not None:
+                        chain.append(t)
+                        t = parent[t]
+                    return chain[::-1]
+                if s in self.program.units and s not in parent:
+                    parent[s] = t
+                    work.append(s)
+        return []
 
     def _promote_summary_fields(self, raw_of: dict[str, tuple[str, P.RawClass]]) -> None:
         """A field mentioned in a declared summary of its class is managed."""

@@ -9,12 +9,12 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import printer
-from .effects import result_atoms, subject_effects, subject_preconditions
+from .effects import postconditions, subject_preconditions
 from .model import (
-    AssignStmt, Atom, BlockStmt, CallExpr, ClassModel, Expr, ExprStmt,
-    FieldAccessExpr, MethodSpec, MutationTarget, NameExpr, NewExpr, Pos,
-    Program, Query, QueryStmt, ReturnStmt, Stmt, UniquenessKind, VarDeclStmt,
-    ProtectStmt,
+    AssignStmt, BlockStmt, CallExpr, ClassModel, Expr, ExprStmt,
+    FieldAccessExpr, MethodSpec, MutationTarget, NameExpr, NewExpr, Program,
+    ProtectStmt, Query, QueryStmt, Stmt, UniquenessKind, VarDeclStmt,
+    can_override_arg, can_override_return,
 )
 from .planner import (
     FINISH, START, PlanAction, PlanResult, spec_result_type,
@@ -249,10 +249,6 @@ def render_plain(program: Program) -> dict[str, str]:
 # Integration assumptions
 # ---------------------------------------------------------------------------
 
-RECORD_FIELDS = ("type", "member", "kind", "signature", "group",
-                 "return-uniqueness", "arg-kinds", "mutates", "pre", "post")
-
-
 @dataclass
 class AssumptionRecord:
     type: str
@@ -285,13 +281,6 @@ def fingerprint_sources(sources: list[tuple[str, str]]) -> str:
     return h.hexdigest()
 
 
-def _method_signature(m: MethodSpec) -> str:
-    params = ", ".join(a.type for a in m.args)
-    if m.is_constructor:
-        return f"{m.name}({params})"
-    return f"{m.return_type} {m.name}({params})"
-
-
 def _residence_suffix(residence) -> str:
     if not residence:
         return ""
@@ -304,19 +293,9 @@ def method_pre_entries(m: MethodSpec, group: Optional[int]) -> tuple[str, ...]:
 
 
 def method_post_entries(m: MethodSpec, group: Optional[int]) -> tuple[str, ...]:
-    entries = []
-    for atom, residence in result_atoms(m, group):
-        entries.append(f"result {atom.text()}{_residence_suffix(residence)}")
-    for s, atom, residence, _ in subject_effects(m, group):
-        entries.append(f"{s} {atom.text()}{_residence_suffix(residence)}")
-    for cj in m.all_conjuncts(group):
-        if cj.subject == "result":
-            continue
-        for cond in cj.conditions:
-            from .model import Invariant
-            if isinstance(cond, Invariant):
-                entries.append(f"{cj.subject} {cond.atom.text()}")
-    return tuple(sorted(set(entries)))
+    entries = {f"{s} {atom.text()}{_residence_suffix(residence)}"
+               for s, atom, residence in postconditions(m, group)}
+    return tuple(sorted(entries))
 
 
 def emit_assumptions(result: PlanResult, query_id: str, corpus: str,
@@ -338,7 +317,7 @@ def emit_assumptions(result: PlanResult, query_id: str, corpus: str,
             type=spec.owner,
             member=spec.member,
             kind=spec.kind,
-            signature=_method_signature(m),
+            signature=m.signature(),
             group=-1 if spec.group is None else spec.group,
             return_uniqueness=m.return_uniqueness.keyword,
             arg_kinds=tuple(f"{x.name}={x.uniqueness.keyword}" for x in m.args),
@@ -424,8 +403,6 @@ def check_compat(assumed: IntegrationAssumptions,
                  program: Program) -> list[Incompatibility]:
     """Each assumed member must still exist with conditions acceptable under
     the subclassing rules, without re-planning."""
-    from .model import can_override_arg, can_override_return
-
     out: list[Incompatibility] = []
 
     def bad(member: str, rule: str, message: str) -> None:
@@ -490,7 +467,7 @@ def _find_member(program: Program, rec: AssumptionRecord) -> Optional[MethodSpec
             continue
         if rec.kind == "invoke" and (m.is_constructor or m.name != rec.member):
             continue
-        if _method_signature(m) == rec.signature:
+        if m.signature() == rec.signature:
             return m
     return None
 

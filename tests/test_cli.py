@@ -1,5 +1,7 @@
 """Batch driver behavior: exit codes, flags, config files, output trees."""
 
+import hashlib
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +46,25 @@ class TestCheck:
         assert code == 1
         assert out.startswith(f"{bad}:2:")
         assert "E-SYN" in out
+
+    def test_cyclic_inheritance_is_a_positioned_error(self, capsys):
+        path = c("cyclic", "cycle.pop")
+        code, out, _ = run(["check", path], capsys)
+        assert code == 1
+        assert out.splitlines() == [
+            f"{path}:1:1: error: E-RES: cyclic inheritance: A -> B -> C -> A",
+            f"{path}:4:1: error: E-RES: cyclic inheritance: B -> C -> A -> B",
+            f"{path}:7:1: error: E-RES: cyclic inheritance: C -> A -> B -> C",
+            f"{path}:13:1: error: E-RES: cyclic inheritance: I -> J -> I",
+            f"{path}:16:1: error: E-RES: cyclic inheritance: J -> I -> J",
+        ]
+
+    def test_non_utf8_source_names_file_and_offset(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pop"
+        bad.write_bytes(b"class A {\n}\n// caf\xe9\n")
+        code, out, err = run(["check", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}: not UTF-8: byte 0xe9 at offset 18")
 
 
 class TestSynth:
@@ -180,6 +201,18 @@ class TestConfig:
         assert cfg.summary_rewrite_policy == "rewrite"
         assert cfg.api_precedence == {"Calendar": 10, "Date": 1}
 
+    @pytest.mark.parametrize("entry", ["Calendar", "Calendar=ten", "=3"])
+    def test_malformed_precedence_exits_two_naming_the_entry(self, tmp_path,
+                                                            capsys, entry):
+        code, _, err = run(["synth", c("socket"), "--precedence", entry,
+                            "--out", str(tmp_path / "o")], capsys)
+        assert code == 2 and f"'{entry}'" in err
+        (tmp_path / "poplar.cfg").write_text(f"precedence = Date=1, {entry}\n")
+        (tmp_path / "socket.pop").write_text((CORPUS / "socket/socket.pop").read_text())
+        code, _, err = run(["synth", str(tmp_path), "--out", str(tmp_path / "o")],
+                           capsys)
+        assert code == 2 and f"'{entry}'" in err
+
     def test_flags_win_over_file(self, tmp_path):
         (tmp_path / "poplar.cfg").write_text("budget = 123\n")
         cfg = config_from_tree(tmp_path, {"plan_budget": 9})
@@ -259,3 +292,55 @@ class TestAssignmentQuerySite:
         text = (out_dir / "witness.pop").read_text()
         assert "best = stone.duplicate();" in text
         assert "best.blank();" in text and "best.cut();" in text
+
+
+# sha256 over the name and bytes of each file `synth` writes, in name order,
+# when run from tests/corpus with these relative paths (query ids and the
+# corpus fingerprint embed the paths as typed).
+SYNTH_GOLDEN = {
+    ("common", "timedate14", "client"):
+        "1c6de8f6a48cf1133063002233fed09edda55fc2b9cb51fce226aa2dda2e9a46",
+    ("socket",):
+        "8d2d1d6c2adf4377c4c1f2fa91f41c4e370e5a564049ff1d32c3e697ec919243",
+    ("swing/toolkit.pop", "swing/widgets.pop", "swing_query/frames.pop"):
+        "61658aa6db7c5ddedac80b9c179c53a48e8cfaa8ac4e6a2c9104a0b4592b3664",
+    ("recordset",):
+        "c1cae33db812923b9257d20174b3bc1dfe55be6e8856bf4155a0561ec69a3a4e",
+    ("witness",):
+        "496db580c238fd094b4fd8392a21c34d3b194549b241b24142e920c14f6d9ded",
+}
+
+
+@pytest.mark.parametrize("paths", sorted(SYNTH_GOLDEN), ids="+".join)
+def test_synth_output_bytes_are_golden(paths, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(CORPUS)
+    out_dir = tmp_path / "out"
+    code, _, _ = run(["synth", *paths, "--out", str(out_dir)], capsys)
+    assert code == 0
+    h = hashlib.sha256()
+    for f in sorted(out_dir.iterdir()):
+        h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
+    assert h.hexdigest() == SYNTH_GOLDEN[paths]
+
+
+# Names the benchmark's `--trace 1` mode wraps, at the module where the
+# toolchain looks each one up.
+TRACED_NAMES = [
+    "poplar.parser.tokenize", "poplar.parser.parse_unit",
+    "poplar.resolver.Resolver.resolve", "poplar.resolver.overlay_externals",
+    "poplar.cli.check_program", "poplar.cli.query_contexts",
+    "poplar.cli.plan_query", "poplar.planner.action_universe",
+    "poplar.synth.emit_statements", "poplar.synth.splice_program",
+    "poplar.synth.render_plain", "poplar.synth.emit_assumptions",
+    "poplar.synth.serialize_assumptions", "poplar.synth.parse_assumptions",
+    "poplar.synth.check_compat",
+]
+
+
+@pytest.mark.parametrize("dotted", TRACED_NAMES)
+def test_traced_names_exist_at_their_lookup_names(dotted):
+    package, module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"{package}.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    assert callable(obj)

@@ -7,7 +7,7 @@ import pytest
 
 import oracle
 from poplar.config import SearchConfig
-from poplar.effects import query_contexts
+from poplar.effects import check_spans, query_contexts
 from poplar.model import StateAtom, UniquenessKind
 from poplar.planner import (
     AmbiguousSolution, NoSolution, Planner, WithUnsatisfiable,
@@ -601,3 +601,67 @@ class Wisher {
         assert not acyclic(promote | {(members["close"], members["bind"])} |
                            {(members["bind"], members["close"])}, nodes) or True
         assert acyclic(demote, nodes)
+
+
+SPAN_BOX = """
+class Box {
+    labels touched;
+    resources content;
+
+    void touch() [!content]
+        this: +touched;
+}
+"""
+
+SPAN_CLIENT = """
+class Client {{
+    {field}Box held;
+
+    void run({a}Box a, {b}Box b)
+        mutates any(Box).content, held.content: {{
+        {alias}
+        {guard} {{
+            {stmt}
+        }}
+    }}
+}}
+"""
+
+
+@pytest.mark.parametrize("field,a,b,alias,subject,hit", [
+    ("", "", "", "", "b", True),
+    ("", "", "unique ", "", "b", False),
+    ("", "unique ", "", "", "b", False),
+    ("", "", "", "Box c = a;", "c", True),
+    ("", "unique ", "", "", "a", True),
+    ("", "", "", "", "held", True),
+    ("", "", "", "held = a;", "held", True),
+    ("unique ", "", "", "", "held", False),
+    ("", "unique ", "", "", "held", False),
+], ids=["var-shared", "var-other-unique", "var-protected-unique",
+        "var-local-alias", "var-protected-itself", "this-shared-field",
+        "this-shared-field-alias", "this-unique-field",
+        "this-field-protected-unique"])
+def test_span_rule_agrees_for_handwritten_and_generated(field, a, b, alias,
+                                                         subject, hit, cfg):
+    """Inside `protect a.content`, a hand-written `subject.touch()` is an
+    E-SPAN exactly when the planner refuses to generate the same call."""
+    def method(stmt, guard="protect a.content"):
+        prog = load([], [("box.pop", SPAN_BOX), ("client.pop", SPAN_CLIENT.format(
+            field=field, a=a, b=b, alias=alias, guard=guard, stmt=stmt))])
+        unit = prog.units["Client"]
+        return prog, unit, unit.methods[0]
+
+    prog, unit, m = method(f"{subject}.touch();")
+    handwritten_hit = [v.code for v in check_spans(prog, unit, m)] == ["E-SPAN"]
+    query = f"#transform({subject}, touched);"
+    prog, unit, m = method(query)
+    try:
+        plan_query(prog, query_contexts(prog, unit, m)[0], cfg)
+        generated_hit = False
+    except NoSolution:
+        generated_hit = True
+    assert handwritten_hit == generated_hit == hit
+    # Without the span the same query is solvable, so the span decided.
+    prog, unit, m = method(query, guard="")
+    assert plan_query(prog, query_contexts(prog, unit, m)[0], cfg).action_count() == 1
