@@ -479,6 +479,9 @@ class Program:
     units: dict[str, ClassModel] = field(default_factory=dict)
     unit_paths: dict[str, str] = field(default_factory=dict)  # type -> source path
     diagnostics: DiagnosticSink = field(default_factory=DiagnosticSink)
+    # The planner's action index, built on first use once resolution has
+    # ended (`planner.ActionIndex.of`).
+    action_index: object = field(default=None, compare=False, repr=False)
 
     # -- type hierarchy -----------------------------------------------------
 

@@ -159,15 +159,12 @@ class Plan:
         return obj
 
     def add_ordering(self, before: int, after: int) -> bool:
-        """Insert a strict ordering; False when it would close a cycle."""
-        if before == after:
-            return False
-        if (after, before) in self.orderings:
+        """Insert a strict ordering; False, leaving the orderings unchanged,
+        when it would close a cycle. The orderings stay acyclic, so only a
+        path from `after` back to `before` can close one."""
+        if before == after or self.ordered(after, before):
             return False
         self.orderings.add((before, after))
-        if self._cyclic():
-            self.orderings.discard((before, after))
-            return False
         return True
 
     def ordered(self, before: int, after: int) -> bool:
@@ -186,25 +183,6 @@ class Plan:
             seen.add(n)
             stack.extend(succ.get(n, ()))
         return False
-
-    def _cyclic(self) -> bool:
-        succ: dict[int, list[int]] = {}
-        for a, b in self.orderings:
-            succ.setdefault(a, []).append(b)
-        color: dict[int, int] = {}
-
-        def visit(n: int) -> bool:
-            color[n] = 1
-            for nb in succ.get(n, ()):
-                c = color.get(nb)
-                if c == 1:
-                    return True
-                if c is None and visit(nb):
-                    return True
-            color[n] = 2
-            return False
-
-        return any(visit(n) for n in list(succ) if n not in color)
 
     def linearize(self) -> list[int]:
         """Topological order, lexicographically least by action id."""
@@ -328,6 +306,84 @@ def spec_names(spec: ActionSpec) -> set[str]:
     return {spec.owner, spec.member} | {a.name for a in atoms if hasattr(a, "name")}
 
 
+@dataclass(frozen=True)
+class SpecFacts:
+    """What the search reads about one action of the universe."""
+    order: int  # position in the universe
+    result_type: Optional[str]
+    result_atoms: tuple[tuple[Atom, tuple[ResourcePath, ...]], ...]
+    result_atom_set: frozenset[Atom]
+    effects: tuple  # spec_subject_effects
+    preconditions: tuple[tuple[str, Atom], ...]
+    summary: frozenset[MutationTarget]
+    any_targets: tuple[MutationTarget, ...]  # summary targets rooted at any(T)
+    precedence: int  # the owner's corpus precedence
+    names: frozenset[str]  # spec_names
+    slots: dict[str, int]  # parameter name -> argument position
+
+
+class ActionIndex:
+    """The action universe of one Program with everything the search reads
+    about it, computed once: per-spec facts, atom -> achievers, result type
+    -> producers, and a memoised subtype test. Valid because a Program does
+    not change once resolution has ended."""
+
+    def __init__(self, program: Program):
+        self.program = program
+        self.universe = action_universe(program)
+        self._facts: dict[int, SpecFacts] = {}
+        self._subtype: dict[tuple[str, str], bool] = {}
+        # atom -> (spec, via) in universe order; per spec, "result" comes
+        # before its subject effects, as in a scan of the universe.
+        self.achievers: dict[Atom, list[tuple[ActionSpec, str]]] = {}
+        self.producers: dict[str, list[ActionSpec]] = {}
+        self.names: set[str] = set(program.units)
+        for order, spec in enumerate(self.universe):
+            f = self._spec_facts(order, spec)
+            self._facts[id(spec)] = f
+            self.names |= f.names
+            if f.result_type is not None:
+                self.producers.setdefault(f.result_type, []).append(spec)
+                for atom in f.result_atom_set:
+                    self.achievers.setdefault(atom, []).append((spec, "result"))
+            for subject, atom, _, _ in f.effects:
+                self.achievers.setdefault(atom, []).append((spec, subject))
+
+    @classmethod
+    def of(cls, program: Program) -> "ActionIndex":
+        if program.action_index is None:
+            program.action_index = cls(program)
+        return program.action_index
+
+    def _spec_facts(self, order: int, spec: ActionSpec) -> SpecFacts:
+        result_atoms = tuple(spec_result_atoms(spec))
+        summary = spec_summary(self.program, spec)
+        unit = self.program.units.get(spec.owner)
+        m = spec.method
+        return SpecFacts(
+            order=order,
+            result_type=spec_result_type(spec),
+            result_atoms=result_atoms,
+            result_atom_set=frozenset(a for a, _ in result_atoms),
+            effects=tuple(spec_subject_effects(spec)),
+            preconditions=tuple(spec_preconditions(spec)),
+            summary=summary,
+            any_targets=tuple(t for t in summary if t.root_kind == "any"),
+            precedence=unit.precedence if unit else 0,
+            names=frozenset(spec_names(spec)),
+            slots={a.name: i for i, a in enumerate(m.args)} if m else {})
+
+    def facts(self, spec: ActionSpec) -> SpecFacts:
+        return self._facts[id(spec)]
+
+    def is_subtype(self, sub: str, sup: str) -> bool:
+        key = (sub, sup)
+        hit = self._subtype.get(key)
+        if hit is None:
+            hit = self._subtype[key] = self.program.is_subtype(sub, sup)
+        return hit
+
+
 def can_substitute(program: Program, value_type: str, value_labels: set,
                    need_type: str, need_labels: set) -> bool:
     """An existing value stands in for a requirement when its type is a
@@ -366,7 +422,7 @@ class Planner:
         self.program = program
         self.ctx = ctx
         self.cfg = cfg
-        self.universe = action_universe(program)
+        self.index = ActionIndex.of(program)
         self.explored = 0
         self.rejected_threats = 0
         self.enclosing_summary = program.effective_summary(ctx.method)
@@ -379,13 +435,19 @@ class Planner:
             subject_type = tv.type if tv else None
         self.goal = program.normalize_goal(query.goal_text, subject_type, ctx.unit)
         self._check_with_names()
+        # Fresh-action candidates, keyed by everything they depend on that
+        # is not fixed for the query (`_fresh_candidates`).
+        self._fresh: dict[tuple, list[Candidate]] = {}
+        self._existing = [
+            (st.type, frozenset(st.labels), st.kind,
+             frozenset(p for paths in st.residence.values() for p in paths))
+            for st in ctx.values.values() if not st.consumed]
 
     # -- setup -------------------------------------------------------------
 
     def _check_with_names(self) -> None:
         for name in self.ctx.query.with_names:
-            if name in self.program.units or \
-                    any(name in spec_names(spec) for spec in self.universe):
+            if name in self.index.names:
                 continue
             raise WithUnsatisfiable(
                 f"with-clause element '{name}' matches nothing in the corpus")
@@ -508,17 +570,17 @@ class Planner:
         obj = plan.objects[cond.oid]
         out: list[Candidate] = []
         need_labels = {cond.atom} if cond.atom is not None else set()
+        facts = self.index.facts
 
         if obj.ctx_name is not None:
             st = self.ctx.values.get(obj.ctx_name)
             have = set(st.labels) if st else set()
             if cond.atom is None or cond.atom in have:
-                out.append(self._mk(plan, cond, Candidate("ctx", ctx_name=obj.ctx_name)))
+                out.append(self._mk(Candidate("ctx", ctx_name=obj.ctx_name)))
         elif obj.producer is not None:
-            producer = plan.actions[obj.producer]
-            atoms = {a for a, _ in spec_result_atoms(producer.spec)}
+            atoms = facts(plan.actions[obj.producer].spec).result_atom_set
             if cond.atom is None or cond.atom in atoms:
-                out.append(self._mk(plan, cond, Candidate("link", producer=obj.producer)))
+                out.append(self._mk(Candidate("link", producer=obj.producer)))
         else:
             # Reuse an existing context value.
             offered: list[tuple[str, frozenset]] = []
@@ -533,19 +595,19 @@ class Planner:
                 if sig in offered:
                     continue  # equivalent values: earliest declaration wins
                 offered.append(sig)
-                out.append(self._mk(plan, cond, Candidate("ctx", ctx_name=name)))
+                out.append(self._mk(Candidate("ctx", ctx_name=name)))
             # Reuse a value the plan already creates.
             for aid in sorted(plan.actions):
                 a = plan.actions[aid]
                 if a.spec is None or a.result is None:
                     continue
-                rt = spec_result_type(a.spec)
-                atoms = {x for x, _ in spec_result_atoms(a.spec)}
-                if rt is None or not self.program.is_subtype(rt, obj.need_type):
+                f = facts(a.spec)
+                if f.result_type is None or \
+                        not self.index.is_subtype(f.result_type, obj.need_type):
                     continue
-                if cond.atom is not None and cond.atom not in atoms:
+                if cond.atom is not None and cond.atom not in f.result_atom_set:
                     continue
-                out.append(self._mk(plan, cond, Candidate("merge", producer=aid)))
+                out.append(self._mk(Candidate("merge", producer=aid)))
 
         # In-plan actions adding the atom to this very object.
         if cond.atom is not None:
@@ -553,98 +615,90 @@ class Planner:
                 a = plan.actions[aid]
                 if a.spec is None:
                     continue
-                for subject, atom, _, _ in spec_subject_effects(a.spec):
+                for subject, atom, _, _ in facts(a.spec).effects:
                     if atom != cond.atom:
                         continue
                     soid = a.receiver if subject == "this" else self._arg_oid(a, subject)
                     if soid == cond.oid:
-                        out.append(self._mk(plan, cond, Candidate("link", producer=aid)))
+                        out.append(self._mk(Candidate("link", producer=aid)))
 
-        # Fresh corpus actions.
         if depth_left > 0:
-            for spec in self.universe:
-                for via in self._achieves(spec, cond, plan):
-                    if not self._span_admits(spec):
-                        continue
-                    if not self._policy_admits(spec):
-                        continue
-                    out.append(self._mk(plan, cond,
-                                        Candidate("new", spec=spec, via=via,
-                                                  spec_key=spec.key)))
-
-        out = self._filter_precedence(out)
+            out.extend(self._fresh_candidates(obj, cond.atom))
         out.sort(key=lambda c: c.sort_key)
         return out
 
-    def _arg_oid(self, action: PlanAction, subject: str) -> Optional[int]:
-        if action.spec is None or action.spec.method is None:
-            return None
-        for i, a in enumerate(action.spec.method.args):
-            if a.name == subject and i < len(action.args):
-                return action.args[i]
-        return None
+    def _fresh_candidates(self, obj: PlanObject, atom: Optional[Atom]) -> list[Candidate]:
+        """Ranked-for-sorting corpus actions that would achieve `atom` on a
+        new or existing object, in universe order and filtered by span,
+        summary policy and precedence. Everything else they depend on is
+        fixed for the query, so they are computed once per key."""
+        key = (obj.bound, obj.need_type, obj.type, atom)
+        hit = self._fresh.get(key)
+        if hit is None:
+            hit = self._fresh[key] = self._filter_precedence(
+                [self._mk(Candidate("new", spec=spec, via=via, spec_key=spec.key))
+                 for spec, via in self._achievers(obj, atom)
+                 if self._span_admits(spec) and self._policy_admits(spec)])
+        return hit
 
-    def _achieves(self, spec: ActionSpec, cond: PCond, plan: Plan) -> list[str]:
-        obj = plan.objects[cond.oid]
-        ways: list[str] = []
-        rt = spec_result_type(spec)
-        if not obj.bound and rt is not None \
-                and self.program.is_subtype(rt, obj.need_type):
-            atoms = {a for a, _ in spec_result_atoms(spec)}
-            if cond.atom is None or cond.atom in atoms:
-                if self._useful_result(spec, rt):
-                    ways.append("result")
-        if cond.atom is not None and spec.method is not None:
-            recv_type = spec.method.declared_in
-            for subject, atom, _, _ in spec_subject_effects(spec):
-                if atom != cond.atom:
-                    continue
-                if subject == "this":
-                    if self.program.is_subtype(obj.type, recv_type) \
-                            or self.program.is_subtype(recv_type, obj.type):
-                        ways.append("this")
-                else:
-                    arg = spec.method.arg_named(subject)
-                    if arg is not None and (
-                            self.program.is_subtype(obj.type, arg.type)
-                            or self.program.is_subtype(arg.type, obj.type)):
-                        ways.append(subject)
+    def _arg_oid(self, action: PlanAction, subject: str) -> Optional[int]:
+        i = self.index.facts(action.spec).slots.get(subject)
+        return action.args[i] if i is not None and i < len(action.args) else None
+
+    def _achievers(self, obj: PlanObject, atom: Optional[Atom]) -> list[tuple[ActionSpec, str]]:
+        """(spec, via) pairs by which a new action achieves `atom` on `obj`
+        (its existence when `atom` is None), in universe order: via
+        "result" for the returned value, "this" or an argument name for a
+        subject effect."""
+        index = self.index
+        if atom is None:
+            if obj.bound:
+                return []
+            specs = [s for rt, specs in index.producers.items()
+                     if index.is_subtype(rt, obj.need_type) for s in specs]
+            specs.sort(key=lambda s: index.facts(s).order)
+            return [(s, "result") for s in specs if self._useful_result(s)]
+        ways: list[tuple[ActionSpec, str]] = []
+        for spec, via in index.achievers.get(atom, ()):
+            f = index.facts(spec)
+            if via == "result":
+                ok = not obj.bound and index.is_subtype(f.result_type, obj.need_type) \
+                    and self._useful_result(spec)
+            else:
+                m = spec.method
+                formal = m.declared_in if via == "this" else \
+                    m.args[f.slots[via]].type if via in f.slots else None
+                ok = formal is not None and (index.is_subtype(obj.type, formal)
+                                             or index.is_subtype(formal, obj.type))
+            if ok:
+                ways.append((spec, via))
         return ways
 
-    def _useful_result(self, spec: ActionSpec, rt: str) -> bool:
-        atoms = frozenset(a for a, _ in spec_result_atoms(spec))
+    def _useful_result(self, spec: ActionSpec) -> bool:
+        f = self.index.facts(spec)
         residence: list[ResourcePath] = []
-        for _, res in spec_result_atoms(spec):
+        for _, res in f.result_atoms:
             residence.extend(res)
-        existing = []
-        for name, st in self.ctx.values.items():
-            if st.consumed:
-                continue
-            res: list[ResourcePath] = []
-            for paths in st.residence.values():
-                res.extend(paths)
-            existing.append((st.type, frozenset(st.labels), st.kind, frozenset(res)))
-        return useful(self.program, (rt, atoms, KIND.UNIQUE, frozenset(residence)),
-                      existing)
+        return useful(self.program, (f.result_type, f.result_atom_set, KIND.UNIQUE,
+                                     frozenset(residence)), self._existing)
 
     def _filter_precedence(self, cands: list[Candidate]) -> list[Candidate]:
+        """Keep the fresh actions of the highest precedence tier."""
         def prec(c: Candidate) -> int:
-            unit = self.program.units.get(c.spec.owner) if c.spec else None
-            corpus = unit.precedence if unit else 0
-            return max(corpus, self.cfg.api_precedence.get(c.spec.owner, 0)) if c.spec else 0
+            return max(self.index.facts(c.spec).precedence,
+                       self.cfg.api_precedence.get(c.spec.owner, 0))
 
-        new_precs = [prec(c) for c in cands if c.kind == "new"]
-        if not new_precs:
+        if not cands:
             return cands
-        top = max(new_precs)
-        return [c for c in cands if c.kind != "new" or prec(c) == top]
+        top = max(prec(c) for c in cands)
+        return [c for c in cands if prec(c) == top]
 
-    def _mk(self, plan: Plan, cond: PCond, c: Candidate) -> Candidate:
+    def _mk(self, c: Candidate) -> Candidate:
         with_names = self.ctx.query.with_names
         mentions = 1
         if with_names and c.spec is not None:
             names = {c.spec.owner, c.spec.member}
-            names.update(a.name for a, _ in spec_result_atoms(c.spec)
+            names.update(a.name for a in self.index.facts(c.spec).result_atom_set
                          if hasattr(a, "name"))
             if any(n in names for n in with_names):
                 mentions = 0
@@ -672,16 +726,12 @@ class Planner:
         if not self.spans:
             return True
         return not any(self._target_hits_span(t)
-                       for t in spec_summary(self.program, spec)
-                       if t.root_kind == "any")
+                       for t in self.index.facts(spec).any_targets)
 
     def _policy_admits(self, spec: ActionSpec) -> bool:
         if self.cfg.summary_rewrite_policy == "rewrite":
             return True
-        summary = spec_summary(self.program, spec)
-        for t in summary:
-            if t.root_kind != "any":
-                continue
+        for t in self.index.facts(spec).any_targets:
             if not any(self.program.target_covers(d, t, self.ctx.unit,
                                                   self.enclosing_var_types)
                        for d in self.enclosing_summary):
@@ -721,10 +771,11 @@ class Planner:
                           atom: Optional[Atom]) -> tuple[ResourcePath, ...]:
         if spec is None or atom is None:
             return ()
-        for a, res in spec_result_atoms(spec):
+        f = self.index.facts(spec)
+        for a, res in f.result_atoms:
             if a == atom:
                 return tuple(res)
-        for _, a, res, _ in spec_subject_effects(spec):
+        for _, a, res, _ in f.effects:
             if a == atom:
                 return tuple(res)
         return ()
@@ -769,7 +820,7 @@ class Planner:
             if not m.is_constructor and not m.is_static:
                 if cand.via == "this":
                     recv_obj = p.objects[cond.oid]
-                    if self.program.is_subtype(m.declared_in, recv_obj.need_type):
+                    if self.index.is_subtype(m.declared_in, recv_obj.need_type):
                         recv_obj.need_type = m.declared_in
                 else:
                     recv_obj = p.new_object(m.declared_in)
@@ -778,13 +829,14 @@ class Planner:
             for a in m.args:
                 if cand.via == a.name:
                     obj = p.objects[cond.oid]
-                    if self.program.is_subtype(a.type, obj.need_type):
+                    if self.index.is_subtype(a.type, obj.need_type):
                         obj.need_type = a.type
                     arg_objs.append(obj)
                 else:
                     arg_objs.append(p.new_object(a.type))
             action.args = tuple(o.oid for o in arg_objs)
-            rt = spec_result_type(spec)
+            f = self.index.facts(spec)
+            rt = f.result_type
             if rt is not None:
                 if cand.via == "result":
                     result_obj = p.objects[cond.oid]
@@ -803,12 +855,11 @@ class Planner:
                 p.open_conds.append((PCond(recv_obj.oid, None), aid))
             for obj in arg_objs:
                 p.open_conds.append((PCond(obj.oid, None), aid))
-            by_name = {a.name: i for i, a in enumerate(m.args)}
-            for subject, atom in spec_preconditions(spec):
+            for subject, atom in f.preconditions:
                 if subject == "this" and recv_obj is not None:
                     p.open_conds.append((PCond(recv_obj.oid, atom), aid))
-                elif subject in by_name:
-                    p.open_conds.append((PCond(arg_objs[by_name[subject]].oid, atom), aid))
+                elif subject in f.slots:
+                    p.open_conds.append((PCond(arg_objs[f.slots[subject]].oid, atom), aid))
 
         if not p.add_ordering(aid, consumer):
             return None
@@ -843,22 +894,16 @@ class Planner:
         if not self._threatens(p, b, link):
             return True
         # Promotion: B before the producer; demotion: B after the consumer.
-        trial = set(p.orderings)
-        if p.add_ordering(b.aid, link.producer):
-            return True
-        p.orderings = set(trial)
-        if p.add_ordering(link.consumer, b.aid):
-            return True
-        p.orderings = set(trial)
-        return False
+        return p.add_ordering(b.aid, link.producer) or \
+            p.add_ordering(link.consumer, b.aid)
 
     def _threatens(self, p: Plan, b: PlanAction, link: CausalLink) -> bool:
-        spec = b.spec
+        f = self.index.facts(b.spec)
         cond = link.cond
         # State removal: a transition out of the condition's state on the
         # same object.
         if isinstance(cond.atom, StateAtom):
-            for subject, _, _, removed in spec_subject_effects(spec):
+            for subject, _, _, removed in f.effects:
                 if removed != cond.atom:
                     continue
                 soid = b.receiver if subject == "this" else self._arg_oid(b, subject)
@@ -870,7 +915,7 @@ class Planner:
         holder = p.objects.get(cond.oid)
         if holder is None:
             return False
-        for t in spec_summary(self.program, spec):
+        for t in f.summary:
             toid: Optional[int] = None
             if t.root_kind == "this":
                 toid = b.receiver
@@ -881,7 +926,7 @@ class Planner:
             if t.root_kind == "any":
                 if holder.fresh or holder.kind.unshared:
                     continue
-                if not self.program.is_subtype(holder.type, t.root_name):
+                if not self.index.is_subtype(holder.type, t.root_name):
                     continue
             elif toid != cond.oid:
                 tobj = p.objects.get(toid)
@@ -889,8 +934,8 @@ class Planner:
                     continue
                 if tobj.fresh or tobj.kind.unshared or holder.fresh or holder.kind.unshared:
                     continue
-                if not (self.program.is_subtype(tobj.type, holder.type)
-                        or self.program.is_subtype(holder.type, tobj.type)):
+                if not (self.index.is_subtype(tobj.type, holder.type)
+                        or self.index.is_subtype(holder.type, tobj.type)):
                     continue
             for res in link.residence:
                 if paths_comparable(self.program, holder.type, t.path, res):
@@ -925,7 +970,7 @@ class Planner:
     def _with_satisfied(self, plan: Plan) -> bool:
         wanted = set(self.ctx.query.with_names)
         return not wanted or wanted <= set().union(
-            *(spec_names(a.spec) for a in plan.real_actions()))
+            *(self.index.facts(a.spec).names for a in plan.real_actions()))
 
     def visible_targets(self, plan: Plan) -> set[MutationTarget]:
         out: set[MutationTarget] = set()
@@ -946,12 +991,12 @@ class Planner:
         """
         out: set[MutationTarget] = set()
         m = action.spec.method
-        by_index = {a.name: i for i, a in enumerate(m.args)} if m else {}
-        for t in spec_summary(self.program, action.spec):
+        f = self.index.facts(action.spec)
+        for t in f.summary:
             if t.root_kind == "this":
                 oid, formal_type = action.receiver, m.declared_in
-            elif t.root_kind == "var" and t.root_name in by_index:
-                idx = by_index[t.root_name]
+            elif t.root_kind == "var" and t.root_name in f.slots:
+                idx = f.slots[t.root_name]
                 oid = action.args[idx] if idx < len(action.args) else None
                 formal_type = m.args[idx].type
             else:
