@@ -75,6 +75,7 @@ def _all_query_contexts(program: Program):
 
 def cmd_check(args) -> int:
     sources = _collect_sources(args.paths)
+    _config(args, args.paths)  # a malformed config fails here as in synth
     program = load_program(sources)
     if program.diagnostics.has_errors:
         print(program.diagnostics.render())

@@ -8,7 +8,7 @@ planner seeds itself with at each query site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Union
 
 from .diagnostics import E_SPAN, E_SUM, E_UNIQ, E_OVR
@@ -51,6 +51,9 @@ class ValueState:
     residence: dict[Atom, tuple[ResourcePath, ...]] = field(default_factory=dict)
     consumed: bool = False
     declared_order: int = 0
+    # The in-scope variable whose object a local was bound to (`Box c = a;`),
+    # followed to its first source; None once that variable is rebound.
+    alias_of: Optional[str] = None
 
 
 @dataclass
@@ -202,7 +205,8 @@ def span_hits(program: Program, unit: str, values: dict[str, ValueState],
             if not program.is_subtype(protected.type, target.root_name):
                 continue
         elif target.root_kind == "var":
-            if target.root_name != span.protected_variable:
+            if _alias_root(values, target.root_name) != \
+                    _alias_root(values, span.protected_variable):
                 # A different variable may still alias the protected one
                 # unless one of the two is known unshared.
                 other = values.get(target.root_name)
@@ -394,6 +398,11 @@ class BodyAnalyzer:
             st.field_path = value.field_path
             st.labels = set(value.labels)
             st.residence = dict(value.residence)
+            if value is self.values.get(value.variable) and not value.is_field:
+                st.alias_of = value.alias_of or value.variable
+        for other in self.values.values():
+            if other.alias_of == name:
+                other.alias_of = None
         self.values[name] = st
         return st
 
@@ -816,10 +825,13 @@ def _alias_compatible(program: Program, a: str, b: str) -> bool:
     return program.is_subtype(a, b) or program.is_subtype(b, a)
 
 
+def _alias_root(values: dict[str, ValueState], name: str) -> str:
+    st = values.get(name)
+    return st.alias_of if st is not None and st.alias_of else name
+
+
 def _copy_state(v: ValueState) -> ValueState:
-    return ValueState(v.variable, v.type, v.kind, v.fresh, v.is_field,
-                      v.field_path, set(v.labels), dict(v.residence),
-                      v.consumed, v.declared_order)
+    return replace(v, labels=set(v.labels), residence=dict(v.residence))
 
 
 def _is_null(e: Union[Expr, Query, None]) -> bool:

@@ -65,6 +65,7 @@ class RawArg:
     uniqueness: UniquenessKind
     type: str
     name: str
+    pos: Pos = Pos()
 
 
 @dataclass
@@ -330,8 +331,8 @@ class Parser:
             if t.kind == "keyword" and t.text in UNIQUENESS_KEYWORDS:
                 kind = UNIQUENESS_KEYWORDS[self.next().text]
             ty = self.parse_type_name()
-            name = self.expect_ident().text
-            args.append(RawArg(kind, ty, name))
+            name = self.expect_ident()
+            args.append(RawArg(kind, ty, name.text, name.pos))
             if not self.accept(","):
                 break
         return args

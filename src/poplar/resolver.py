@@ -157,6 +157,11 @@ class Resolver:
                         is_ctor: Optional[bool] = None) -> MethodSpec:
         ctor = rm.return_type is None if is_ctor is None else is_ctor
         args = tuple(ArgDecl(a.uniqueness, a.type, a.name) for a in rm.args)
+        seen: set[str] = set()
+        for a in rm.args:
+            if a.name in seen:
+                self.error(path, a.pos, f"duplicate parameter '{a.name}' in '{rm.name}'")
+            seen.add(a.name)
         for a in args:
             if a.type not in PRIMITIVES and a.type not in self.program.units \
                     and not a.type.endswith("[]"):

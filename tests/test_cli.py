@@ -59,6 +59,21 @@ class TestCheck:
             f"{path}:16:1: error: E-RES: cyclic inheritance: J -> I -> J",
         ]
 
+    def test_duplicate_parameter_is_a_positioned_error(self, capsys):
+        path = c("duplicate_params", "box.pop")
+        code, out, _ = run(["check", path], capsys)
+        assert code == 1
+        assert out.splitlines() == [
+            f"{path}:6:26: error: E-RES: duplicate parameter 'a' in 'fill'"]
+
+    def test_local_alias_of_a_unique_value_breaks_its_span(self, capsys):
+        path = c("unique_alias", "alias.pop")
+        code, out, _ = run(["check", path], capsys)
+        assert code == 1
+        assert out.splitlines() == [
+            f"{path}:14:13: error: E-SPAN: SpanViolation: statement may mutate "
+            f"protected resource 'a.content' (summary hits 'c.content')"]
+
     def test_non_utf8_source_names_file_and_offset(self, tmp_path, capsys):
         bad = tmp_path / "bad.pop"
         bad.write_bytes(b"class A {\n}\n// caf\xe9\n")
@@ -211,6 +226,18 @@ class TestConfig:
         (tmp_path / "socket.pop").write_text((CORPUS / "socket/socket.pop").read_text())
         code, _, err = run(["synth", str(tmp_path), "--out", str(tmp_path / "o")],
                            capsys)
+        assert code == 2 and f"'{entry}'" in err
+
+    @pytest.mark.parametrize("entry", ["Calendar", "Calendar=ten", "=3"])
+    def test_check_rejects_a_malformed_config_like_synth(self, tmp_path, capsys,
+                                                         entry):
+        synth = run(["synth", c("socket"), "--precedence", entry,
+                     "--out", str(tmp_path / "o")], capsys)
+        assert run(["check", c("socket"), "--precedence", entry], capsys) == synth
+        assert synth[0] == 2
+        (tmp_path / "poplar.cfg").write_text(f"precedence = Date=1, {entry}\n")
+        (tmp_path / "socket.pop").write_text((CORPUS / "socket/socket.pop").read_text())
+        code, _, err = run(["check", str(tmp_path)], capsys)
         assert code == 2 and f"'{entry}'" in err
 
     def test_flags_win_over_file(self, tmp_path):

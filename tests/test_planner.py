@@ -665,3 +665,31 @@ def test_span_rule_agrees_for_handwritten_and_generated(field, a, b, alias,
     # Without the span the same query is solvable, so the span decided.
     prog, unit, m = method(query, guard="")
     assert plan_query(prog, query_contexts(prog, unit, m)[0], cfg).action_count() == 1
+
+
+@pytest.mark.parametrize("alias,hit", [
+    ("Box c = a;", True),
+    ("Box d = a; Box c = d;", True),
+    ("Box c = a; a = b;", False),
+], ids=["alias", "alias-of-alias", "source-rebound"])
+def test_local_alias_of_a_unique_value_is_the_protected_object(alias, hit):
+    """A local bound to a unique parameter holds the protected object
+    itself, for hand-written and generated code alike, until the parameter
+    is rebound. The rewrite policy keeps the enclosing summary out of it."""
+    cfg = SearchConfig(summary_rewrite_policy="rewrite")
+
+    def method(stmt, guard="protect a.content"):
+        prog = load([], [("box.pop", SPAN_BOX), ("client.pop", SPAN_CLIENT.format(
+            field="", a="unique ", b="", alias=alias, guard=guard, stmt=stmt))])
+        unit = prog.units["Client"]
+        return prog, unit, unit.methods[0]
+
+    prog, unit, m = method("c.touch();")
+    assert [v.code for v in check_spans(prog, unit, m)] == (["E-SPAN"] if hit else [])
+    for guard, refused in (("protect a.content", hit), ("", False)):
+        prog, unit, m = method("#transform(c, touched);", guard)
+        try:
+            plan_query(prog, query_contexts(prog, unit, m)[0], cfg)
+            assert not refused
+        except NoSolution:
+            assert refused
