@@ -6,6 +6,8 @@ then in-plan effects, then fresh corpus actions), adding causal links and
 ordering constraints, and resolving threats by promotion or demotion.
 Iterative deepening over the real-action count makes the first solution a
 shortest one; all tie-breaks are total orders, so planning is deterministic.
+What the search reads about corpus actions comes from an `ActionIndex`
+built once per Program.
 """
 
 from __future__ import annotations
@@ -628,10 +630,10 @@ class Planner:
         return out
 
     def _fresh_candidates(self, obj: PlanObject, atom: Optional[Atom]) -> list[Candidate]:
-        """Ranked-for-sorting corpus actions that would achieve `atom` on a
-        new or existing object, in universe order and filtered by span,
-        summary policy and precedence. Everything else they depend on is
-        fixed for the query, so they are computed once per key."""
+        """The "new" candidates for `atom` on `obj`: corpus actions that
+        achieve it, in universe order, kept when span, summary policy and
+        precedence admit them. All else they depend on is fixed for the
+        query, so they are computed once per key."""
         key = (obj.bound, obj.need_type, obj.type, atom)
         hit = self._fresh.get(key)
         if hit is None:
@@ -664,12 +666,12 @@ class Planner:
             if via == "result":
                 ok = not obj.bound and index.is_subtype(f.result_type, obj.need_type) \
                     and self._useful_result(spec)
+            elif via == "this" or via in f.slots:
+                formal = spec.method.declared_in if via == "this" else \
+                    spec.method.args[f.slots[via]].type
+                ok = index.is_subtype(obj.type, formal) or index.is_subtype(formal, obj.type)
             else:
-                m = spec.method
-                formal = m.declared_in if via == "this" else \
-                    m.args[f.slots[via]].type if via in f.slots else None
-                ok = formal is not None and (index.is_subtype(obj.type, formal)
-                                             or index.is_subtype(formal, obj.type))
+                ok = False
             if ok:
                 ways.append((spec, via))
         return ways
