@@ -288,26 +288,6 @@ def spec_subject_effects(spec: ActionSpec):
     return subject_effects(spec.method, spec.group)
 
 
-def spec_preconditions(spec: ActionSpec) -> list[tuple[str, Atom]]:
-    if spec.kind == "fieldread":
-        return []
-    return subject_preconditions(spec.method, spec.group)
-
-
-def spec_summary(program: Program, spec: ActionSpec) -> frozenset[MutationTarget]:
-    if spec.kind == "fieldread" or spec.method is None:
-        return frozenset()
-    return program.effective_summary(spec.method)
-
-
-def spec_names(spec: ActionSpec) -> set[str]:
-    """What a with-clause may name to select an action: its owner, its
-    member and the labels it establishes."""
-    atoms = [a for a, _ in spec_result_atoms(spec)]
-    atoms.extend(a for _, a, _, _ in spec_subject_effects(spec))
-    return {spec.owner, spec.member} | {a.name for a in atoms if hasattr(a, "name")}
-
-
 @dataclass(frozen=True)
 class SpecFacts:
     """What the search reads about one action of the universe."""
@@ -320,7 +300,7 @@ class SpecFacts:
     summary: frozenset[MutationTarget]
     any_targets: tuple[MutationTarget, ...]  # summary targets rooted at any(T)
     precedence: int  # the owner's corpus precedence
-    names: frozenset[str]  # spec_names
+    names: frozenset[str]  # what a with-clause may name to select the action
     slots: dict[str, int]  # parameter name -> argument position
 
 
@@ -358,21 +338,26 @@ class ActionIndex:
         return program.action_index
 
     def _spec_facts(self, order: int, spec: ActionSpec) -> SpecFacts:
-        result_atoms = tuple(spec_result_atoms(spec))
-        summary = spec_summary(self.program, spec)
-        unit = self.program.units.get(spec.owner)
         m = spec.method
+        result_atoms = tuple(spec_result_atoms(spec))
+        effects = tuple(spec_subject_effects(spec))
+        summary = self.program.effective_summary(m) if m else frozenset()
+        unit = self.program.units.get(spec.owner)
+        # A with-clause selects an action by its owner, its member or a
+        # label it establishes.
+        labels = [a for a, _ in result_atoms] + [a for _, a, _, _ in effects]
         return SpecFacts(
             order=order,
             result_type=spec_result_type(spec),
             result_atoms=result_atoms,
             result_atom_set=frozenset(a for a, _ in result_atoms),
-            effects=tuple(spec_subject_effects(spec)),
-            preconditions=tuple(spec_preconditions(spec)),
+            effects=effects,
+            preconditions=tuple(subject_preconditions(m, spec.group)) if m else (),
             summary=summary,
             any_targets=tuple(t for t in summary if t.root_kind == "any"),
             precedence=unit.precedence if unit else 0,
-            names=frozenset(spec_names(spec)),
+            names=frozenset({spec.owner, spec.member} |
+                            {a.name for a in labels if hasattr(a, "name")}),
             slots={a.name: i for i, a in enumerate(m.args)} if m else {})
 
     def facts(self, spec: ActionSpec) -> SpecFacts:
@@ -437,8 +422,9 @@ class Planner:
             subject_type = tv.type if tv else None
         self.goal = program.normalize_goal(query.goal_text, subject_type, ctx.unit)
         self._check_with_names()
-        # Fresh-action candidates, keyed by everything they depend on that
-        # is not fixed for the query (`_fresh_candidates`).
+        # Candidates keyed by everything they depend on that is not fixed
+        # for the query (`_context_candidates`, `_fresh_candidates`).
+        self._context: dict[tuple, list[Candidate]] = {}
         self._fresh: dict[tuple, list[Candidate]] = {}
         self._existing = [
             (st.type, frozenset(st.labels), st.kind,
@@ -571,7 +557,6 @@ class Planner:
                     depth_left: int) -> list[Candidate]:
         obj = plan.objects[cond.oid]
         out: list[Candidate] = []
-        need_labels = {cond.atom} if cond.atom is not None else set()
         facts = self.index.facts
 
         if obj.ctx_name is not None:
@@ -584,20 +569,7 @@ class Planner:
             if cond.atom is None or cond.atom in atoms:
                 out.append(self._mk(Candidate("link", producer=obj.producer)))
         else:
-            # Reuse an existing context value.
-            offered: list[tuple[str, frozenset]] = []
-            for name, st in sorted(self.ctx.values.items(),
-                                   key=lambda kv: kv[1].declared_order):
-                if st.consumed or (st.variable == "this" and st.fresh):
-                    continue
-                if not can_substitute(self.program, st.type, st.labels,
-                                      obj.need_type, need_labels):
-                    continue
-                sig = (st.type, frozenset(st.labels))
-                if sig in offered:
-                    continue  # equivalent values: earliest declaration wins
-                offered.append(sig)
-                out.append(self._mk(Candidate("ctx", ctx_name=name)))
+            out.extend(self._context_candidates(obj.need_type, cond.atom))
             # Reuse a value the plan already creates.
             for aid in sorted(plan.actions):
                 a = plan.actions[aid]
@@ -628,6 +600,30 @@ class Planner:
             out.extend(self._fresh_candidates(obj, cond.atom))
         out.sort(key=lambda c: c.sort_key)
         return out
+
+    def _context_candidates(self, need_type: str, atom: Optional[Atom]) -> list[Candidate]:
+        """The "ctx" candidates for an unbound object: in-scope values that
+        can stand in for it. They depend only on the key and the query, so
+        they are computed once per key."""
+        key = (need_type, atom)
+        hit = self._context.get(key)
+        if hit is None:
+            hit = self._context[key] = []
+            need_labels = {atom} if atom is not None else set()
+            offered: list[tuple[str, frozenset]] = []
+            for name, st in sorted(self.ctx.values.items(),
+                                   key=lambda kv: kv[1].declared_order):
+                if st.consumed or (st.variable == "this" and st.fresh):
+                    continue
+                if not can_substitute(self.program, st.type, st.labels,
+                                      need_type, need_labels):
+                    continue
+                sig = (st.type, frozenset(st.labels))
+                if sig in offered:
+                    continue  # equivalent values: earliest declaration wins
+                offered.append(sig)
+                hit.append(self._mk(Candidate("ctx", ctx_name=name)))
+        return hit
 
     def _fresh_candidates(self, obj: PlanObject, atom: Optional[Atom]) -> list[Candidate]:
         """The "new" candidates for `atom` on `obj`: corpus actions that
