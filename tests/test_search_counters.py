@@ -9,8 +9,7 @@ import poplar.planner as planner_module
 from poplar.config import SearchConfig
 from poplar.planner import (
     Candidate, PlanFailure, PlanObject, Planner, spec_result_atoms,
-    spec_result_type,
-    spec_subject_effects,
+    spec_result_type, spec_subject_effects,
 )
 
 from conftest import (
