@@ -161,6 +161,7 @@ def cmd_verify_upgrade(args) -> int:
     if not assume_dir.is_dir():
         raise FileNotFoundError(args.assumptions)
     sources = _collect_sources(args.paths)
+    _config(args, args.paths)  # a malformed config fails here as in synth
     program = load_program(sources)
     if program.diagnostics.has_errors:
         print(program.diagnostics.render())

@@ -152,12 +152,21 @@ def postconditions(method: MethodSpec, group: Optional[int] = None) -> list[tupl
 def goal_residence(program: Program, goal: Atom) -> tuple[ResourcePath, ...]:
     """Residence of a goal established by unknown means: the union of the
     residences declared on corpus effects that achieve the goal."""
-    paths: list[ResourcePath] = []
+    if program.goal_residences is None:
+        program.goal_residences = _goal_residence_table(program)
+    return program.goal_residences.get(goal, ())
 
-    def note(residence: tuple[ResourcePath, ...]) -> None:
+
+def _goal_residence_table(program: Program) -> dict[Atom, tuple[ResourcePath, ...]]:
+    """Atom -> residence paths in first-seen order, over every method of the
+    program in unit order; one walk stands for a scan per goal."""
+    # dict keys keep insertion order, so each bucket is an ordered set.
+    table: dict[Atom, dict[ResourcePath, None]] = {}
+
+    def note(atom: Atom, residence: tuple[ResourcePath, ...]) -> None:
+        paths = table.setdefault(atom, {})
         for p in residence:
-            if p not in paths:
-                paths.append(p)
+            paths[p] = None
 
     for cname in sorted(program.units):
         for m in program.units[cname].methods:
@@ -165,12 +174,10 @@ def goal_residence(program: Program, goal: Atom) -> tuple[ResourcePath, ...]:
             groups.extend(range(len(m.optional_groups)))
             for g in groups:
                 for atom, residence in result_atoms(m, g):
-                    if atom == goal:
-                        note(residence)
+                    note(atom, residence)
                 for _, atom, residence, _ in subject_effects(m, g):
-                    if atom == goal:
-                        note(residence)
-    return tuple(paths)
+                    note(atom, residence)
+    return {atom: tuple(paths) for atom, paths in table.items()}
 
 
 def paths_comparable(program: Program, root_type: str, a: ResourcePath, b: ResourcePath) -> bool:
@@ -217,17 +224,20 @@ def span_hits(program: Program, unit: str, values: dict[str, ValueState],
                 if not _alias_compatible(program, other.type, protected.type):
                     continue
         else:
-            # this-rooted: a normal-kind field may alias the protected
-            # variable; unshared fields and plain resources cannot.
+            # this-rooted: the protected value read from this field is the
+            # field's object, whatever its kind; otherwise a normal-kind
+            # field may alias it, and unshared fields and plain resources
+            # cannot.
             if not path:
                 continue
-            fld = program.find_field(unit, path[0])
-            if fld is None or fld.uniqueness.unshared:
-                continue
-            if protected.kind.unshared:
-                continue
-            if not _alias_compatible(program, fld.type, protected.type):
-                continue
+            if protected.field_path != path[:1]:
+                fld = program.find_field(unit, path[0])
+                if fld is None or fld.uniqueness.unshared:
+                    continue
+                if protected.kind.unshared:
+                    continue
+                if not _alias_compatible(program, fld.type, protected.type):
+                    continue
             path = path[1:]
         if paths_comparable(program, protected.type, path, span.protected_resource):
             yield span

@@ -482,6 +482,9 @@ class Program:
     # The planner's action index, built on first use once resolution has
     # ended (`planner.ActionIndex.of`).
     action_index: object = field(default=None, compare=False, repr=False)
+    # Atom -> residence of the corpus effects that achieve it, built on the
+    # first query once resolution has ended (`effects.goal_residence`).
+    goal_residences: Optional[dict] = field(default=None, compare=False, repr=False)
 
     # -- type hierarchy -----------------------------------------------------
 

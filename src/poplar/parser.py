@@ -18,6 +18,11 @@ from .model import (
     ReturnStmt, Stmt, SuperExpr, ThisExpr, UniquenessKind, VarDeclStmt,
 )
 
+# Blocks, argument lists and resource trees nest at most this deep, counted
+# together. Deeper input is a syntax error rather than a RecursionError here
+# or in one of the later recursive walks over the same tree.
+MAX_NESTING = 100
+
 UNIQUENESS_KEYWORDS = {
     "maintain": UniquenessKind.MAINTAIN,
     "maintainr": UniquenessKind.MAINTAIN_RETAINS,
@@ -151,6 +156,7 @@ class Parser:
         except LexError as e:
             raise SyntaxIssue(e.message, e.pos) from e
         self.i = 0
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -188,6 +194,13 @@ class Parser:
         if self.at(kind, text):
             return self.next()
         return None
+
+    def nest(self) -> None:
+        """Enter the level that the token just taken opens."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SyntaxIssue(f"nesting deeper than {MAX_NESTING} levels",
+                              self.tokens[self.i - 1].pos)
 
     # -- entry ---------------------------------------------------------------
 
@@ -298,10 +311,12 @@ class Parser:
         name = self.expect_ident().text
         node = RawResource(name)
         if self.accept("{"):
+            self.nest()
             node.children.append(self.parse_resource_def())
             while self.accept(","):
                 node.children.append(self.parse_resource_def())
             self.expect("}")
+            self.depth -= 1
         return node
 
     def parse_external(self) -> RawExternal:
@@ -544,9 +559,12 @@ class Parser:
     # -- statements -----------------------------------------------------------
 
     def parse_statements(self) -> list[Stmt]:
+        """The statements up to the `}` closing the `{` just taken."""
+        self.nest()
         out: list[Stmt] = []
         while not self.accept("}"):
             out.append(self.parse_statement())
+        self.depth -= 1
         return out
 
     def parse_statement(self) -> Stmt:
@@ -693,12 +711,15 @@ class Parser:
         return expr
 
     def parse_args(self) -> list[Expr]:
+        """The arguments after the `(` just taken; the caller takes the `)`."""
         args: list[Expr] = []
         if self.at(")"):
             return args
+        self.nest()
         args.append(self.parse_expr())
         while self.accept(","):
             args.append(self.parse_expr())
+        self.depth -= 1
         return args
 
 

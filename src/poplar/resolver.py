@@ -428,29 +428,25 @@ def _merge_external(target: MethodSpec, ex: ExternalDecl) -> None:
 
 
 def _collect_protocol_states(program: Program) -> None:
-    """Fill each protocol's state list from usage, in first-seen order."""
-    for pname in sorted(program.units):
-        unit = program.units[pname]
+    """Fill each protocol's state list from usage, in first-seen order, with
+    one walk over the conditions that buckets states by (owner, protocol)."""
+    # dict keys keep insertion order, so each bucket is an ordered set.
+    states: dict[tuple[str, str], dict[str, None]] = {}
+    for cname in sorted(program.units):
+        for m in program.units[cname].methods:
+            for cj in m.conjuncts + tuple(c for g in m.optional_groups for c in g):
+                for cond in cj.conditions:
+                    if isinstance(cond, Transition):
+                        seen = states.setdefault((cond.owner, cond.protocol), {})
+                        seen[cond.source] = None
+                        seen[cond.target] = None
+                    elif isinstance(cond, (Invariant, AddLabel)) and \
+                            isinstance(cond.atom, StateAtom):
+                        states.setdefault((cond.atom.owner, cond.atom.protocol),
+                                          {})[cond.atom.state] = None
+    for unit in program.units.values():
         for pd in unit.protocols:
-            states: list[str] = []
-
-            def note(s: str) -> None:
-                if s not in states:
-                    states.append(s)
-
-            for cname in sorted(program.units):
-                for m in program.units[cname].methods:
-                    for cj in m.conjuncts + tuple(c for g in m.optional_groups for c in g):
-                        for cond in cj.conditions:
-                            if isinstance(cond, Transition) and \
-                                    (cond.owner, cond.protocol) == (pd.owner, pd.name):
-                                note(cond.source)
-                                note(cond.target)
-                            elif isinstance(cond, (Invariant, AddLabel)) and \
-                                    isinstance(cond.atom, StateAtom) and \
-                                    (cond.atom.owner, cond.atom.protocol) == (pd.owner, pd.name):
-                                note(cond.atom.state)
-            pd.states = tuple(states)
+            pd.states = tuple(states.get((pd.owner, pd.name), ()))
 
 
 def _validate_queries(program: Program) -> None:

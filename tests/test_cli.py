@@ -371,3 +371,98 @@ def test_traced_names_exist_at_their_lookup_names(dotted):
     for attr in attrs:
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+NEST_BOX = """class Box {
+    labels touched;
+    resources content;
+
+    Box()
+        result: +touched;
+
+    void touch() [!content]
+        this: +touched;
+
+    Box wrap(Box b) {
+        return b;
+    }
+}
+"""
+
+
+class TestNesting:
+    """Blocks, argument lists and resource trees nest at most 100 deep,
+    counted together; a method body is the first level."""
+
+    def check(self, tmp_path, capsys, text):
+        (tmp_path / "box.pop").write_text(NEST_BOX)
+        src = tmp_path / "deep.pop"
+        src.write_text(text)
+        code, out, err = run(["check", str(tmp_path)], capsys)
+        assert err == ""
+        return code, out.replace(str(src), "deep.pop")
+
+    def test_3000_nested_blocks_are_a_positioned_syntax_error(self, tmp_path, capsys):
+        text = "class C {\n    void m() {\n" + "{" * 3000 + "}" * 3000 + "\n    }\n}\n"
+        assert self.check(tmp_path, capsys, text) == (
+            1, "deep.pop:3:100: error: E-SYN: nesting deeper than 100 levels\n")
+
+    def test_nested_calls_count_with_the_enclosing_blocks(self, tmp_path, capsys):
+        text = ("class C {\n    void m(Box a) {\n{" + "a.wrap(" * 99 + "a"
+                + ")" * 99 + ";}\n    }\n}\n")
+        assert self.check(tmp_path, capsys, text) == (
+            1, f"deep.pop:3:{2 + 7 * 98 + 6}: error: E-SYN: nesting deeper than 100 levels\n")
+
+    def test_resource_trees_nest_at_most_100_deep(self, tmp_path, capsys):
+        def resources(braces):
+            return ("class R {\n    resources " + "r{" * braces + "r"
+                    + "}" * braces + ";\n}\n")
+        assert self.check(tmp_path, capsys, resources(101)) == (
+            1, "deep.pop:2:216: error: E-SYN: nesting deeper than 100 levels\n")
+        assert self.check(tmp_path, capsys, resources(100)) == (0, "")
+
+    def test_nesting_at_the_limit_checks_and_synthesizes(self, tmp_path, capsys):
+        text = ("class C {\n    void m(Box a) {\n" + "{" * 99
+                + "Box x = #produce(Box, touched);" + "}" * 99 + "\n    }\n"
+                + "    void n(Box a) {\n        Box y = " + "a.wrap(" * 99 + "a"
+                + ")" * 99 + ";\n    }\n}\n")
+        assert self.check(tmp_path, capsys, text) == (0, "")
+        out_dir = tmp_path / "out"
+        code, _, err = run(["synth", str(tmp_path), "--out", str(out_dir)], capsys)
+        assert (code, err) == (0, "")
+        code, out, err = run(["check", str(out_dir)], capsys)
+        assert (code, out, err) == (0, "", "")
+
+
+def test_backslash_newline_ends_a_string_literal_unterminated(tmp_path, capsys):
+    src = tmp_path / "s.pop"
+    src.write_text('class C {\n    void m() {\n        String s = "a\\\nb";\n    }\n}\n')
+    code, out, err = run(["check", str(src)], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        f"{src}:3:20: error: E-SYN: unterminated string literal"]
+
+
+def test_unique_field_protected_by_its_own_span(capsys):
+    path = c("unique_field_span", "held.pop")
+    code, out, _ = run(["check", path], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        f"{path}:15:13: error: E-SPAN: SpanViolation: statement may mutate "
+        f"protected resource 'held.content' (summary hits 'this.held.content')"]
+
+
+@pytest.mark.parametrize("flags", [["--budget", "0"], ["--max-len", "0"],
+                                   ["--precedence", "Calendar"]],
+                         ids=["budget", "max-len", "precedence"])
+def test_verify_upgrade_rejects_a_malformed_config_like_check(tmp_path, capsys,
+                                                              flags):
+    stored = tmp_path / "assumptions"
+    code, _, _ = run(["synth", c("common"), c("timedate14"), c("client"),
+                      "--out", str(stored)], capsys)
+    assert code == 0
+    upgrade = run(["verify-upgrade", "--assumptions", str(stored),
+                   c("common"), c("timedate14"), *flags], capsys)
+    check = run(["check", c("common"), c("timedate14"), *flags], capsys)
+    assert upgrade == check
+    assert upgrade[0] == 2 and upgrade[1] == ""

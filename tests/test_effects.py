@@ -6,15 +6,19 @@ import pytest
 
 from poplar.effects import (
     MissingCalleeSummary, check_class_conformance, check_program,
-    check_spans, check_uniqueness, generalize_summary, infer_summary,
-    is_subprotocol, class_protocol_machine, verify_summary,
+    check_spans, check_uniqueness, generalize_summary, goal_residence,
+    infer_summary, is_subprotocol, class_protocol_machine, postconditions,
+    result_atoms, subject_effects, subject_preconditions, verify_summary,
 )
 from poplar.model import (
-    AddLabel, Invariant, Transition, UniquenessKind, any_target, this_target,
-    var_target,
+    AddLabel, Invariant, StateAtom, Transition, UniquenessKind, any_target,
+    this_target, var_target,
 )
 
-from conftest import CORPUS, RECORDSET, SOCKET, SWING, load, load_raw
+from conftest import (
+    CORPUS, RECORDSET, SOCKET, SWING, SWING_QUERY, TD14, TD15, TD_BOTH,
+    all_query_contexts, load, load_raw,
+)
 
 K = UniquenessKind
 
@@ -642,3 +646,56 @@ class TestSwingConformance:
     def test_whole_corpus_clean(self):
         prog = load(SWING)
         assert check_program(prog) == []
+
+
+RESIDENCE_TREES = [
+    TD14, TD15, TD_BOTH, SOCKET, SWING, SWING_QUERY, RECORDSET,
+    ["witness/witness.pop"], ["threats/twin.pop"], ["shapes/shapes.pop"],
+    ["unique_alias/alias.pop"], ["unique_field_span/held.pop"],
+    ["protocol_order/order.pop"],
+    ["common/timeanddate.pop", "upgrade_renamed/date.pop"],
+    ["common/timeanddate.pop", "upgrade_stronger/date.pop"],
+]
+
+
+def scanned_residence(program, goal):
+    """goal_residence as a scan of every method for the one goal."""
+    paths = []
+    for cname in sorted(program.units):
+        for m in program.units[cname].methods:
+            for g in [None, *range(len(m.optional_groups))]:
+                found = [r for atom, r in result_atoms(m, g) if atom == goal]
+                found += [r for _, atom, r, _ in subject_effects(m, g) if atom == goal]
+                for residence in found:
+                    for p in residence:
+                        if p not in paths:
+                            paths.append(p)
+    return tuple(paths)
+
+
+@pytest.mark.parametrize("files", RESIDENCE_TREES,
+                         ids=lambda files: "+".join(f.split("/")[0] for f in files))
+def test_goal_residence_table_agrees_with_a_scan(files):
+    """For every atom a method mentions and every query goal of the tree."""
+    prog = load(files)
+    goals = set()
+    for unit in prog.units.values():
+        for m in unit.methods:
+            for g in [None, *range(len(m.optional_groups))]:
+                goals.update(atom for _, atom, _ in postconditions(m, g))
+                goals.update(atom for _, atom in subject_preconditions(m, g))
+    for ctx in all_query_contexts(prog):
+        subject = ctx.query.produce_type or ctx.values[ctx.query.target_var].type
+        goals.add(prog.normalize_goal(ctx.query.goal_text, subject, ctx.unit))
+    assert goals
+    for goal in sorted(goals, key=repr):
+        assert goal_residence(prog, goal) == scanned_residence(prog, goal), goal
+    assert prog.goal_residences is not None and set(prog.goal_residences) <= goals
+
+
+def test_goal_residence_follows_unit_name_order():
+    """Alarm.force and Lock.turn both establish Door.life@wide; Alarm comes
+    first by name although Lock comes first in the file."""
+    prog = load(["protocol_order/order.pop"])
+    assert goal_residence(prog, StateAtom("Door", "life", "wide")) == \
+        (("frame",), ("hinge",))

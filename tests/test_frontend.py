@@ -426,3 +426,16 @@ class C {
 }
 """)])
         assert any("unknown resource" in d.message for d in prog.diagnostics.items)
+
+
+def test_protocol_states_follow_first_use_across_units():
+    """Lock.life, Lock.bolt and Door.life are first used in interleaved
+    order over Alarm, Door and Lock; each keeps its own first-use order."""
+    prog = load(["protocol_order/order.pop"])
+    states = {(pd.owner, pd.name): pd.states
+              for u in prog.units.values() for pd in u.protocols}
+    assert states == {
+        ("Door", "life"): ("wide", "shut", "ajar"),
+        ("Lock", "life"): ("idle", "armed"),
+        ("Lock", "bolt"): ("free", "jammed", "set"),
+    }

@@ -628,25 +628,29 @@ class Client {{
 """
 
 
-@pytest.mark.parametrize("field,a,b,alias,subject,hit", [
-    ("", "", "", "", "b", True),
-    ("", "", "unique ", "", "b", False),
-    ("", "unique ", "", "", "b", False),
-    ("", "", "", "Box c = a;", "c", True),
-    ("", "unique ", "", "", "a", True),
-    ("", "", "", "", "held", True),
-    ("", "", "", "held = a;", "held", True),
-    ("unique ", "", "", "", "held", False),
-    ("", "unique ", "", "", "held", False),
+@pytest.mark.parametrize("field,a,b,alias,guarded,subject,hit", [
+    ("", "", "", "", "a", "b", True),
+    ("", "", "unique ", "", "a", "b", False),
+    ("", "unique ", "", "", "a", "b", False),
+    ("", "", "", "Box c = a;", "a", "c", True),
+    ("", "unique ", "", "", "a", "a", True),
+    ("", "", "", "", "a", "held", True),
+    ("", "", "", "held = a;", "a", "held", True),
+    ("unique ", "", "", "", "a", "held", False),
+    ("", "unique ", "", "", "a", "held", False),
+    ("", "", "", "", "held", "held", True),
+    ("unique ", "", "", "", "held", "held", True),
 ], ids=["var-shared", "var-other-unique", "var-protected-unique",
         "var-local-alias", "var-protected-itself", "this-shared-field",
         "this-shared-field-alias", "this-unique-field",
-        "this-field-protected-unique"])
+        "this-field-protected-unique", "this-field-protected-itself",
+        "this-unique-field-protected-itself"])
 def test_span_rule_agrees_for_handwritten_and_generated(field, a, b, alias,
-                                                         subject, hit, cfg):
-    """Inside `protect a.content`, a hand-written `subject.touch()` is an
-    E-SPAN exactly when the planner refuses to generate the same call."""
-    def method(stmt, guard="protect a.content"):
+                                                         guarded, subject, hit,
+                                                         cfg):
+    """Inside `protect guarded.content`, a hand-written `subject.touch()` is
+    an E-SPAN exactly when the planner refuses to generate the same call."""
+    def method(stmt, guard=f"protect {guarded}.content"):
         prog = load([], [("box.pop", SPAN_BOX), ("client.pop", SPAN_CLIENT.format(
             field=field, a=a, b=b, alias=alias, guard=guard, stmt=stmt))])
         unit = prog.units["Client"]
