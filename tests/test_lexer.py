@@ -84,7 +84,8 @@ def test_superscript_two_continues_an_int_and_an_identifier():
 
 
 def test_trailing_line_comment_leaves_the_end_at_its_column():
-    assert (tokenize("a // tail")[-1].pos.line, tokenize("a // tail")[-1].pos.col) == (1, 3)
+    end = tokenize("a // tail")[-1]
+    assert (end.kind, end.pos.line, end.pos.col) == ("eof", 1, 3)
     assert_same("a // tail")
 
 
