@@ -16,7 +16,6 @@ class SearchConfig:
     max_plan_length: int = 12
     summary_rewrite_policy: str = "reject"  # "reject" | "rewrite"
     api_precedence: dict[str, int] = field(default_factory=dict)
-    require_unique_solution: bool = False
 
     def __post_init__(self) -> None:
         if self.plan_budget <= 0:

@@ -13,16 +13,24 @@ from typing import Iterator, Optional, Union
 
 from .diagnostics import E_SPAN, E_SUM, E_UNIQ, E_OVR
 from .model import (
-    AddLabel, AssignStmt, Atom, BlockStmt, CallExpr, ClassModel, Expr,
-    ExprStmt, FieldAccessExpr, FieldDecl, Invariant, LiteralExpr, MethodSpec,
+    AssignStmt, Atom, BlockStmt, CallExpr, ClassModel, Condition, Conjunct,
+    Expr, ExprStmt, FieldAccessExpr, FieldDecl, LiteralExpr, MethodSpec,
     MutationTarget, NameExpr, NewExpr, Pos, PRIMITIVES, Program, ProtectStmt,
     ProtocolDecl, Query, QueryStmt, ResourcePath, ReturnStmt, StateAtom, Stmt,
-    SuperExpr, ThisExpr, Transition, UniquenessKind, VarDeclStmt, any_target,
-    can_flow, can_override_arg, can_override_return, flow_consumes,
-    this_target, var_target,
+    SuperExpr, ThisExpr, UniquenessKind, VarDeclStmt, any_target, can_flow,
+    can_override_arg, can_override_return, flow_consumes, this_target,
+    var_target,
 )
 
 KIND = UniquenessKind
+
+# Inferring the summary of an unannotated callee walks its body, and so on
+# down its own unannotated callees; at most this many bodies nest. A deeper
+# chain is an E-SUM that asks for a declared summary rather than a
+# RecursionError. A level costs about seven interpreter frames, plus two per
+# block around the call, so plain call chains at the limit stay well inside
+# Python's default recursion limit of 1000.
+MAX_INFERENCE_DEPTH = 50
 
 
 @dataclass(frozen=True)
@@ -77,9 +85,10 @@ class QueryContext:
 
 
 class MissingCalleeSummary(Exception):
-    def __init__(self, name: str):
+    def __init__(self, name: str, reason: str = "has no declared or inferable summary"):
         super().__init__(name)
         self.callee = name
+        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -89,64 +98,42 @@ class MissingCalleeSummary(Exception):
 def result_atoms(method: MethodSpec, group: Optional[int] = None) -> list[tuple[Atom, tuple[ResourcePath, ...]]]:
     """Atoms the method establishes on its returned value. Invariants on
     `result` count as carried labels."""
-    out: list[tuple[Atom, tuple[ResourcePath, ...]]] = []
-    for atom in method.result_labels:
-        out.append((atom, ()))
-    for cj in method.all_conjuncts(group):
-        if cj.subject != "result":
-            continue
-        for cond in cj.conditions:
-            if isinstance(cond, AddLabel):
-                out.append((cond.atom, cond.residence))
-            elif isinstance(cond, Invariant):
-                out.append((cond.atom, ()))
-            elif isinstance(cond, Transition):
-                out.append((cond.target_atom(), cond.residence))
-    return out
+    return [(atom, ()) for atom in method.result_labels] + [
+        (cond.after, cond.residence)
+        for cj in method.all_conjuncts(group) if cj.subject == "result"
+        for cond in cj.conditions]
 
 
 def subject_preconditions(method: MethodSpec, group: Optional[int] = None) -> list[tuple[str, Atom]]:
     """(subject, atom) pairs that must hold before invocation."""
-    out = []
-    for cj in method.all_conjuncts(group):
-        if cj.subject == "result":
-            continue
-        for cond in cj.conditions:
-            if isinstance(cond, Invariant):
-                out.append((cj.subject, cond.atom))
-            elif isinstance(cond, Transition):
-                out.append((cj.subject, cond.source_atom()))
-    return out
+    return _requirements(method.all_conjuncts(group))
 
 
 def subject_effects(method: MethodSpec, group: Optional[int] = None) -> list[tuple[str, Atom, tuple[ResourcePath, ...], Optional[Atom]]]:
     """(subject, atom-added, residence, atom-removed) for non-result subjects."""
-    out = []
-    for cj in method.all_conjuncts(group):
-        if cj.subject == "result":
-            continue
-        for cond in cj.conditions:
-            if isinstance(cond, AddLabel):
-                out.append((cj.subject, cond.atom, cond.residence, None))
-            elif isinstance(cond, Transition):
-                out.append((cj.subject, cond.target_atom(), cond.residence, cond.source_atom()))
-    return out
+    return [(cj.subject, cond.after, cond.residence, cond.removed)
+            for cj in method.all_conjuncts(group) if cj.subject != "result"
+            for cond in cj.conditions if _is_effect(cond)]
 
 
 def postconditions(method: MethodSpec, group: Optional[int] = None) -> list[tuple[str, Atom, tuple[ResourcePath, ...]]]:
     """(subject, atom, residence) for every fact that holds after
     invocation, `result` included."""
-    out: list[tuple[str, Atom, tuple[ResourcePath, ...]]] = [
-        ("result", atom, ()) for atom in method.result_labels]
-    for cj in method.all_conjuncts(group):
-        for cond in cj.conditions:
-            if isinstance(cond, Invariant):
-                out.append((cj.subject, cond.atom, ()))
-            elif isinstance(cond, AddLabel):
-                out.append((cj.subject, cond.atom, cond.residence))
-            elif isinstance(cond, Transition):
-                out.append((cj.subject, cond.target_atom(), cond.residence))
-    return out
+    return [("result", atom, ()) for atom in method.result_labels] + [
+        (cj.subject, cond.after, cond.residence)
+        for cj in method.all_conjuncts(group) for cond in cj.conditions]
+
+
+def _requirements(conjuncts: tuple[Conjunct, ...]) -> list[tuple[str, Atom]]:
+    """(subject, atom) for each condition that needs an atom before the call."""
+    return [(cj.subject, cond.before) for cj in conjuncts if cj.subject != "result"
+            for cond in cj.conditions if cond.before is not None]
+
+
+def _is_effect(cond: Condition) -> bool:
+    """Whether a condition changes its subject: it adds an atom without
+    needing one, or it removes one. Only an invariant does neither."""
+    return cond.before is None or cond.removed is not None
 
 
 def goal_residence(program: Program, goal: Atom) -> tuple[ResourcePath, ...]:
@@ -170,9 +157,7 @@ def _goal_residence_table(program: Program) -> dict[Atom, tuple[ResourcePath, ..
 
     for cname in sorted(program.units):
         for m in program.units[cname].methods:
-            groups: list[Optional[int]] = [None]
-            groups.extend(range(len(m.optional_groups)))
-            for g in groups:
+            for g in m.group_choices():
                 for atom, residence in result_atoms(m, g):
                     note(atom, residence)
                 for _, atom, residence, _ in subject_effects(m, g):
@@ -244,31 +229,41 @@ def span_hits(program: Program, unit: str, values: dict[str, ValueState],
 
 
 # ---------------------------------------------------------------------------
-# Summary generalization
+# Naming a mutation
 # ---------------------------------------------------------------------------
 
-def generalize_summary(program: Program,
-                       summary: frozenset[MutationTarget],
-                       bindings: dict[str, tuple[str, str, UniquenessKind]],
-                       ) -> frozenset[MutationTarget]:
-    """Rewrite a callee summary for a call site.
+def name_mutation(method: MethodSpec, st: ValueState, path: ResourcePath,
+                  formal_type: Optional[str] = None,
+                  for_span: bool = False) -> Optional[MutationTarget]:
+    """Name a mutation of `st`'s object from `method`'s point of view, for
+    a call whose summary mutates `path` under the receiver (no
+    `formal_type`) or under a parameter of type `formal_type`. This one
+    rule names hand-written calls and generated plan steps alike.
 
-    `bindings` maps formal argument names to (actual name, formal type,
-    tracked kind of the actual). Targets rooted at a Normal-tracked actual
-    lose their identity and become any(T); maintained and unique actuals
-    keep the named target.
+    The caller-visible form hides fresh objects (a caller cannot observe
+    them); the span-level form keeps named locals, because a protection
+    span guards exactly those.
     """
-    out: set[MutationTarget] = set()
-    for t in summary:
-        if t.root_kind != "var" or t.root_name not in bindings:
-            out.add(t)
-            continue
-        actual, formal_type, kind = bindings[t.root_name]
-        if kind is KIND.NORMAL:
-            out.add(any_target(formal_type, t.path))
-        else:
-            out.add(var_target(actual, t.path))
-    return frozenset(out)
+    if st.variable == "this":
+        if st.fresh and not for_span:
+            return None  # constructing: this has no external aliases yet
+        return this_target(path)
+    if st.fresh:
+        if not for_span:
+            return None
+        if st.variable.startswith("<"):
+            return None  # unnamed temporary: aliases nothing protected
+        return var_target(st.variable, path)
+    if st.is_field or st.field_path is not None:
+        if st.field_path is None:
+            return None  # unmanaged field: hidden implementation state
+        return this_target(st.field_path + path)
+    if method.arg_named(st.variable) is not None or for_span:
+        if st.kind is KIND.NORMAL:
+            return any_target(formal_type or st.type, path)
+        return var_target(st.variable, path)
+    # Locals of unknown origin and call results: attribute to any(T).
+    return any_target(formal_type or st.type, path)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +332,13 @@ class BodyAnalyzer:
         if declared or callee.body is None:
             self._summary_cache[key] = declared
             return declared
+        name = f"{callee.declared_in}.{callee.name}"
         if key in self._inference_stack:
-            raise MissingCalleeSummary(f"{callee.declared_in}.{callee.name}")
+            raise MissingCalleeSummary(name)
+        if len(self._inference_stack) >= MAX_INFERENCE_DEPTH:
+            raise MissingCalleeSummary(
+                name, f"has no declared summary, and inferring one nests deeper "
+                      f"than {MAX_INFERENCE_DEPTH} unannotated callees")
         self._inference_stack.add(key)
         try:
             unit = self.program.units.get(callee.declared_in)
@@ -362,8 +362,7 @@ class BodyAnalyzer:
                 self._walk(self.method.body)
             except MissingCalleeSummary as e:
                 self._violate(E_SUM, "MissingCalleeSummary",
-                              f"callee '{e.callee}' has no declared or inferable summary",
-                              self.method.pos)
+                              f"callee '{e.callee}' {e.reason}", self.method.pos)
         return self
 
     def _violate(self, code: str, rule: str, message: str, pos: Pos) -> None:
@@ -755,8 +754,8 @@ class BodyAnalyzer:
                 if fresh_receiver or recv is None:
                     mapped = local = None
                 else:
-                    mapped = self._object_target(recv, t.path)
-                    local = self._object_target(recv, t.path, for_span=True)
+                    mapped = name_mutation(self.method, recv, t.path)
+                    local = name_mutation(self.method, recv, t.path, for_span=True)
             elif t.root_kind == "var" and t.root_name in by_name:
                 idx = by_name[t.root_name]
                 st = arg_states[idx] if idx < len(arg_states) else None
@@ -764,44 +763,15 @@ class BodyAnalyzer:
                 if st is None:
                     mapped = local = any_target(formal.type, t.path)
                 else:
-                    mapped = self._object_target(st, t.path, formal.type)
-                    local = self._object_target(st, t.path, formal.type, for_span=True)
+                    mapped = name_mutation(self.method, st, t.path, formal.type)
+                    local = name_mutation(self.method, st, t.path, formal.type,
+                                          for_span=True)
             else:
                 mapped = local = t
             if local is not None:
                 self._check_spans(local, pos)
             if mapped is not None:
                 self.inferred.add(mapped)
-
-    def _object_target(self, st: ValueState, path: ResourcePath,
-                       formal_type: Optional[str] = None,
-                       for_span: bool = False) -> Optional[MutationTarget]:
-        """Name a mutation of `st`'s object from this method's point of view.
-
-        The caller-visible form hides fresh objects (a caller cannot observe
-        them); the span-level form keeps named locals, because a protection
-        span guards exactly those.
-        """
-        if st.variable == "this":
-            if st.fresh and not for_span:
-                return None  # constructing: this has no external aliases yet
-            return this_target(path)
-        if st.fresh:
-            if not for_span:
-                return None
-            if st.variable.startswith("<"):
-                return None  # unnamed temporary: aliases nothing protected
-            return var_target(st.variable, path)
-        if st.is_field or st.field_path is not None:
-            if st.field_path is None:
-                return None  # unmanaged field: hidden implementation state
-            return this_target(st.field_path + path)
-        if self.method.arg_named(st.variable) is not None or for_span:
-            if st.kind is KIND.NORMAL:
-                return any_target(formal_type or st.type, path)
-            return var_target(st.variable, path)
-        # Locals of unknown origin and call results: attribute to any(T).
-        return any_target(formal_type or st.type, path)
 
     def _check_spans(self, target: MutationTarget, pos: Pos) -> None:
         for span in span_hits(self.program, self.unit.name, self.values,
@@ -1045,29 +1015,13 @@ def _check_groups(program: Program, sub: MethodSpec, sup: MethodSpec,
 
 
 def _group_pre(m: MethodSpec, group: int) -> set[tuple[str, Atom]]:
-    out = set()
-    for cj in m.optional_groups[group]:
-        if cj.subject == "result":
-            continue
-        for cond in cj.conditions:
-            if isinstance(cond, Invariant):
-                out.add((cj.subject, cond.atom))
-            elif isinstance(cond, Transition):
-                out.add((cj.subject, cond.source_atom()))
-    return out
+    return set(_requirements(m.optional_groups[group]))
 
 
 def _group_post(m: MethodSpec, group: int) -> set[tuple[str, Atom]]:
-    out = set()
-    for cj in m.optional_groups[group]:
-        for cond in cj.conditions:
-            if isinstance(cond, AddLabel):
-                out.add((cj.subject, cond.atom))
-            elif isinstance(cond, Transition):
-                out.add((cj.subject, cond.target_atom()))
-            elif isinstance(cond, Invariant) and cj.subject == "result":
-                out.add((cj.subject, cond.atom))
-    return out
+    """What an optional group adds, with the invariants it keeps on `result`."""
+    return {(cj.subject, cond.after) for cj in m.optional_groups[group]
+            for cond in cj.conditions if _is_effect(cond) or cj.subject == "result"}
 
 
 def _rename_target(t: MutationTarget, rename: dict[str, str]) -> MutationTarget:

@@ -14,6 +14,7 @@ they are shared freely between concurrent checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from typing import Iterator, Optional, Union
 
@@ -146,30 +147,65 @@ Atom = Union[LabelAtom, StateAtom]
 ResourcePath = tuple[str, ...]
 
 
+# Every condition reads the same way for a call: the atom it needs `before`
+# (None for none), the atom that holds `after`, the atom it `removed` (None
+# for none) and the `residence` of what it establishes. Only the printer
+# looks at a condition's class.
+
 @dataclass(frozen=True)
 class Invariant:
+    """Holds before the call and still holds after it."""
+
     atom: Atom
+    residence = ()
+    removed = None
+
+    @property
+    def before(self) -> Atom:
+        return self.atom
+
+    @property
+    def after(self) -> Atom:
+        return self.atom
 
 
 @dataclass(frozen=True)
 class AddLabel:
+    """Holds after the call, whatever held before."""
+
     atom: LabelAtom
     residence: tuple[ResourcePath, ...] = ()
+    before = None
+    removed = None
+
+    @property
+    def after(self) -> Atom:
+        return self.atom
 
 
 @dataclass(frozen=True)
 class Transition:
+    """Goes from the source state to the target state, removing the source
+    (a self-transition removes and re-establishes it)."""
+
     owner: str
     protocol: str
     source: str
     target: str
     residence: tuple[ResourcePath, ...] = ()
 
-    def source_atom(self) -> StateAtom:
+    # Cached on the instance: the checkers read them for every call.
+    @cached_property
+    def before(self) -> StateAtom:
         return StateAtom(self.owner, self.protocol, self.source)
 
-    def target_atom(self) -> StateAtom:
+    @cached_property
+    def after(self) -> StateAtom:
         return StateAtom(self.owner, self.protocol, self.target)
+
+    @cached_property
+    def removed(self) -> StateAtom:
+        return self.before
 
 
 Condition = Union[Invariant, AddLabel, Transition]
@@ -433,6 +469,14 @@ class MethodSpec:
         if group is not None:
             out.extend(self.optional_groups[group])
         return tuple(out)
+
+    def group_choices(self) -> list[Optional[int]]:
+        """No optional group, then each group by index."""
+        return [None, *range(len(self.optional_groups))]
+
+    def every_conjunct(self) -> tuple[Conjunct, ...]:
+        """Mandatory conjuncts, then those of every optional group."""
+        return sum(self.optional_groups, self.conjuncts)
 
     def declared_summary(self) -> frozenset[MutationTarget]:
         """The summary as written: the mutates clause plus this-rooted [!r]."""
@@ -814,15 +858,12 @@ class Program:
         return frozenset(transitions)
 
     def _method_transitions(self, method: MethodSpec, proto: ProtocolDecl) -> set[tuple[str, str]]:
-        out = set()
-        groups: list[tuple[Conjunct, ...]] = [method.conjuncts]
-        groups.extend(method.optional_groups)
-        for conjs in groups:
-            for cj in conjs:
-                for cond in cj.conditions:
-                    if isinstance(cond, Transition) and (cond.owner, cond.protocol) == (proto.owner, proto.name):
-                        out.add((cond.source, cond.target))
-        return out
+        """(source, target) of each transition of `proto` among the method's
+        conditions: the conditions that remove a state."""
+        return {(cond.before.state, cond.after.state)
+                for cj in method.every_conjunct() for cond in cj.conditions
+                if cond.removed is not None
+                and (cond.removed.owner, cond.removed.protocol) == (proto.owner, proto.name)}
 
     # -- goals ----------------------------------------------------------------
 

@@ -195,6 +195,14 @@ class Parser:
             return self.next()
         return None
 
+    def int_value(self, t: Token) -> int:
+        """The value of an int token. The lexer takes any `str.isdigit` run,
+        and some of those characters, such as '²', are not decimal digits."""
+        try:
+            return int(t.text)
+        except ValueError:
+            raise SyntaxIssue(f"invalid integer literal '{t.text}'", t.pos) from None
+
     def nest(self) -> None:
         """Enter the level that the token just taken opens."""
         self.depth += 1
@@ -256,7 +264,7 @@ class Parser:
             return
         if self.at_keyword("precedence"):
             self.next()
-            decl.precedence = int(self.expect("int").text)
+            decl.precedence = self.int_value(self.expect("int"))
             self.expect(";")
             return
         if t.kind == "keyword" and t.text not in (
@@ -668,7 +676,7 @@ class Parser:
         t = self.peek()
         if t.kind == "int":
             self.next()
-            return LiteralExpr("int", int(t.text), t.pos)
+            return LiteralExpr("int", self.int_value(t), t.pos)
         if t.kind == "string":
             self.next()
             return LiteralExpr("string", t.text, t.pos)

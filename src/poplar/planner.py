@@ -17,13 +17,12 @@ from typing import Iterator, Optional
 
 from .config import SearchConfig
 from .effects import (
-    QueryContext, paths_comparable, result_atoms, span_hits, subject_effects,
-    subject_preconditions,
+    QueryContext, name_mutation, paths_comparable, result_atoms, span_hits,
+    subject_effects, subject_preconditions,
 )
 from .model import (
     Atom, FieldDecl, MethodSpec, MutationTarget, Program,
-    ResourcePath, StateAtom, UniquenessKind, any_target, this_target,
-    var_target,
+    ResourcePath, StateAtom, UniquenessKind,
 )
 
 KIND = UniquenessKind
@@ -48,10 +47,6 @@ class BudgetExhausted(PlanFailure):
 
 
 class WithUnsatisfiable(PlanFailure):
-    pass
-
-
-class AmbiguousSolution(PlanFailure):
     pass
 
 
@@ -252,9 +247,7 @@ def action_universe(program: Program) -> list[ActionSpec]:
     for cname in sorted(program.units):
         unit = program.units[cname]
         for m in unit.methods:
-            groups: list[Optional[int]] = [None]
-            groups.extend(range(len(m.optional_groups)))
-            for g in groups:
+            for g in m.group_choices():
                 if m.is_constructor:
                     if not unit.is_abstract and not unit.is_interface:
                         out.append(ActionSpec("ctor", cname, cname, g, method=m))
@@ -378,7 +371,7 @@ def can_substitute(program: Program, value_type: str, value_labels: set,
     return program.is_subtype(value_type, need_type) and need_labels <= set(value_labels)
 
 
-def useful(program: Program, candidate: tuple[str, frozenset, UniquenessKind, frozenset],
+def useful(candidate: tuple[str, frozenset, UniquenessKind, frozenset],
            existing: list[tuple[str, frozenset, UniquenessKind, frozenset]]) -> bool:
     """Whether a new value offers anything over the existing ones: a new
     type, a new type/label combination, a stronger uniqueness kind, or a
@@ -465,53 +458,23 @@ class Planner:
     # -- public entry -----------------------------------------------------------
 
     def plan(self) -> PlanResult:
-        solutions = self._solve(want=2 if self.cfg.require_unique_solution else 1)
-        if not solutions:
+        plan = self._solve()
+        if plan is None:
             raise NoSolution(
                 f"no solution within length {self.cfg.max_plan_length} "
                 f"(explored {self.explored} plans)", self.explored)
-        if self.cfg.require_unique_solution and len(solutions) > 1:
-            raise AmbiguousSolution(
-                f"{len(solutions)} distinct minimal solutions", self.explored)
-        plan = solutions[0]
         groups = {a.aid: a.spec.group for a in plan.real_actions()
                   if a.spec and a.spec.group is not None}
         return PlanResult(plan, self.program, self.ctx, self.goal,
                           self.explored, self.rejected_threats, groups,
                           frozenset(self.visible_targets(plan)))
 
-    def _solve(self, want: int) -> list[Plan]:
-        found: list[Plan] = []
-        signatures: set = set()
+    def _solve(self) -> Optional[Plan]:
+        """The first solution of the shallowest depth that has one."""
         for depth in range(0, self.cfg.max_plan_length + 1):
             for solution in self._dfs(self.initial_plan(), depth, frozenset()):
-                sig = self._solution_signature(solution)
-                if sig in signatures:
-                    continue
-                signatures.add(sig)
-                found.append(solution)
-                if len(found) >= want:
-                    return found
-            if found:
-                return found
-        return found
-
-    def _solution_signature(self, plan: Plan) -> tuple:
-        parts = []
-        for aid in plan.linearize():
-            a = plan.actions[aid]
-            if a.spec is None:
-                continue
-            parts.append((a.spec.key,
-                          self._obj_sig(plan, a.receiver),
-                          tuple(self._obj_sig(plan, o) for o in a.args)))
-        return tuple(parts)
-
-    def _obj_sig(self, plan: Plan, oid: Optional[int]):
-        if oid is None:
-            return None
-        obj = plan.objects[oid]
-        return obj.ctx_name if obj.ctx_name else ("#", obj.producer)
+                return solution
+        return None
 
     # -- search ------------------------------------------------------------------
 
@@ -677,8 +640,8 @@ class Planner:
         residence: list[ResourcePath] = []
         for _, res in f.result_atoms:
             residence.extend(res)
-        return useful(self.program, (f.result_type, f.result_atom_set, KIND.UNIQUE,
-                                     frozenset(residence)), self._existing)
+        return useful((f.result_type, f.result_atom_set, KIND.UNIQUE,
+                       frozenset(residence)), self._existing)
 
     def _filter_precedence(self, cands: list[Candidate]) -> list[Candidate]:
         """Keep the fresh actions of the highest precedence tier."""
@@ -978,21 +941,17 @@ class Planner:
 
     def _action_targets(self, plan: Plan, action: PlanAction,
                         for_span: bool = False) -> set[MutationTarget]:
-        """Mutations of one plan step, named from the enclosing method.
-
-        Plan-created values are brand new and alias nothing, so they are
-        left out. As the method's caller sees them, values the method
-        created itself are invisible too, and normal-kind values generalize
-        to any(T). For protection checking (`for_span`), named context
-        values keep their identity even when freshly produced, since spans
-        protect exactly those variables.
-        """
+        """Mutations of one plan step, named from the enclosing method by
+        `effects.name_mutation`, as the checker names the same call written
+        by hand. Plan-created values are brand new and alias nothing, so
+        they are left out; a context value is named from its state at the
+        query site."""
         out: set[MutationTarget] = set()
         m = action.spec.method
         f = self.index.facts(action.spec)
         for t in f.summary:
             if t.root_kind == "this":
-                oid, formal_type = action.receiver, m.declared_in
+                oid, formal_type = action.receiver, None
             elif t.root_kind == "var" and t.root_name in f.slots:
                 idx = f.slots[t.root_name]
                 oid = action.args[idx] if idx < len(action.args) else None
@@ -1004,18 +963,10 @@ class Planner:
             if obj is None or obj.ctx_name is None:
                 continue
             st = self.ctx.values.get(obj.ctx_name)
-            if st is None or (st.fresh and not for_span):
-                continue
-            if st.variable == "this":
-                out.add(this_target(t.path))
-            elif st.field_path is not None:
-                out.add(this_target(st.field_path + t.path))
-            elif st.is_field:
-                continue  # unmanaged field: hidden state
-            elif st.kind is KIND.NORMAL and not for_span:
-                out.add(any_target(formal_type, t.path))
-            else:
-                out.add(var_target(st.variable, t.path))
+            target = None if st is None else name_mutation(
+                self.ctx.method, st, t.path, formal_type, for_span)
+            if target is not None:
+                out.add(target)
         return out
 
     def _target_hits_span(self, t: MutationTarget) -> bool:

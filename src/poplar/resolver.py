@@ -386,7 +386,7 @@ def _find_target_method(program: Program, ex: ExternalDecl) -> Optional[MethodSp
 def _overlay_conflict(program: Program, ex: ExternalDecl) -> Optional[str]:
     """A transition on a protocol whose carriers exclude the subject type."""
     arg_types = {a.name: a.type for a in ex.method.args}
-    for cj in ex.method.conjuncts + tuple(c for g in ex.method.optional_groups for c in g):
+    for cj in ex.method.every_conjunct():
         if cj.subject == "this":
             sub_type: Optional[str] = ex.target_type
         elif cj.subject == "result":
@@ -395,10 +395,8 @@ def _overlay_conflict(program: Program, ex: ExternalDecl) -> Optional[str]:
             sub_type = arg_types.get(cj.subject)
         for cond in cj.conditions:
             proto: Optional[tuple[str, str]] = None
-            if isinstance(cond, Transition):
-                proto = (cond.owner, cond.protocol)
-            elif isinstance(cond, (Invariant, AddLabel)) and isinstance(cond.atom, StateAtom):
-                proto = (cond.atom.owner, cond.atom.protocol)
+            if isinstance(cond.after, StateAtom):
+                proto = (cond.after.owner, cond.after.protocol)
             if proto is None or sub_type is None:
                 continue
             owner_unit = program.units.get(proto[0])
@@ -434,16 +432,12 @@ def _collect_protocol_states(program: Program) -> None:
     states: dict[tuple[str, str], dict[str, None]] = {}
     for cname in sorted(program.units):
         for m in program.units[cname].methods:
-            for cj in m.conjuncts + tuple(c for g in m.optional_groups for c in g):
+            for cj in m.every_conjunct():
                 for cond in cj.conditions:
-                    if isinstance(cond, Transition):
-                        seen = states.setdefault((cond.owner, cond.protocol), {})
-                        seen[cond.source] = None
-                        seen[cond.target] = None
-                    elif isinstance(cond, (Invariant, AddLabel)) and \
-                            isinstance(cond.atom, StateAtom):
-                        states.setdefault((cond.atom.owner, cond.atom.protocol),
-                                          {})[cond.atom.state] = None
+                    for atom in (cond.before, cond.after):
+                        if isinstance(atom, StateAtom):
+                            states.setdefault((atom.owner, atom.protocol),
+                                              {})[atom.state] = None
     for unit in program.units.values():
         for pd in unit.protocols:
             pd.states = tuple(states.get((pd.owner, pd.name), ()))

@@ -477,9 +477,7 @@ def _conditions_compatible(member: MethodSpec, rec: AssumptionRecord) -> bool:
     relative to what the plan assumed."""
     assumed_pre = set(rec.pre)
     assumed_post = set(rec.post)
-    choices: list[Optional[int]] = [None]
-    choices.extend(range(len(member.optional_groups)))
-    for g in choices:
+    for g in member.group_choices():
         pre = set(method_pre_entries(member, g))
         post = set(method_post_entries(member, g))
         if pre <= assumed_pre and post >= assumed_post:

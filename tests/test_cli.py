@@ -10,6 +10,7 @@ import pytest
 
 from poplar.cli import main
 from poplar.config import SearchConfig, config_from_tree
+from poplar.effects import MAX_INFERENCE_DEPTH
 
 from conftest import CORPUS
 
@@ -466,3 +467,62 @@ def test_verify_upgrade_rejects_a_malformed_config_like_check(tmp_path, capsys,
     check = run(["check", c("common"), c("timedate14"), *flags], capsys)
     assert upgrade == check
     assert upgrade[0] == 2 and upgrade[1] == ""
+
+
+@pytest.mark.parametrize("text,col", [
+    ("class C {\n    int f = ²;\n}\n", 13),
+    ("class C {\n    precedence ²;\n}\n", 16),
+], ids=["literal", "precedence"])
+def test_non_decimal_digit_is_a_positioned_syntax_error(tmp_path, capsys, text, col):
+    """The lexer reads '²' as a digit run, but it has no integer value."""
+    src = tmp_path / "d.pop"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = run(["check", str(src)], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        f"{src}:2:{col}: error: E-SYN: invalid integer literal '²'"]
+
+
+def call_chain(n):
+    """One class of `n` unannotated methods, each calling the next."""
+    calls = [f"    void m{i}() {{ m{i + 1}(); }}\n" for i in range(n - 1)]
+    return "class C {\n" + "".join(calls) + f"    void m{n - 1}() {{ }}\n}}\n"
+
+
+class TestCalleeChains:
+    """Summary inference follows at most MAX_INFERENCE_DEPTH unannotated
+    callees below the method being checked."""
+
+    def test_chain_at_the_cap_checks_clean(self, tmp_path, capsys):
+        src = tmp_path / "chain.pop"
+        src.write_text(call_chain(MAX_INFERENCE_DEPTH + 1))
+        assert run(["check", str(src)], capsys) == (0, "", "")
+
+    def test_400_chain_is_a_positioned_summary_error(self, tmp_path, capsys):
+        src = tmp_path / "chain.pop"
+        src.write_text(call_chain(400))
+        code, out, err = run(["check", str(src)], capsys)
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        # Each method with more than the cap of callees below it.
+        assert len(lines) == 400 - MAX_INFERENCE_DEPTH - 1
+        for i, line in enumerate(lines):
+            assert line == (
+                f"{src}:{i + 2}:5: error: E-SUM: MissingCalleeSummary: callee "
+                f"'C.m{i + MAX_INFERENCE_DEPTH + 1}' has no declared summary, and "
+                f"inferring one nests deeper than {MAX_INFERENCE_DEPTH} "
+                f"unannotated callees")
+
+
+def test_transform_of_a_unique_local_synthesizes_the_handwritten_call(tmp_path, capsys):
+    """`#transform(c, touched)` on a local bound to a unique parameter, in a
+    method declaring `mutates any(Box).content`, where the hand-written
+    `c.touch();` checks clean. The planner names the step's mutation as the
+    checker does, so the query is solvable under the default policy."""
+    out_dir = tmp_path / "out"
+    code, out, err = run(["synth", c("unique_local_transform"), "--out", str(out_dir)],
+                         capsys)
+    assert (code, out, err) == (0, "", "")
+    text = (out_dir / "transform.pop").read_text()
+    assert "        Box c = a;\n        c.touch();\n" in text
+    assert run(["check", str(out_dir)], capsys) == (0, "", "")

@@ -5,14 +5,14 @@ import itertools
 import pytest
 
 from poplar.effects import (
-    MissingCalleeSummary, check_class_conformance, check_program,
-    check_spans, check_uniqueness, generalize_summary, goal_residence,
-    infer_summary, is_subprotocol, class_protocol_machine, postconditions,
+    MissingCalleeSummary, ValueState, check_class_conformance, check_program,
+    check_spans, check_uniqueness, goal_residence, infer_summary,
+    is_subprotocol, class_protocol_machine, name_mutation, postconditions,
     result_atoms, subject_effects, subject_preconditions, verify_summary,
 )
 from poplar.model import (
-    AddLabel, Invariant, StateAtom, Transition, UniquenessKind, any_target,
-    this_target, var_target,
+    AddLabel, ArgDecl, Conjunct, Invariant, LabelAtom, MethodSpec, StateAtom,
+    Transition, UniquenessKind, any_target, this_target, var_target,
 )
 
 from conftest import (
@@ -118,27 +118,35 @@ class TestVerifySummary:
 
 
 class TestGeneralizeSummary:
+    """A callee summary over formal `s` (type Socket), named by
+    `name_mutation` at a call made on the caller's `this` that passes the
+    caller's parameter `actual` of the given kind."""
+
+    @staticmethod
+    def at_call_site(summary, actual, kind):
+        caller = MethodSpec("call", "Client", "void", (ArgDecl(kind, "Socket", actual),))
+        this = ValueState("this", "Client", K.MAINTAIN)
+        param = ValueState(actual, "Socket", kind)
+        return frozenset(
+            name_mutation(caller, this, t.path) if t.root_kind == "this"
+            else name_mutation(caller, param, t.path, "Socket")
+            for t in summary)
+
     def test_normal_actual_generalizes(self):
-        prog = load([SOCKET_FILE])
         summary = frozenset({var_target("s", ("connState",)),
                              var_target("s", ("data",))})
-        out = generalize_summary(prog, summary,
-                                 {"s": ("mySock", "Socket", K.NORMAL)})
+        out = self.at_call_site(summary, "mySock", K.NORMAL)
         assert out == frozenset({any_target("Socket", ("connState",)),
                                  any_target("Socket", ("data",))})
 
     def test_unique_actual_keeps_name(self):
-        prog = load([SOCKET_FILE])
         summary = frozenset({var_target("s", ("connState",))})
-        out = generalize_summary(prog, summary,
-                                 {"s": ("mySock", "Socket", K.UNIQUE)})
+        out = self.at_call_site(summary, "mySock", K.UNIQUE)
         assert out == frozenset({var_target("mySock", ("connState",))})
 
     def test_this_rooted_targets_unchanged(self):
-        prog = load([SOCKET_FILE])
         summary = frozenset({this_target(("connState",))})
-        out = generalize_summary(prog, summary,
-                                 {"s": ("x", "Socket", K.NORMAL)})
+        out = self.at_call_site(summary, "x", K.NORMAL)
         assert out == summary
 
     def test_monotone_under_target_order(self):
@@ -147,8 +155,7 @@ class TestGeneralizeSummary:
         var_types = {"mySock": "Socket"}
         renamed = var_target("mySock", ("connState",))
         for kind in K:
-            out = generalize_summary(prog, summary,
-                                     {"s": ("mySock", "Socket", kind)})
+            out = self.at_call_site(summary, "mySock", kind)
             assert any(prog.target_covers(d, renamed, "Socket", var_types)
                        for d in out), kind
 
@@ -699,3 +706,31 @@ def test_goal_residence_follows_unit_name_order():
     prog = load(["protocol_order/order.pop"])
     assert goal_residence(prog, StateAtom("Door", "life", "wide")) == \
         (("frame",), ("hinge",))
+
+
+TOUCHED = LabelAtom("Box", "touched")
+SHUT = StateAtom("Door", "life", "shut")
+WIDE = StateAtom("Door", "life", "wide")
+FRAME = (("frame",),)
+
+
+@pytest.mark.parametrize("cond,before,after,removed,residence,effect", [
+    (Invariant(TOUCHED), TOUCHED, TOUCHED, None, (), False),
+    (AddLabel(TOUCHED, FRAME), None, TOUCHED, None, FRAME, True),
+    (Transition("Door", "life", "shut", "wide", FRAME), SHUT, WIDE, SHUT, FRAME, True),
+    (Transition("Door", "life", "shut", "shut"), SHUT, SHUT, SHUT, (), True),
+], ids=["invariant", "add", "transition", "self-transition"])
+def test_each_condition_reads_one_way_for_a_call(cond, before, after, removed,
+                                                 residence, effect):
+    """What a condition needs before the call, what holds after it and what
+    it removes; every helper reads a condition through these alone. A
+    self-transition removes its state and re-establishes it, so it stays a
+    subject effect."""
+    assert (cond.before, cond.after, cond.removed, cond.residence) == \
+        (before, after, removed, residence)
+    m = MethodSpec("m", "Door", "void", (),
+                   conjuncts=(Conjunct("this", (cond,)), Conjunct("result", (cond,))))
+    assert subject_preconditions(m) == ([("this", before)] if before else [])
+    assert subject_effects(m) == ([("this", after, residence, removed)] if effect else [])
+    assert postconditions(m) == [("this", after, residence), ("result", after, residence)]
+    assert result_atoms(m) == [(after, residence)]

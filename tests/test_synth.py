@@ -5,15 +5,16 @@ import re
 import pytest
 
 from poplar import printer, synth
-from poplar.effects import check_program, query_contexts
-from poplar.model import VarDeclStmt
+from poplar.config import SearchConfig
+from poplar.effects import check_program, infer_summary, query_contexts
+from poplar.model import AssignStmt, VarDeclStmt
 from poplar.parser import parse_unit
 from poplar.planner import plan_query
 from poplar.resolver import load_program
 
 from conftest import (
-    RECORDSET, SOCKET, SWING_QUERY, TD14, TD15, corpus_sources, load,
-    query_in,
+    RECORDSET, SOCKET, SWING_QUERY, TD14, TD15, TD_BOTH, corpus_sources,
+    load, query_in,
 )
 
 
@@ -412,3 +413,57 @@ class TestSharedValues:
         assert len(title_calls) == 1  # one title read feeds both constructors
         assert any("new JMenuItem(v1)" in line for line in rendered)
         assert any("new JMenu(v1)" in line for line in rendered)
+
+
+# Every tree here solves all of its queries under both summary policies.
+ONE_RULE_TREES = {
+    "td14": TD14,
+    "td15": TD15,
+    "td_both": TD_BOTH,
+    "socket": SOCKET,
+    "swing_query": SWING_QUERY,
+    "recordset": RECORDSET,
+    "witness": ["witness/witness.pop"],
+    "threats": ["threats/twin.pop"],
+    "shapes": ["shapes/shapes.pop"],
+    "unique_local_transform": ["unique_local_transform/transform.pop"],
+}
+
+
+@pytest.mark.parametrize("policy", ["reject", "rewrite"])
+@pytest.mark.parametrize("tree", sorted(ONE_RULE_TREES))
+def test_plan_mutations_are_named_as_the_checker_names_them(tree, policy):
+    """Each mutation the planner reports for a solution is one that the
+    checker infers for the method once the solution is spliced in."""
+    prog = load(ONE_RULE_TREES[tree])
+    cfg = SearchConfig(summary_rewrite_policy=policy)
+    solutions = {}
+    for cname in sorted(prog.units):
+        unit = prog.units[cname]
+        for m in unit.methods:
+            if m.body is None:
+                continue
+            pool = synth.NamePool(synth.method_declared_names(m))
+            for ctx in query_contexts(prog, unit, m):
+                result = plan_query(prog, ctx, cfg)
+                site_name = site_type = None
+                declare = True
+                if isinstance(ctx.stmt, VarDeclStmt):
+                    site_name, site_type = ctx.stmt.name, ctx.stmt.type
+                elif isinstance(ctx.stmt, AssignStmt):
+                    site_name, declare = ctx.stmt.target.name, False
+                stmts = synth.emit_statements(result, pool, site_name, site_type,
+                                              declare=declare)
+                solutions[id(ctx.stmt)] = synth.Solution(result, stmts)
+    assert solutions
+    spliced = synth.splice_program(prog, solutions)
+    for sol in solutions.values():
+        ctx = sol.result.ctx
+        unit = prog.units[ctx.unit]
+        index = next(i for i, m in enumerate(unit.methods) if m is ctx.method)
+        inferred = infer_summary(spliced, spliced.units[ctx.unit],
+                                 spliced.units[ctx.unit].methods[index])
+        assert sol.result.solution_targets <= inferred, (
+            sorted(t.text() for t in sol.result.solution_targets),
+            sorted(t.text() for t in inferred))
+
