@@ -483,6 +483,20 @@ def test_non_decimal_digit_is_a_positioned_syntax_error(tmp_path, capsys, text, 
         f"{src}:2:{col}: error: E-SYN: invalid integer literal '²'"]
 
 
+def test_summary_cycles_name_the_first_callee_met_twice(capsys):
+    """Each method whose unannotated callees reach a cycle is one E-SUM at
+    the method. Following the first such callee of each body from the
+    method, the callee named is the first one met twice."""
+    path = c("summary_cycles", "cycles.pop")
+    code, out, err = run(["check", path], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        f"{path}:{line}:5: error: E-SUM: MissingCalleeSummary: callee "
+        f"'A.{callee}' has no declared or inferable summary"
+        for line, callee in [(2, "y"), (3, "y"), (4, "z"), (5, "y"),
+                             (6, "self"), (7, "r"), (9, "p")]]
+
+
 def call_chain(n):
     """One class of `n` unannotated methods, each calling the next."""
     calls = [f"    void m{i}() {{ m{i + 1}(); }}\n" for i in range(n - 1)]
