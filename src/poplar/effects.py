@@ -24,15 +24,6 @@ from .model import (
 
 KIND = UniquenessKind
 
-# Inferring the summary of an unannotated callee walks its body, and so on
-# down its own unannotated callees; at most this many bodies nest. A deeper
-# chain is an E-SUM that asks for a declared summary rather than a
-# RecursionError. A level costs about seven interpreter frames, plus two per
-# block around the call, so plain call chains at the limit stay well inside
-# Python's default recursion limit of 1000.
-MAX_INFERENCE_DEPTH = 50
-
-
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -84,11 +75,25 @@ class QueryContext:
     stmt: Stmt
 
 
+@dataclass
+class MethodAnalysis:
+    """What the one walk of a method body leaves for its readers."""
+
+    inferred: frozenset[MutationTarget]
+    violations: list[Violation]
+    query_contexts: list[QueryContext]
+    # The unannotated callee without an inferable summary at which the
+    # walk stopped, if any.
+    stopped_at: Optional[MethodSpec] = None
+
+
 class MissingCalleeSummary(Exception):
-    def __init__(self, name: str, reason: str = "has no declared or inferable summary"):
-        super().__init__(name)
-        self.callee = name
-        self.reason = reason
+    """A walk reached an unannotated callee whose summary it cannot read:
+    the callee has no walk yet, or its walk stopped."""
+
+    def __init__(self, callee: MethodSpec):
+        super().__init__(f"{callee.declared_in}.{callee.name}")
+        self.callee = callee
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +293,6 @@ class BodyAnalyzer:
         self.values: dict[str, ValueState] = {}
         self.spans: list[SpanObligation] = []
         self._order = 0
-        self._summary_cache: dict[int, frozenset[MutationTarget]] = {}
-        self._inference_stack: set[int] = set()
         self._init_env()
 
     # -- environment -------------------------------------------------------
@@ -323,47 +326,16 @@ class BodyAnalyzer:
     # -- callee summaries -----------------------------------------------------
 
     def callee_summary(self, callee: MethodSpec) -> frozenset[MutationTarget]:
-        """Declared summary if the method carries annotations; otherwise an
-        inferred one for local bodies. Bare declarations are trusted pure."""
-        key = id(callee)
-        if key in self._summary_cache:
-            return self._summary_cache[key]
+        """Declared summary if the method carries annotations; otherwise the
+        one inferred by the callee's own walk. Bare declarations are trusted
+        pure."""
         declared = self.program.effective_summary(callee)
-        if declared or callee.body is None:
-            self._summary_cache[key] = declared
+        if declared or callee.body is None or callee.declared_in not in self.program.units:
             return declared
-        name = f"{callee.declared_in}.{callee.name}"
-        if key in self._inference_stack:
-            raise MissingCalleeSummary(name)
-        if len(self._inference_stack) >= MAX_INFERENCE_DEPTH:
-            raise MissingCalleeSummary(
-                name, f"has no declared summary, and inferring one nests deeper "
-                      f"than {MAX_INFERENCE_DEPTH} unannotated callees")
-        self._inference_stack.add(key)
-        try:
-            unit = self.program.units.get(callee.declared_in)
-            if unit is None:
-                return frozenset()
-            sub = BodyAnalyzer(self.program, unit, callee)
-            sub._inference_stack = self._inference_stack
-            # Walk directly so an unresolvable callee propagates upward.
-            sub._walk(callee.body)
-            result = frozenset(sub.inferred)
-        finally:
-            self._inference_stack.discard(key)
-        self._summary_cache[key] = result
-        return result
-
-    # -- entry ----------------------------------------------------------------
-
-    def run(self) -> "BodyAnalyzer":
-        if self.method.body is not None:
-            try:
-                self._walk(self.method.body)
-            except MissingCalleeSummary as e:
-                self._violate(E_SUM, "MissingCalleeSummary",
-                              f"callee '{e.callee}' {e.reason}", self.method.pos)
-        return self
+        done = self.program.analyses.get(id(callee))
+        if done is None or done.stopped_at is not None:
+            raise MissingCalleeSummary(callee)
+        return done.inferred
 
     def _violate(self, code: str, rule: str, message: str, pos: Pos) -> None:
         self.violations.append(Violation(code, rule, message, pos, self.unit.name))
@@ -822,51 +794,82 @@ def _is_null(e: Union[Expr, Query, None]) -> bool:
 # Checker entry points
 # ---------------------------------------------------------------------------
 
-def analyze_method(program: Program, unit: ClassModel, method: MethodSpec) -> BodyAnalyzer:
-    return BodyAnalyzer(program, unit, method).run()
+def analyze_method(program: Program, unit: ClassModel, method: MethodSpec) -> MethodAnalysis:
+    """The one walk of `method`'s body in `program`, made on first use.
+
+    A walk that reaches an unannotated callee with no walk yet gives way:
+    the callee is walked first, then the caller again from the start. A
+    callee still being walked, or whose own walk stopped, has no inferable
+    summary, so the caller's walk stops at that call."""
+    stack = [] if id(method) in program.analyses else [(unit, method)]
+    walked: list[tuple[ClassModel, MethodSpec]] = []
+    while stack:
+        u, m = stack[-1]
+        walk = BodyAnalyzer(program, u, m)
+        try:
+            walk._walk(m.body or [])
+            stopped_at = None
+        except MissingCalleeSummary as e:
+            stopped_at = e.callee
+            if id(stopped_at) not in program.analyses and \
+                    all(stopped_at is not s for _, s in stack):
+                stack.append((program.units[stopped_at.declared_in], stopped_at))
+                continue
+        stack.pop()
+        program.analyses[id(m)] = MethodAnalysis(
+            frozenset(walk.inferred), walk.violations, walk.query_contexts, stopped_at)
+        walked.append((u, m))
+    # Each callee a walk stopped at has stopped too, so following the
+    # stopping callees from a method meets one of them twice; that one is
+    # named.
+    for u, m in walked:
+        analysis = program.analyses[id(m)]
+        if analysis.stopped_at is None:
+            continue
+        callee, met = analysis.stopped_at, set()
+        while id(callee) not in met:
+            met.add(id(callee))
+            callee = program.analyses[id(callee)].stopped_at
+        analysis.violations.append(Violation(
+            E_SUM, "MissingCalleeSummary", f"callee '{callee.declared_in}."
+            f"{callee.name}' has no declared or inferable summary", m.pos, u.name))
+    return program.analyses[id(method)]
 
 
 def infer_summary(program: Program, unit: ClassModel, method: MethodSpec) -> frozenset[MutationTarget]:
-    analyzer = analyze_method(program, unit, method)
-    for v in analyzer.violations:
-        if v.rule == "MissingCalleeSummary":
-            raise MissingCalleeSummary(v.message)
-    return frozenset(analyzer.inferred)
+    analysis = analyze_method(program, unit, method)
+    if analysis.stopped_at is not None:
+        raise MissingCalleeSummary(analysis.stopped_at)
+    return analysis.inferred
 
 
 def verify_summary(program: Program, unit: ClassModel, method: MethodSpec) -> list[Violation]:
     """Declared summary must be a superset of the inferred one."""
-    if method.body is None:
-        return []
-    analyzer = analyze_method(program, unit, method)
-    out = [v for v in analyzer.violations if v.rule == "MissingCalleeSummary"]
-    return out + _summary_too_narrow(program, unit.name, method, analyzer.inferred)
+    analysis = analyze_method(program, unit, method)
+    out = [v for v in analysis.violations if v.rule == "MissingCalleeSummary"]
+    return out + _summary_too_narrow(program, unit.name, method, analysis.inferred)
 
 
 def _summary_too_narrow(program: Program, unit: str, method: MethodSpec,
-                        inferred: set[MutationTarget]) -> list[Violation]:
+                        inferred: frozenset[MutationTarget]) -> list[Violation]:
     """One violation per inferred mutation the declared summary misses."""
     declared = program.effective_summary(method)
     var_types = {a.name: a.type for a in method.args}
     return [Violation(E_SUM, "SummaryTooNarrow",
                       f"'{unit}.{method.name}' mutates '{t.text()}' "
                       f"but does not declare it", method.pos, unit)
-            for t in program.summary_covers(declared, frozenset(inferred),
+            for t in program.summary_covers(declared, inferred,
                                             unit, var_types)]
 
 
 def check_uniqueness(program: Program, unit: ClassModel, method: MethodSpec) -> list[Violation]:
-    if method.body is None:
-        return []
-    analyzer = analyze_method(program, unit, method)
-    return [v for v in analyzer.violations if v.code == E_UNIQ]
+    return [v for v in analyze_method(program, unit, method).violations
+            if v.code == E_UNIQ]
 
 
 def check_spans(program: Program, unit: ClassModel, method: MethodSpec) -> list[Violation]:
-    if method.body is None:
-        return []
-    analyzer = analyze_method(program, unit, method)
-    return [v for v in analyzer.violations if v.code == E_SPAN]
+    return [v for v in analyze_method(program, unit, method).violations
+            if v.code == E_SPAN]
 
 
 def query_contexts(program: Program, unit: ClassModel, method: MethodSpec) -> list[QueryContext]:
@@ -1145,7 +1148,7 @@ def check_program(program: Program) -> list[Violation]:
         for m in unit.methods:
             if m.body is None:
                 continue
-            analyzer = analyze_method(program, unit, m)
-            out.extend(analyzer.violations)
-            out.extend(_summary_too_narrow(program, cname, m, analyzer.inferred))
+            analysis = analyze_method(program, unit, m)
+            out.extend(analysis.violations)
+            out.extend(_summary_too_narrow(program, cname, m, analysis.inferred))
     return out

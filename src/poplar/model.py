@@ -529,6 +529,9 @@ class Program:
     # Atom -> residence of the corpus effects that achieve it, built on the
     # first query once resolution has ended (`effects.goal_residence`).
     goal_residences: Optional[dict] = field(default=None, compare=False, repr=False)
+    # id(method) -> the one walk of its body (`effects.analyze_method`),
+    # filled on first use once resolution has ended.
+    analyses: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- type hierarchy -----------------------------------------------------
 

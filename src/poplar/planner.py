@@ -181,8 +181,9 @@ class Plan:
             stack.extend(succ.get(n, ()))
         return False
 
-    def linearize(self) -> list[int]:
-        """Topological order, lexicographically least by action id."""
+    def linearize(self) -> list[PlanAction]:
+        """The real actions in topological order, lexicographically least by
+        action id."""
         aids = sorted(self.actions)
         preds: dict[int, set[int]] = {aid: set() for aid in aids}
         for a, b in self.orderings:
@@ -201,7 +202,7 @@ class Plan:
                         ready.append(aid)
         if len(out) != len(aids):
             raise CyclicOrder("ordering constraints contain a cycle")
-        return out
+        return [self.actions[aid] for aid in out if aid not in (START, FINISH)]
 
     def fingerprint(self) -> tuple:
         """Search-progress signature: which operations are in the plan and
@@ -1018,10 +1019,7 @@ def render_plan(result: PlanResult) -> str:
     plan = result.plan
     lines = [f"goal: {result.goal.text()}"]
     lines.append(f"actions ({len(plan.real_actions())}):")
-    for aid in plan.linearize():
-        if aid in (START, FINISH):
-            continue
-        a = plan.actions[aid]
+    for a in plan.linearize():
         recv = object_name(result, a.receiver)
         args = ", ".join(object_name(result, o) for o in a.args)
         res = object_name(result, a.result)
@@ -1029,7 +1027,7 @@ def render_plan(result: PlanResult) -> str:
         grp = ""
         if a.spec.group is not None:
             grp = f" [option {a.spec.group + 1}]"
-        lines.append(f"  [{aid}] {a.spec.label()}{grp} recv={recv} args=({args}){extra}")
+        lines.append(f"  [{a.aid}] {a.spec.label()}{grp} recv={recv} args=({args}){extra}")
     lines.append("causal links:")
     for l in sorted(plan.links, key=lambda l: (l.producer, l.consumer, l.cond.text())):
         lines.append(f"  {action_title(result, l.producer)} --{l.cond.text()}--> "

@@ -16,9 +16,7 @@ from .model import (
     ProtectStmt, Query, QueryStmt, Stmt, UniquenessKind, VarDeclStmt,
     can_override_arg, can_override_return,
 )
-from .planner import (
-    FINISH, START, PlanAction, PlanResult, spec_result_type,
-)
+from .planner import PlanResult, spec_result_type
 
 
 class SynthError(Exception):
@@ -67,13 +65,6 @@ def method_declared_names(method: MethodSpec) -> set[str]:
     return names
 
 
-def linearize(result: PlanResult) -> list[PlanAction]:
-    """Topological order of the plan's real actions, ties resolved by
-    insertion index."""
-    return [result.plan.actions[aid] for aid in result.plan.linearize()
-            if aid not in (START, FINISH)]
-
-
 def emit_statements(result: PlanResult, pool: NamePool,
                     site_name: Optional[str] = None,
                     site_type: Optional[str] = None,
@@ -82,7 +73,7 @@ def emit_statements(result: PlanResult, pool: NamePool,
     declaration name when the query is assigned; `declare=False` assigns to
     an existing variable instead of declaring a new one."""
     plan = result.plan
-    ordered = linearize(result)
+    ordered = plan.linearize()
     used_oids: set[int] = set()
     for a in ordered:
         if a.receiver is not None:
@@ -301,7 +292,7 @@ def method_post_entries(m: MethodSpec, group: Optional[int]) -> tuple[str, ...]:
 def emit_assumptions(result: PlanResult, query_id: str, corpus: str,
                      program: Program) -> IntegrationAssumptions:
     assumptions = IntegrationAssumptions(query_id, result.goal.text(), corpus)
-    for a in linearize(result):
+    for a in result.plan.linearize():
         spec = a.spec
         if spec.kind == "fieldread":
             fld = spec.fld

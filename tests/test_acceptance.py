@@ -132,8 +132,7 @@ def test_criterion_3_socket_ordering(cfg):
     prog = load(SOCKET)
     ctx = query_in(prog, "NetworkServer", "serveClient", 0)
     res = plan_query(prog, ctx, cfg)
-    ordered = [res.plan.actions[a].spec.member
-               for a in res.plan.linearize() if a not in (0, 1)]
+    ordered = [a.spec.member for a in res.plan.linearize()]
     assert ordered == ["Socket", "bind", "connect"]
     count = _replay_all_linearizations(prog, res, ctx)
     report(3, f"socket plan is ctor->bind->connect; all {count} admissible "
@@ -224,7 +223,7 @@ BUTTON_CHAIN = [("JButton", "JButton"), ("JButton", "setMnemonic"),
 
 
 def chain_of(result):
-    steps = [(a.spec.owner, a.spec.member) for a in synth.linearize(result)]
+    steps = [(a.spec.owner, a.spec.member) for a in result.plan.linearize()]
     return [s for s in steps if s[0] != "Command"]
 
 

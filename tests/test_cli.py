@@ -10,7 +10,10 @@ import pytest
 
 from poplar.cli import main
 from poplar.config import SearchConfig, config_from_tree
-from poplar.effects import MAX_INFERENCE_DEPTH
+from poplar import effects
+from poplar.effects import check_program, infer_summary
+from poplar.model import this_target
+from poplar.resolver import load_program
 
 from conftest import CORPUS
 
@@ -504,28 +507,48 @@ def call_chain(n):
 
 
 class TestCalleeChains:
-    """Summary inference follows at most MAX_INFERENCE_DEPTH unannotated
-    callees below the method being checked."""
+    """Summary inference follows unannotated callees at any depth, and walks
+    each method body once per program, plus once more each time a walk gives
+    way to a callee not walked yet."""
 
-    def test_chain_at_the_cap_checks_clean(self, tmp_path, capsys):
-        src = tmp_path / "chain.pop"
-        src.write_text(call_chain(MAX_INFERENCE_DEPTH + 1))
-        assert run(["check", str(src)], capsys) == (0, "", "")
-
-    def test_400_chain_is_a_positioned_summary_error(self, tmp_path, capsys):
+    def test_400_chain_checks_clean(self, tmp_path, capsys):
         src = tmp_path / "chain.pop"
         src.write_text(call_chain(400))
-        code, out, err = run(["check", str(src)], capsys)
-        assert (code, err) == (1, "")
-        lines = out.splitlines()
-        # Each method with more than the cap of callees below it.
-        assert len(lines) == 400 - MAX_INFERENCE_DEPTH - 1
-        for i, line in enumerate(lines):
-            assert line == (
-                f"{src}:{i + 2}:5: error: E-SUM: MissingCalleeSummary: callee "
-                f"'C.m{i + MAX_INFERENCE_DEPTH + 1}' has no declared summary, and "
-                f"inferring one nests deeper than {MAX_INFERENCE_DEPTH} "
-                f"unannotated callees")
+        assert run(["check", str(src)], capsys) == (0, "", "")
+
+    def test_400_chain_infers_a_mutation_400_calls_up(self):
+        text = call_chain(400).replace(
+            "class C {\n", "class C {\n    resources r;\n").replace(
+            "void m399() { }", "void m399() [!r];")
+        program = load_program([("chain.pop", text)])
+        assert not program.diagnostics.has_errors
+        unit = program.units["C"]
+        assert infer_summary(program, unit, unit.methods[0]) == \
+            frozenset({this_target(("r",))})
+
+    def test_400_chain_walks_each_body_once_plus_one_per_restart(self, monkeypatch):
+        program = load_program([("chain.pop", call_chain(400))])
+        built = []
+        init = effects.BodyAnalyzer.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(effects.BodyAnalyzer, "__init__", counting_init)
+        assert check_program(program) == []
+        # m0 gives way down to m399, then m398 ... m0 each walk once more.
+        assert len(built) <= 400 + 399
+
+    def test_calls_inside_98_nested_blocks_check_clean(self, tmp_path, capsys):
+        """Each walk is as deep as one body's blocks, not as deep as the
+        whole chain of callees below it."""
+        nest = 98
+        methods = [f"    void m{i}() {{ " + "{ " * nest + f"m{i + 1}();"
+                   + " }" * nest + " }\n" for i in range(49)]
+        src = tmp_path / "nested.pop"
+        src.write_text("class C {\n" + "".join(methods) + "    void m49() { }\n}\n")
+        assert run(["check", str(src)], capsys) == (0, "", "")
 
 
 def test_transform_of_a_unique_local_synthesizes_the_handwritten_call(tmp_path, capsys):

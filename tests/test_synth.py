@@ -51,19 +51,19 @@ class TestLinearize:
     def test_date_plan_order(self, cfg):
         prog = load(TD14)
         res = plan_query(prog, query_in(prog, "TimeUtils", "printHour"), cfg)
-        ordered = [a.spec.member for a in synth.linearize(res)]
+        ordered = [a.spec.member for a in res.plan.linearize()]
         assert ordered == ["Date", "getHour"]
 
     def test_calendar_plan_order(self, cfg):
         prog = load(TD15)
         res = plan_query(prog, query_in(prog, "TimeUtils", "printHour"), cfg)
-        ordered = [a.spec.member for a in synth.linearize(res)]
+        ordered = [a.spec.member for a in res.plan.linearize()]
         assert ordered == ["Calendar", "HOUR_OF_DAY", "get"]
 
     def test_single_action_plan(self, cfg):
         prog = load(RECORDSET)
         res = plan_query(prog, query_in(prog, "RecordSet", "setInverseSorting"), cfg)
-        assert [a.spec.member for a in synth.linearize(res)] == ["invert"]
+        assert [a.spec.member for a in res.plan.linearize()] == ["invert"]
 
 
 class TestEmission:
