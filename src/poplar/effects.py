@@ -8,6 +8,7 @@ planner seeds itself with at each query site.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Union
 
@@ -77,23 +78,18 @@ class QueryContext:
 
 @dataclass
 class MethodAnalysis:
-    """What the one walk of a method body leaves for its readers."""
+    """What the one walk of a method body leaves for its readers, with the
+    unannotated callee of no inferable summary at which it stopped."""
 
     inferred: frozenset[MutationTarget]
     violations: list[Violation]
     query_contexts: list[QueryContext]
-    # The unannotated callee without an inferable summary at which the
-    # walk stopped, if any.
-    stopped_at: Optional[MethodSpec] = None
+    stopped_at: Optional[MethodSpec]
 
 
 class MissingCalleeSummary(Exception):
-    """A walk reached an unannotated callee whose summary it cannot read:
-    the callee has no walk yet, or its walk stopped."""
-
-    def __init__(self, callee: MethodSpec):
-        super().__init__(f"{callee.declared_in}.{callee.name}")
-        self.callee = callee
+    """A walk reached an unannotated callee with no inferable summary: the
+    callee's own walk is under way below this one, or it stopped."""
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +279,16 @@ class BodyAnalyzer:
     loops in checked regions, so a single pass suffices.
     """
 
-    def __init__(self, program: Program, unit: ClassModel, method: MethodSpec):
+    def __init__(self, program: Program, unit: ClassModel, method: MethodSpec,
+                 waiting: set[int]):
         self.program = program
         self.unit = unit
         self.method = method
+        # Ids of the methods whose walks are under way, this one included;
+        # the unannotated callees met that have no walk yet; where it stopped.
+        self.waiting = waiting
+        self.pending: list[MethodSpec] = []
+        self.stopped_at: Optional[MethodSpec] = None
         self.violations: list[Violation] = []
         self.inferred: set[MutationTarget] = set()
         self.query_contexts: list[QueryContext] = []
@@ -327,14 +329,17 @@ class BodyAnalyzer:
 
     def callee_summary(self, callee: MethodSpec) -> frozenset[MutationTarget]:
         """Declared summary if the method carries annotations; otherwise the
-        one inferred by the callee's own walk. Bare declarations are trusted
-        pure."""
+        callee's own walk's. Bare declarations are trusted pure."""
         declared = self.program.effective_summary(callee)
         if declared or callee.body is None or callee.declared_in not in self.program.units:
             return declared
         done = self.program.analyses.get(id(callee))
+        if done is None and id(callee) not in self.waiting:
+            self.pending.append(callee)
+            return frozenset()
         if done is None or done.stopped_at is not None:
-            raise MissingCalleeSummary(callee)
+            self.stopped_at = callee
+            raise MissingCalleeSummary(f"{callee.declared_in}.{callee.name}")
         return done.inferred
 
     def _violate(self, code: str, rule: str, message: str, pos: Pos) -> None:
@@ -797,49 +802,47 @@ def _is_null(e: Union[Expr, Query, None]) -> bool:
 def analyze_method(program: Program, unit: ClassModel, method: MethodSpec) -> MethodAnalysis:
     """The one walk of `method`'s body in `program`, made on first use.
 
-    A walk that reaches an unannotated callee with no walk yet gives way:
-    the callee is walked first, then the caller again from the start. A
-    callee still being walked, or whose own walk stopped, has no inferable
-    summary, so the caller's walk stops at that call."""
-    stack = [] if id(method) in program.analyses else [(unit, method)]
-    walked: list[tuple[ClassModel, MethodSpec]] = []
+    A walk that met unannotated callees with no walk yet gives way: they are
+    walked first, then the caller again. Callee summaries do not change which
+    calls a walk meets, so no body is walked more than twice."""
+    stack = [(unit, method)]
+    waiting: set[int] = set()
+    stopped: list[BodyAnalyzer] = []
     while stack:
         u, m = stack[-1]
-        walk = BodyAnalyzer(program, u, m)
-        try:
-            walk._walk(m.body or [])
-            stopped_at = None
-        except MissingCalleeSummary as e:
-            stopped_at = e.callee
-            if id(stopped_at) not in program.analyses and \
-                    all(stopped_at is not s for _, s in stack):
-                stack.append((program.units[stopped_at.declared_in], stopped_at))
-                continue
-        stack.pop()
-        program.analyses[id(m)] = MethodAnalysis(
-            frozenset(walk.inferred), walk.violations, walk.query_contexts, stopped_at)
-        walked.append((u, m))
-    # Each callee a walk stopped at has stopped too, so following the
-    # stopping callees from a method meets one of them twice; that one is
-    # named.
-    for u, m in walked:
-        analysis = program.analyses[id(m)]
-        if analysis.stopped_at is None:
+        if id(m) in program.analyses:
+            stack.pop()
             continue
-        callee, met = analysis.stopped_at, set()
+        waiting.add(id(m))
+        walk = BodyAnalyzer(program, u, m, waiting)
+        with suppress(MissingCalleeSummary):
+            walk._walk(m.body or [])
+        if walk.pending:
+            stack.extend((program.units[c.declared_in], c) for c in reversed(walk.pending))
+            continue
+        stack.pop()
+        waiting.discard(id(m))
+        program.analyses[id(m)] = MethodAnalysis(
+            frozenset(walk.inferred), walk.violations, walk.query_contexts, walk.stopped_at)
+        if walk.stopped_at is not None:
+            stopped.append(walk)
+    # Each callee a walk stopped at has stopped too, so following stopping
+    # callees from a method meets one twice; that one is named.
+    for walk in stopped:
+        callee, met = walk.stopped_at, set()
         while id(callee) not in met:
             met.add(id(callee))
             callee = program.analyses[id(callee)].stopped_at
-        analysis.violations.append(Violation(
-            E_SUM, "MissingCalleeSummary", f"callee '{callee.declared_in}."
-            f"{callee.name}' has no declared or inferable summary", m.pos, u.name))
+        walk._violate(E_SUM, "MissingCalleeSummary", f"callee '{callee.declared_in}."
+                      f"{callee.name}' has no declared or inferable summary", walk.method.pos)
     return program.analyses[id(method)]
 
 
 def infer_summary(program: Program, unit: ClassModel, method: MethodSpec) -> frozenset[MutationTarget]:
     analysis = analyze_method(program, unit, method)
-    if analysis.stopped_at is not None:
-        raise MissingCalleeSummary(analysis.stopped_at)
+    for v in analysis.violations:
+        if v.rule == "MissingCalleeSummary":
+            raise MissingCalleeSummary(v.message)
     return analysis.inferred
 
 

@@ -507,9 +507,22 @@ def call_chain(n):
 
 
 class TestCalleeChains:
-    """Summary inference follows unannotated callees at any depth, and walks
-    each method body once per program, plus once more each time a walk gives
-    way to a callee not walked yet."""
+    """Summary inference follows unannotated callees at any depth. A walk
+    that met callees with no walk yet gives way to them and then runs again,
+    so no method body is walked more than twice per program."""
+
+    @staticmethod
+    def walked_methods(monkeypatch):
+        """The name of the method of each body walk made from now on."""
+        names = []
+        init = effects.BodyAnalyzer.__init__
+
+        def counting_init(self, program, unit, method, *rest):
+            names.append(method.name)
+            init(self, program, unit, method, *rest)
+
+        monkeypatch.setattr(effects.BodyAnalyzer, "__init__", counting_init)
+        return names
 
     def test_400_chain_checks_clean(self, tmp_path, capsys):
         src = tmp_path / "chain.pop"
@@ -528,17 +541,21 @@ class TestCalleeChains:
 
     def test_400_chain_walks_each_body_once_plus_one_per_restart(self, monkeypatch):
         program = load_program([("chain.pop", call_chain(400))])
-        built = []
-        init = effects.BodyAnalyzer.__init__
-
-        def counting_init(self, *args):
-            built.append(self)
-            init(self, *args)
-
-        monkeypatch.setattr(effects.BodyAnalyzer, "__init__", counting_init)
+        walked = self.walked_methods(monkeypatch)
         assert check_program(program) == []
         # m0 gives way down to m399, then m398 ... m0 each walk once more.
-        assert len(built) <= 400 + 399
+        assert len(walked) <= 400 + 399
+
+    def test_a_body_calling_400_unwalked_methods_is_walked_twice(self, monkeypatch):
+        """The caller gives way to all 400 callees at once, not to each in
+        turn, which would walk its body 401 times."""
+        text = ("class C {\n    void m0() { "
+                + " ".join(f"m{i}();" for i in range(1, 401)) + " }\n"
+                + "".join(f"    void m{i}() {{ }}\n" for i in range(1, 401)) + "}\n")
+        program = load_program([("fan.pop", text)])
+        walked = self.walked_methods(monkeypatch)
+        assert check_program(program) == []
+        assert walked.count("m0") == 2 and len(walked) == 402
 
     def test_calls_inside_98_nested_blocks_check_clean(self, tmp_path, capsys):
         """Each walk is as deep as one body's blocks, not as deep as the
