@@ -8,7 +8,6 @@ planner seeds itself with at each query site.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Union
 
@@ -280,13 +279,13 @@ class BodyAnalyzer:
     """
 
     def __init__(self, program: Program, unit: ClassModel, method: MethodSpec,
-                 waiting: set[int]):
+                 begun: set[int]):
         self.program = program
         self.unit = unit
         self.method = method
-        # Ids of the methods whose walks are under way, this one included;
-        # the unannotated callees met that have no walk yet; where it stopped.
-        self.waiting = waiting
+        # Ids of the methods whose walks have begun, this one included; the
+        # unannotated callees met that have no walk yet; where it stopped.
+        self.begun = begun
         self.pending: list[MethodSpec] = []
         self.stopped_at: Optional[MethodSpec] = None
         self.violations: list[Violation] = []
@@ -305,18 +304,15 @@ class BodyAnalyzer:
 
     def _init_env(self) -> None:
         m = self.method
-        this = ValueState("this", self.unit.name, KIND.MAINTAIN,
-                          fresh=m.is_constructor, declared_order=self._next_order())
-        self.values["this"] = this
-        for subject, atom in subject_preconditions(m):
-            if subject == "this":
-                this.labels.add(atom)
+        self.values["this"] = ValueState("this", self.unit.name, KIND.MAINTAIN,
+                                         fresh=m.is_constructor,
+                                         declared_order=self._next_order())
         for a in m.args:
-            v = ValueState(a.name, a.type, a.uniqueness, declared_order=self._next_order())
-            for subject, atom in subject_preconditions(m):
-                if subject == a.name:
-                    v.labels.add(atom)
-            self.values[a.name] = v
+            self.values[a.name] = ValueState(a.name, a.type, a.uniqueness,
+                                             declared_order=self._next_order())
+        for subject, atom in subject_preconditions(m):
+            if subject in self.values:
+                self.values[subject].labels.add(atom)
         for fname, fld in sorted(self.program.managed_fields(self.unit.name).items()):
             if fname in self.values:
                 continue
@@ -334,7 +330,7 @@ class BodyAnalyzer:
         if declared or callee.body is None or callee.declared_in not in self.program.units:
             return declared
         done = self.program.analyses.get(id(callee))
-        if done is None and id(callee) not in self.waiting:
+        if done is None and id(callee) not in self.begun:
             self.pending.append(callee)
             return frozenset()
         if done is None or done.stopped_at is not None:
@@ -806,22 +802,23 @@ def analyze_method(program: Program, unit: ClassModel, method: MethodSpec) -> Me
     walked first, then the caller again. Callee summaries do not change which
     calls a walk meets, so no body is walked more than twice."""
     stack = [(unit, method)]
-    waiting: set[int] = set()
+    begun: set[int] = set()
     stopped: list[BodyAnalyzer] = []
     while stack:
         u, m = stack[-1]
         if id(m) in program.analyses:
             stack.pop()
             continue
-        waiting.add(id(m))
-        walk = BodyAnalyzer(program, u, m, waiting)
-        with suppress(MissingCalleeSummary):
+        begun.add(id(m))
+        walk = BodyAnalyzer(program, u, m, begun)
+        try:
             walk._walk(m.body or [])
+        except MissingCalleeSummary:
+            pass  # the walk stopped at walk.stopped_at
         if walk.pending:
             stack.extend((program.units[c.declared_in], c) for c in reversed(walk.pending))
             continue
         stack.pop()
-        waiting.discard(id(m))
         program.analyses[id(m)] = MethodAnalysis(
             frozenset(walk.inferred), walk.violations, walk.query_contexts, walk.stopped_at)
         if walk.stopped_at is not None:
