@@ -11,13 +11,21 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import synth
 from .config import SearchConfig, config_from_tree, parse_precedence
 from .diagnostics import Diagnostic, DiagnosticSink, E_PLAN
 from .effects import QueryContext, check_program, query_contexts
 from .model import AssignStmt, NameExpr, Program, VarDeclStmt
-from .planner import PlanFailure, plan_query, render_dot, render_plan
 from .resolver import load_program
+
+# `check` imports only the modules above. `synth` and `verify-upgrade` import
+# `synth` (and through it `printer`) when they run, and only the commands that
+# plan import `planner`: each cold process pays for the layers it runs.
+
+
+def plan_query(program: Program, ctx: QueryContext, cfg: SearchConfig):
+    """`planner.plan_query`, with the planner imported on the first call."""
+    from .planner import plan_query
+    return plan_query(program, ctx, cfg)
 
 
 def _read_source(path: Path) -> tuple[str, str]:
@@ -98,6 +106,8 @@ def _query_id(program: Program, ctx: QueryContext) -> str:
 
 def _solve_tree(program: Program, cfg: SearchConfig):
     """Plan every query; returns (solutions by stmt id, assumptions, failures)."""
+    from . import synth
+    from .planner import PlanFailure
     solutions: dict[int, synth.Solution] = {}
     assumptions: dict[str, list] = {}
     failures: list[Diagnostic] = []
@@ -128,6 +138,9 @@ def _solve_tree(program: Program, cfg: SearchConfig):
 
 
 def cmd_synth(args) -> int:
+    # The planner is imported before the program is loaded: compiled after
+    # it, the planner's code would raise the process's peak memory.
+    from . import planner, synth  # noqa: F401
     sources = _collect_sources(args.paths)
     cfg = _config(args, args.paths)
     program = load_program(sources)
@@ -157,6 +170,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify_upgrade(args) -> int:
+    from . import synth
     assume_dir = Path(args.assumptions)
     if not assume_dir.is_dir():
         raise FileNotFoundError(args.assumptions)
@@ -166,9 +180,15 @@ def cmd_verify_upgrade(args) -> int:
     if program.diagnostics.has_errors:
         print(program.diagnostics.render())
         return 1
+    try:
+        files = [synth.parse_assumptions(f.read_text(), str(f))
+                 for f in sorted(assume_dir.glob("*.assume"))]
+    except synth.MalformedAssumptions as e:
+        print(e.diagnostic.render())
+        return 1
     failed = False
-    for f in sorted(assume_dir.glob("*.assume")):
-        for assumed in synth.parse_assumptions(f.read_text()):
+    for queries in files:
+        for assumed in queries:
             problems = synth.check_compat(assumed, program)
             if not problems:
                 print(f"ok {assumed.query_id}")
@@ -181,6 +201,7 @@ def cmd_verify_upgrade(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    from .planner import PlanFailure, render_dot, render_plan  # before loading, as in cmd_synth
     sources = _collect_sources(args.paths)
     cfg = _config(args, args.paths)
     program = load_program(sources)
@@ -220,9 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Check, synthesize and verify integration queries.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_paths: bool = True) -> None:
-        if with_paths:
-            p.add_argument("paths", nargs="+", help="source files or directories")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("paths", nargs="+", help="source files or directories")
         p.add_argument("--budget", type=int, default=None,
                        help="explored-plan budget")
         p.add_argument("--max-len", type=int, default=None,

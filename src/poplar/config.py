@@ -10,8 +10,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SearchConfig:
+    """What bounds and steers the search of one run."""
+
     plan_budget: int = 10000
     max_plan_length: int = 12
     summary_rewrite_policy: str = "reject"  # "reject" | "rewrite"

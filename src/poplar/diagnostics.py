@@ -16,8 +16,10 @@ E_SPAN = "E-SPAN"
 E_PLAN = "E-PLAN"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Diagnostic:
+    """One positioned message."""
+
     path: str
     line: int
     col: int
@@ -29,8 +31,10 @@ class Diagnostic:
         return f"{self.path}:{self.line}:{self.col}: {self.severity}: {self.code}: {self.message}"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class DiagnosticSink:
+    """The diagnostics of one run, rendered in a stable order."""
+
     items: list[Diagnostic] = field(default_factory=list)
 
     def error(self, path: str, line: int, col: int, code: str, message: str) -> None:

@@ -24,8 +24,10 @@ from .model import (
 
 KIND = UniquenessKind
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Violation:
+    """A broken discipline at a position in a unit."""
+
     code: str
     rule: str
     message: str
@@ -36,7 +38,7 @@ class Violation:
         return f"{self.rule}: {self.message}"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ValueState:
     """Tracked facts about one in-scope value."""
 
@@ -55,14 +57,16 @@ class ValueState:
     alias_of: Optional[str] = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SpanObligation:
+    """A protection span in force: the resource it protects."""
+
     protected_variable: str
     protected_resource: ResourcePath
     pos: Pos
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class QueryContext:
     """Everything the planner needs at one query site."""
 
@@ -75,7 +79,7 @@ class QueryContext:
     stmt: Stmt
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class MethodAnalysis:
     """What the one walk of a method body leaves for its readers, with the
     unannotated callee of no inferable summary at which it stopped."""
@@ -684,8 +688,8 @@ class BodyAnalyzer:
             self._flow_check(st, actual, formal.uniqueness, formal.name, pos)
         if recv is not None and not fresh_receiver:
             self._check_use(recv, pos)
-        self._map_callee_summary(callee, recv, args, arg_states, pos, fresh_receiver)
-        self._apply_callee_effects(callee, recv, args, arg_states)
+        self._map_callee_summary(callee, recv, arg_states, pos, fresh_receiver)
+        self._apply_callee_effects(callee, recv, arg_states)
         result = ValueState("<call>", callee.return_type, callee.return_uniqueness)
         for atom, residence in result_atoms(callee):
             result.labels.add(atom)
@@ -714,7 +718,7 @@ class BodyAnalyzer:
             self._consume(st, pos)
 
     def _map_callee_summary(self, callee: MethodSpec, recv: Optional[ValueState],
-                            args: list[Expr], arg_states: list[Optional[ValueState]],
+                            arg_states: list[Optional[ValueState]],
                             pos: Pos, fresh_receiver: bool) -> None:
         summary = self.callee_summary(callee)
         if not summary:
@@ -756,7 +760,7 @@ class BodyAnalyzer:
                           f"(summary hits '{target.text()}')", pos)
 
     def _apply_callee_effects(self, callee: MethodSpec, recv: Optional[ValueState],
-                              args: list[Expr], arg_states: list[Optional[ValueState]]) -> None:
+                              arg_states: list[Optional[ValueState]]) -> None:
         by_name = {a.name: i for i, a in enumerate(callee.args)}
         for subject, atom, residence, removed in subject_effects(callee):
             st: Optional[ValueState] = None

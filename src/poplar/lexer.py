@@ -53,8 +53,10 @@ class LexError(Exception):
         self.pos = pos
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False, repr=False)
 class Token:
+    """One token; a file has thousands, so it has slots."""
+
     kind: str  # "ident" | "keyword" | "int" | "string" | punctuation | "eof"
     text: str
     pos: Pos

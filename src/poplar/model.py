@@ -26,8 +26,11 @@ STRING = "String"
 PRIMITIVES = frozenset({"int", "boolean", "byte", "void"})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, repr=False)
 class Pos:
+    """A 1-based source position. One is built per token, so it has slots;
+    it is immutable by convention, like the rest of the model."""
+
     line: int = 0
     col: int = 0
 
@@ -152,7 +155,7 @@ ResourcePath = tuple[str, ...]
 # for none) and the `residence` of what it establishes. Only the printer
 # looks at a condition's class.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Invariant:
     """Holds before the call and still holds after it."""
 
@@ -169,7 +172,7 @@ class Invariant:
         return self.atom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class AddLabel:
     """Holds after the call, whatever held before."""
 
@@ -183,7 +186,7 @@ class AddLabel:
         return self.atom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Transition:
     """Goes from the source state to the target state, removing the source
     (a self-transition removes and re-establishes it)."""
@@ -211,7 +214,7 @@ class Transition:
 Condition = Union[Invariant, AddLabel, Transition]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Conjunct:
     """Conditions attached to one subject: ``this``, ``result`` or an
     argument name."""
@@ -229,7 +232,7 @@ ROOT_VAR = "var"
 ROOT_ANY = "any"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class MutationTarget:
     """A qualified resource rooted at ``this``, a named variable/field, or
     an arbitrary object of a type (``any(T)``).
@@ -274,111 +277,141 @@ def any_target(type_name: str, path: ResourcePath = ()) -> MutationTarget:
 # Statements and expressions (kept syntactic; names resolve via Program)
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(repr=False)
 class NameExpr:
+    """A variable, field or type name."""
+
     name: str
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
-@dataclass
+@dataclass(repr=False)
 class ThisExpr:
-    pos: Pos = field(default=Pos(), compare=False)
+    """`this`."""
+
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
-@dataclass
+@dataclass(repr=False)
 class SuperExpr:
-    pos: Pos = field(default=Pos(), compare=False)
+    """`super`, as the receiver of a call."""
+
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
-@dataclass
+@dataclass(repr=False)
 class LiteralExpr:
+    """An int, string, boolean or null literal."""
+
     kind: str  # "int" | "string" | "bool" | "null"
     value: object
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
-@dataclass
+@dataclass(repr=False)
 class NewExpr:
+    """`new T(args)`."""
+
     type: str
     args: list["Expr"]
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
-@dataclass
+@dataclass(repr=False)
 class CallExpr:
+    """`receiver.method(args)`, or `method(args)` on `this`."""
+
     receiver: Optional["Expr"]  # None for unqualified calls on this
     method: str
     args: list["Expr"]
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
-@dataclass
+@dataclass(repr=False)
 class FieldAccessExpr:
+    """`receiver.field`."""
+
     receiver: "Expr"
     field: str
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
 Expr = Union[NameExpr, ThisExpr, SuperExpr, LiteralExpr, NewExpr, CallExpr, FieldAccessExpr]
 
 
-@dataclass
+@dataclass(repr=False)
 class Query:
+    """A `#produce` or `#transform` query."""
+
     kind: str  # "produce" | "transform"
     produce_type: Optional[str]
     target_var: Optional[str]
     goal_text: str
     with_names: tuple[str, ...] = ()
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
-@dataclass
+@dataclass(repr=False)
 class VarDeclStmt:
+    """`T name = init;`, with the protection span of a query initializer."""
+
     type: str
     name: str
     init: Union[Expr, Query, None]
     span: Optional[list["Stmt"]] = None  # protection span after a query
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
-@dataclass
+@dataclass(repr=False)
 class AssignStmt:
+    """`target = value;`"""
+
     target: Expr  # NameExpr or FieldAccessExpr
     value: Union[Expr, Query]
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
-@dataclass
+@dataclass(repr=False)
 class ExprStmt:
+    """An expression evaluated for its effects."""
+
     expr: Expr
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
-@dataclass
+@dataclass(repr=False)
 class ReturnStmt:
+    """`return value;`"""
+
     value: Optional[Expr]
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
-@dataclass
+@dataclass(repr=False)
 class QueryStmt:
+    """A query on its own, with its protection span."""
+
     query: Query
     span: Optional[list["Stmt"]] = None
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
-@dataclass
+@dataclass(repr=False)
 class ProtectStmt:
+    """`protect var.resource { body }`."""
+
     var: str
     resource: ResourcePath
     body: list["Stmt"]
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
-@dataclass
+@dataclass(repr=False)
 class BlockStmt:
+    """`{ body }`."""
+
     body: list["Stmt"]
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
 Stmt = Union[VarDeclStmt, AssignStmt, ExprStmt, ReturnStmt, QueryStmt, ProtectStmt, BlockStmt]
@@ -388,15 +421,19 @@ Stmt = Union[VarDeclStmt, AssignStmt, ExprStmt, ReturnStmt, QueryStmt, ProtectSt
 # Declarations
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ArgDecl:
+    """A method parameter with its uniqueness kind."""
+
     uniqueness: UniquenessKind
     type: str
     name: str
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class FieldDecl:
+    """A field, with its label and resource annotations."""
+
     name: str
     type: str
     declared_in: str
@@ -407,34 +444,43 @@ class FieldDecl:
     is_final: bool = False
     labels: tuple[LabelAtom, ...] = ()
     initializer: Optional[Expr] = None
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos)
 
 
-@dataclass
+@dataclass(repr=False)
 class LabelDecl:
+    """One `labels` line: label names and the types that carry them."""
+
     owner: str
     carriers: tuple[str, ...]  # empty = the declaring type itself
     names: tuple[str, ...]
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos, compare=False)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ProtocolDecl:
+    """A protocol and its states, in first-seen order."""
+
     owner: str
     carriers: tuple[str, ...]
     name: str
     states: tuple[str, ...] = ()  # in declaration/first-seen order
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos)
 
 
-@dataclass
+@dataclass(repr=False)
 class ResourceNode:
+    """A resource and the resources nested in it."""
+
     name: str
     children: tuple["ResourceNode", ...] = ()
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class MethodSpec:
+    """A method or constructor with its annotations; `body` is None when
+    the declaration has none."""
+
     name: str
     declared_in: str
     return_type: str
@@ -450,7 +496,7 @@ class MethodSpec:
     optional_groups: tuple[tuple[Conjunct, ...], ...] = ()
     body: Optional[list[Stmt]] = None
     merged_externals: tuple[str, ...] = ()  # classes whose overlays merged in
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos)
 
     def signature(self) -> str:
         params = ", ".join(a.type for a in self.args)
@@ -485,16 +531,20 @@ class MethodSpec:
         return frozenset(targets)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ExternalDecl:
+    """Annotations declared for a method of another type."""
+
     target_type: str
     method: MethodSpec  # annotations only, body is None
     declared_in: str = ""
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ClassModel:
+    """A resolved class or interface."""
+
     name: str
     superclass: Optional[str] = None
     interfaces: tuple[str, ...] = ()
@@ -507,7 +557,7 @@ class ClassModel:
     resources: tuple[ResourceNode, ...] = ()
     externals: list[ExternalDecl] = field(default_factory=list)
     precedence: int = 0
-    pos: Pos = field(default=Pos(), compare=False)
+    pos: Pos = field(default_factory=Pos)
 
 
 class ModelError(Exception):
@@ -518,20 +568,22 @@ class UnknownGoal(ModelError):
     pass
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Program:
+    """The resolved units of a source tree, with caches filled on first use."""
+
     units: dict[str, ClassModel] = field(default_factory=dict)
     unit_paths: dict[str, str] = field(default_factory=dict)  # type -> source path
     diagnostics: DiagnosticSink = field(default_factory=DiagnosticSink)
     # The planner's action index, built on first use once resolution has
     # ended (`planner.ActionIndex.of`).
-    action_index: object = field(default=None, compare=False, repr=False)
+    action_index: object = None
     # Atom -> residence of the corpus effects that achieve it, built on the
     # first query once resolution has ended (`effects.goal_residence`).
-    goal_residences: Optional[dict] = field(default=None, compare=False, repr=False)
+    goal_residences: Optional[dict] = None
     # id(method) -> the one walk of its body (`effects.analyze_method`),
     # filled on first use once resolution has ended.
-    analyses: dict = field(default_factory=dict, compare=False, repr=False)
+    analyses: dict = field(default_factory=dict)
 
     # -- type hierarchy -----------------------------------------------------
 

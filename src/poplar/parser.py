@@ -40,41 +40,51 @@ class SyntaxIssue(Exception):
 
 # -- raw declaration forms ----------------------------------------------------
 
-@dataclass
+@dataclass(repr=False)
 class RawCondition:
+    """One condition of a conjunct, before its names resolve."""
+
     kind: str  # "invariant-label" | "invariant-state" | "add" | "transition"
     name: str  # label or protocol reference text (possibly qualified)
     source: str = ""
     target: str = ""
     residence: list[list[str]] = dc_field(default_factory=list)
-    pos: Pos = Pos()
+    pos: Pos = dc_field(default_factory=Pos)
 
 
-@dataclass
+@dataclass(repr=False)
 class RawConjunct:
+    """A subject and its conditions, before resolution."""
+
     subject: str
     conditions: list[RawCondition]
-    pos: Pos = Pos()
+    pos: Pos = dc_field(default_factory=Pos)
 
 
-@dataclass
+@dataclass(repr=False)
 class RawTarget:
+    """A `mutates` target, before resolution."""
+
     root: str  # "this" | "any" | "name"
     name: str  # type name for any, variable/field name otherwise
     path: list[str] = dc_field(default_factory=list)
-    pos: Pos = Pos()
+    pos: Pos = dc_field(default_factory=Pos)
 
 
-@dataclass
+@dataclass(repr=False)
 class RawArg:
+    """A parameter, before its type resolves."""
+
     uniqueness: UniquenessKind
     type: str
     name: str
-    pos: Pos = Pos()
+    pos: Pos = dc_field(default_factory=Pos)
 
 
-@dataclass
+@dataclass(repr=False)
 class RawMethod:
+    """A method or constructor declaration, before resolution."""
+
     name: str
     return_type: Optional[str]  # None for constructors
     args: list[RawArg]
@@ -87,11 +97,13 @@ class RawMethod:
     conjuncts: list[RawConjunct] = dc_field(default_factory=list)
     optional_groups: list[list[RawConjunct]] = dc_field(default_factory=list)
     body: Optional[list[Stmt]] = None
-    pos: Pos = Pos()
+    pos: Pos = dc_field(default_factory=Pos)
 
 
-@dataclass
+@dataclass(repr=False)
 class RawField:
+    """A field declaration, before resolution."""
+
     name: str
     type: str
     uniqueness: UniquenessKind = UniquenessKind.NORMAL
@@ -101,39 +113,49 @@ class RawField:
     is_final: bool = False
     labels: list[str] = dc_field(default_factory=list)
     initializer: Optional[Expr] = None
-    pos: Pos = Pos()
+    pos: Pos = dc_field(default_factory=Pos)
 
 
-@dataclass
+@dataclass(repr=False)
 class RawLabels:
+    """A `labels` line, before resolution."""
+
     carriers: list[str]
     names: list[str]
-    pos: Pos = Pos()
+    pos: Pos = dc_field(default_factory=Pos)
 
 
-@dataclass
+@dataclass(repr=False)
 class RawProtocols:
+    """A `protocols` line, before resolution."""
+
     carriers: list[str]
     names: list[str]
-    pos: Pos = Pos()
+    pos: Pos = dc_field(default_factory=Pos)
 
 
-@dataclass
+@dataclass(repr=False)
 class RawResource:
+    """A `resources` tree node."""
+
     name: str
     children: list["RawResource"] = dc_field(default_factory=list)
 
 
-@dataclass
+@dataclass(repr=False)
 class RawExternal:
+    """An `external` declaration, before resolution."""
+
     target_type: str
     method: RawMethod
     is_constructor: bool = False
-    pos: Pos = Pos()
+    pos: Pos = dc_field(default_factory=Pos)
 
 
-@dataclass
+@dataclass(repr=False)
 class RawClass:
+    """A class or interface as parsed, before resolution."""
+
     name: str
     superclass: Optional[str] = None
     interfaces: list[str] = dc_field(default_factory=list)
@@ -146,7 +168,7 @@ class RawClass:
     protocols: list[RawProtocols] = dc_field(default_factory=list)
     resources: list[RawResource] = dc_field(default_factory=list)
     externals: list[RawExternal] = dc_field(default_factory=list)
-    pos: Pos = Pos()
+    pos: Pos = dc_field(default_factory=Pos)
 
 
 class Parser:

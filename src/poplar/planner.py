@@ -54,14 +54,17 @@ class CyclicOrder(Exception):
     """Internal invariant breach: the ordering relation acquired a cycle."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ActionSpec:
+    """A corpus operation the planner may add: a constructor, a method call
+    or a static field read, with one choice of optional group."""
+
     kind: str  # "ctor" | "invoke" | "fieldread"
     owner: str
     member: str
     group: Optional[int]
-    method: Optional[MethodSpec] = field(default=None, compare=False)
-    fld: Optional[FieldDecl] = field(default=None, compare=False)
+    method: Optional[MethodSpec] = None
+    fld: Optional[FieldDecl] = None
 
     @property
     def key(self) -> tuple:
@@ -76,8 +79,10 @@ class ActionSpec:
         return f"{self.owner}.{self.member}(){g}"
 
 
-@dataclass
+@dataclass(slots=True, eq=False, repr=False)
 class PlanObject:
+    """A value in a plan; one is copied per search node, so it has slots."""
+
     oid: int
     need_type: str
     ctx_name: Optional[str] = None
@@ -95,8 +100,10 @@ class PlanObject:
         return self.actual_type or self.need_type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PCond:
+    """A condition on a plan object; a None atom asks only that it exist."""
+
     oid: int
     atom: Optional[Atom]
 
@@ -104,16 +111,20 @@ class PCond:
         return self.atom.text() if self.atom is not None else "<exists>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CausalLink:
+    """The producer action establishes the consumer's condition."""
+
     producer: int
     cond: PCond
     consumer: int
     residence: tuple[ResourcePath, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True, eq=False, repr=False)
 class PlanAction:
+    """A step of a plan; one is copied per search node, so it has slots."""
+
     aid: int
     spec: Optional[ActionSpec]
     receiver: Optional[int] = None
@@ -121,8 +132,11 @@ class PlanAction:
     result: Optional[int] = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Plan:
+    """A partial-order plan: actions, objects, orderings, causal links and
+    the conditions still open."""
+
     actions: dict[int, PlanAction] = field(default_factory=dict)
     objects: dict[int, PlanObject] = field(default_factory=dict)
     orderings: set = field(default_factory=set)
@@ -213,8 +227,10 @@ class Plan:
         return (specs, opens)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class PlanResult:
+    """A closed plan for one query, with its search counters."""
+
     plan: Plan
     program: Program
     ctx: QueryContext
@@ -232,12 +248,14 @@ class PlanResult:
 # Achiever enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Candidate:
+    """One way to achieve an open condition."""
+
     kind: str  # "ctx" | "link" | "merge" | "new"
     ctx_name: str = ""
     producer: int = -1
-    spec: Optional[ActionSpec] = field(default=None, compare=False)
+    spec: Optional[ActionSpec] = None
     via: str = "result"  # how a new action achieves: "result" | "this" | arg name
     spec_key: tuple = ()
     sort_key: tuple = ()
@@ -282,7 +300,7 @@ def spec_subject_effects(spec: ActionSpec):
     return subject_effects(spec.method, spec.group)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SpecFacts:
     """What the search reads about one action of the universe."""
     order: int  # position in the universe

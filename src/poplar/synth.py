@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import printer
+from .diagnostics import Diagnostic, E_SYN
 from .effects import postconditions, subject_preconditions
 from .model import (
     AssignStmt, BlockStmt, CallExpr, ClassModel, Expr, ExprStmt,
@@ -16,7 +17,9 @@ from .model import (
     ProtectStmt, Query, QueryStmt, Stmt, UniquenessKind, VarDeclStmt,
     can_override_arg, can_override_return,
 )
-from .planner import PlanResult, spec_result_type
+
+if TYPE_CHECKING:  # the planner is imported only by the commands that plan
+    from .planner import PlanResult
 
 
 class SynthError(Exception):
@@ -111,7 +114,7 @@ def emit_statements(result: PlanResult, pool: NamePool,
             else:
                 receiver = NameExpr(spec.owner)
             call = CallExpr(receiver, spec.member, [ref(o) for o in a.args])
-            result_type = spec_result_type(spec) or "void"
+            result_type = spec.method.return_type
         if need_name:
             if a.result == plan.goal_oid and site_name is not None:
                 names[a.result] = site_name
@@ -140,8 +143,10 @@ def emit_statements(result: PlanResult, pool: NamePool,
 # Substitution
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Solution:
+    """A plan and the statements that replace its query."""
+
     result: PlanResult
     statements: list[Stmt]
 
@@ -240,8 +245,10 @@ def render_plain(program: Program) -> dict[str, str]:
 # Integration assumptions
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class AssumptionRecord:
+    """What a plan assumed of one corpus member."""
+
     type: str
     member: str
     kind: str  # "ctor" | "invoke" | "fieldread"
@@ -254,8 +261,10 @@ class AssumptionRecord:
     post: tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class IntegrationAssumptions:
+    """The assumption records of one query."""
+
     query_id: str
     goal: str
     corpus: str
@@ -342,9 +351,29 @@ def serialize_assumptions(items: list[IntegrationAssumptions]) -> str:
     return "\n\n\n".join(blocks) + "\n"
 
 
-def parse_assumptions(text: str) -> list[IntegrationAssumptions]:
+class MalformedAssumptions(Exception):
+    """A field of an `.assume` file that does not parse, as a diagnostic."""
+
+    def __init__(self, diagnostic: Diagnostic):
+        super().__init__(diagnostic.render())
+        self.diagnostic = diagnostic
+
+
+class _BadField(Exception):
+    """(key, message, offset of the bad part in the key's value)"""
+
+
+_KINDS = ("ctor", "invoke", "fieldread")
+_KIND_ORDER = {k.keyword: k for k in UniquenessKind}
+
+
+def parse_assumptions(text: str, path: str) -> list[IntegrationAssumptions]:
+    """The queries of one `.assume` file. A record whose `kind`, `group`,
+    `return-uniqueness` or `arg-kinds` does not parse raises
+    `MalformedAssumptions`, positioned at the field's value."""
     out: list[IntegrationAssumptions] = []
-    for block in text.strip().split("\n\n\n"):
+    blocks = text.strip().split("\n\n\n")
+    for b, block in enumerate(blocks):
         if not block.strip():
             continue
         sections = block.split("\n\n")
@@ -354,40 +383,81 @@ def parse_assumptions(text: str) -> list[IntegrationAssumptions]:
             head[key] = value
         a = IntegrationAssumptions(head.get("query", ""), head.get("goal", ""),
                                    head.get("corpus", ""))
-        for sec in sections[1:]:
+        for s in range(1, len(sections)):
             kv: dict[str, str] = {}
-            for line in sec.splitlines():
+            for line in sections[s].splitlines():
                 key, _, value = line.partition("=")
                 kv[key] = value
-
-            def split(key: str) -> tuple[str, ...]:
-                raw = kv.get(key, "")
-                return tuple(x for x in raw.split("; ") if x)
-
-            a.records.append(AssumptionRecord(
-                type=kv.get("type", ""), member=kv.get("member", ""),
-                kind=kv.get("kind", ""), signature=kv.get("signature", ""),
-                group=int(kv.get("group", "-1")),
-                return_uniqueness=kv.get("return-uniqueness", "normal"),
-                arg_kinds=split("arg-kinds"), mutates=split("mutates"),
-                pre=split("pre"), post=split("post")))
+            try:
+                a.records.append(_record(kv))
+            except _BadField as e:
+                key, message, at = e.args
+                line, col = _position(text, blocks[:b], sections[:s + 1], key, at)
+                raise MalformedAssumptions(
+                    Diagnostic(path, line, col, "error", E_SYN, message)) from None
         out.append(a)
     return out
+
+
+def _record(kv: dict[str, str]) -> AssumptionRecord:
+    kind = kv.get("kind", "")
+    if kind not in _KINDS:
+        raise _BadField("kind", f"unknown record kind '{kind}' "
+                                f"(expected ctor, invoke or fieldread)", 0)
+    try:
+        group = int(kv.get("group", "-1"))
+    except ValueError:
+        raise _BadField("group", f"group '{kv['group']}' is not an integer", 0) from None
+    return_uniqueness = kv.get("return-uniqueness", "normal")
+    if return_uniqueness not in _KIND_ORDER:
+        raise _BadField("return-uniqueness",
+                        f"unknown uniqueness kind '{return_uniqueness}'", 0)
+    arg_kinds = _split(kv.get("arg-kinds", ""))
+    for entry in arg_kinds:
+        name, _, kindword = entry.partition("=")
+        if kindword not in _KIND_ORDER:
+            raise _BadField("arg-kinds", f"unknown uniqueness kind '{kindword}' for "
+                                         f"argument '{name}'",
+                            kv["arg-kinds"].index(entry) + len(name) + 1)
+    return AssumptionRecord(
+        type=kv.get("type", ""), member=kv.get("member", ""), kind=kind,
+        signature=kv.get("signature", ""), group=group,
+        return_uniqueness=return_uniqueness, arg_kinds=arg_kinds,
+        mutates=_split(kv.get("mutates", "")), pre=_split(kv.get("pre", "")),
+        post=_split(kv.get("post", "")))
+
+
+def _split(raw: str) -> tuple[str, ...]:
+    return tuple(filter(None, raw.split("; ")))
+
+
+def _position(text: str, blocks_before: list[str], sections: list[str],
+              key: str, at: int) -> tuple[int, int]:
+    """Line and column of the `at`-th character of the value of `key` in the
+    last of `sections`, or the record's first line when the key is absent.
+    Separators are the blank lines that `serialize_assumptions` writes."""
+    line = text[:len(text) - len(text.lstrip())].count("\n") + 1
+    line += sum(b.count("\n") + 3 for b in blocks_before)
+    line += sum(sec.count("\n") + 2 for sec in sections[:-1])
+    where = (line, 1)
+    for i, record_line in enumerate(sections[-1].splitlines()):
+        if record_line.partition("=")[0] == key:
+            where = (line + i, len(key) + 2 + at)  # the last one counts, as in parsing
+    return where
 
 
 # ---------------------------------------------------------------------------
 # Upgrade compatibility
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Incompatibility:
+    """An assumption the upgraded corpus no longer meets."""
+
     query_id: str
     member: str
     rule: str
     message: str
-
-
-_KIND_ORDER = {k.keyword: k for k in UniquenessKind}
 
 
 def check_compat(assumed: IntegrationAssumptions,

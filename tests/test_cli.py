@@ -2,12 +2,14 @@
 
 import hashlib
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import poplar
 from poplar.cli import main
 from poplar.config import SearchConfig, config_from_tree
 from poplar import effects
@@ -580,3 +582,83 @@ def test_transform_of_a_unique_local_synthesizes_the_handwritten_call(tmp_path, 
     text = (out_dir / "transform.pop").read_text()
     assert "        Box c = a;\n        c.touch();\n" in text
     assert run(["check", str(out_dir)], capsys) == (0, "", "")
+
+
+@pytest.mark.parametrize("synth_dirs,upgrade_dirs,assume,old,new,where,message", [
+    (("common", "timedate14", "client"), ("common", "upgrade_stronger"),
+     "timeutils.assume", "return-uniqueness=normal", "return-uniqueness=bogus",
+     "10:19", "unknown uniqueness kind 'bogus'"),
+    (("common", "timedate14", "client"), ("common", "upgrade_stronger"),
+     "timeutils.assume", "group=-1", "group=zz",
+     "9:7", "group 'zz' is not an integer"),
+    (("common", "timedate14", "client"), ("common", "upgrade_stronger"),
+     "timeutils.assume", "kind=invoke", "kind=call",
+     "18:6", "unknown record kind 'call' (expected ctor, invoke or fieldread)"),
+    (("socket",), ("socket",),
+     "server.assume", "arg-kinds=bindPoint=normal", "arg-kinds=bindPoint=bogus",
+     "22:21", "unknown uniqueness kind 'bogus' for argument 'bindPoint'"),
+], ids=["return-uniqueness", "group", "kind", "arg-kinds"])
+def test_malformed_assumption_field_is_a_positioned_syntax_error(
+        tmp_path, capsys, synth_dirs, upgrade_dirs, assume, old, new, where, message):
+    """The first occurrence of `old` in the stored file becomes `new`; the
+    upgrade check prints one E-SYN at the field's value and no verdict."""
+    stored = tmp_path / "assumptions"
+    code, _, _ = run(["synth", *map(c, synth_dirs), "--out", str(stored)], capsys)
+    assert code == 0
+    path = stored / assume
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    code, out, err = run(["verify-upgrade", "--assumptions", str(stored),
+                          *map(c, upgrade_dirs)], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [f"{path}:{where}: error: E-SYN: {message}"]
+
+
+# Runs `poplar.cli.main` on the arguments, then prints the poplar modules the
+# process imported as its last line.
+LOADED = """import sys
+from poplar.cli import main
+code = main(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("poplar."))))
+sys.exit(code)
+"""
+
+
+class TestImportLayers:
+    """A cold process imports only the layers its command runs."""
+
+    def loaded(self, argv, cwd=None):
+        src = str(Path(poplar.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", LOADED, *argv], cwd=cwd,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert proc.stderr == ""
+        return proc.returncode, set(proc.stdout.splitlines()[-1].split())
+
+    def test_check_imports_the_check_path_only(self):
+        code, modules = self.loaded(["check", c("socket")])
+        assert code == 0
+        assert modules == {"poplar.cli", "poplar.config", "poplar.diagnostics",
+                           "poplar.model", "poplar.lexer", "poplar.parser",
+                           "poplar.resolver", "poplar.effects"}
+
+    def test_verify_upgrade_does_not_import_the_planner(self, tmp_path, capsys):
+        stored = tmp_path / "assumptions"
+        code, _, _ = run(["synth", c("common"), c("timedate14"), c("client"),
+                          "--out", str(stored)], capsys)
+        assert code == 0
+        code, modules = self.loaded(["verify-upgrade", "--assumptions", str(stored),
+                                     c("common"), c("upgrade_stronger")])
+        assert code == 0
+        assert "poplar.synth" in modules and "poplar.planner" not in modules
+
+    def test_synth_output_is_unchanged(self, tmp_path):
+        out_dir = tmp_path / "out"
+        code, modules = self.loaded(["synth", "witness", "--out", str(out_dir)],
+                                    cwd=CORPUS)
+        assert code == 0 and "poplar.planner" in modules
+        h = hashlib.sha256()
+        for f in sorted(out_dir.iterdir()):
+            h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
+        assert h.hexdigest() == SYNTH_GOLDEN[("witness",)]

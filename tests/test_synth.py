@@ -239,7 +239,7 @@ class Client {
     def test_serialization_round_trip_is_byte_identical(self, cfg):
         prog, a = self.make(TD14, "TimeUtils", "printHour", cfg)
         text = synth.serialize_assumptions([a])
-        parsed = synth.parse_assumptions(text)
+        parsed = synth.parse_assumptions(text, "q.assume")
         again = synth.serialize_assumptions(parsed)
         assert text == again
 
