@@ -18,8 +18,9 @@ from .model import AssignStmt, NameExpr, Program, VarDeclStmt
 from .resolver import load_program
 
 # `check` imports only the modules above. `synth` and `verify-upgrade` import
-# `synth` (and through it `printer`) when they run, and only the commands that
-# plan import `planner`: each cold process pays for the layers it runs.
+# `synth` when they run, only `synth` renders through `printer`, and only the
+# commands that plan import `planner`: each cold process pays for the layers
+# it runs.
 
 
 def plan_query(program: Program, ctx: QueryContext, cfg: SearchConfig):

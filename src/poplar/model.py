@@ -428,11 +428,13 @@ class ArgDecl:
     uniqueness: UniquenessKind
     type: str
     name: str
+    pos: Pos = field(default_factory=Pos)
 
 
 @dataclass(eq=False, repr=False)
 class FieldDecl:
-    """A field, with its label and resource annotations."""
+    """A field, with its label and resource annotations. From the parser
+    until `Resolver.resolve` returns, `labels` holds the names as written."""
 
     name: str
     type: str
@@ -479,7 +481,10 @@ class ResourceNode:
 @dataclass(eq=False, repr=False)
 class MethodSpec:
     """A method or constructor with its annotations; `body` is None when
-    the declaration has none."""
+    the declaration has none. From the parser until `Resolver.resolve`
+    returns, `result_labels` holds the names as written, and `mutates`,
+    `conjuncts` and `optional_groups` hold the parser's `RawTarget` and
+    `RawConjunct` forms; the resolver binds each in place."""
 
     name: str
     declared_in: str

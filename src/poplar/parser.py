@@ -1,9 +1,10 @@
-"""Recursive-descent parser producing raw declarations.
+"""Recursive-descent parser producing the model's declarations.
 
-Names inside annotations stay textual here; the resolver binds them against
-the merged declaration set. Statements parse directly into the shared
-syntactic statement forms. The parser is total per file: the first error
-aborts the file with a positioned SyntaxIssue.
+Declarations, statements and expressions parse straight into the model's
+forms. Names inside annotations stay textual here (see `MethodSpec`); the
+resolver binds them in place against the merged declaration set. The
+parser is total per file: the first error aborts the file with a
+positioned SyntaxIssue.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from typing import Optional, Union
 
 from .lexer import LexError, Token, tokenize
 from .model import (
-    AssignStmt, BlockStmt, CallExpr, Expr, ExprStmt, FieldAccessExpr,
-    LiteralExpr, NameExpr, NewExpr, Pos, ProtectStmt, Query, QueryStmt,
-    ReturnStmt, Stmt, SuperExpr, ThisExpr, UniquenessKind, VarDeclStmt,
+    ArgDecl, AssignStmt, BlockStmt, CallExpr, ClassModel, Expr, ExprStmt,
+    ExternalDecl, FieldAccessExpr, FieldDecl, LabelDecl, LiteralExpr,
+    MethodSpec, NameExpr, NewExpr, Pos, ProtectStmt, ProtocolDecl, Query,
+    QueryStmt, ResourceNode, ReturnStmt, Stmt, SuperExpr, ThisExpr,
+    UniquenessKind, VarDeclStmt,
 )
 
 # Blocks, argument lists and resource trees nest at most this deep, counted
@@ -38,7 +41,7 @@ class SyntaxIssue(Exception):
         self.pos = pos
 
 
-# -- raw declaration forms ----------------------------------------------------
+# -- annotation forms whose names bind only once every unit is parsed --------
 
 @dataclass(repr=False)
 class RawCondition:
@@ -68,106 +71,6 @@ class RawTarget:
     root: str  # "this" | "any" | "name"
     name: str  # type name for any, variable/field name otherwise
     path: list[str] = dc_field(default_factory=list)
-    pos: Pos = dc_field(default_factory=Pos)
-
-
-@dataclass(repr=False)
-class RawArg:
-    """A parameter, before its type resolves."""
-
-    uniqueness: UniquenessKind
-    type: str
-    name: str
-    pos: Pos = dc_field(default_factory=Pos)
-
-
-@dataclass(repr=False)
-class RawMethod:
-    """A method or constructor declaration, before resolution."""
-
-    name: str
-    return_type: Optional[str]  # None for constructors
-    args: list[RawArg]
-    is_abstract: bool = False
-    is_static: bool = False
-    return_uniqueness: UniquenessKind = UniquenessKind.NORMAL
-    result_labels: list[str] = dc_field(default_factory=list)
-    local_mutations: list[list[str]] = dc_field(default_factory=list)
-    mutates: list[RawTarget] = dc_field(default_factory=list)
-    conjuncts: list[RawConjunct] = dc_field(default_factory=list)
-    optional_groups: list[list[RawConjunct]] = dc_field(default_factory=list)
-    body: Optional[list[Stmt]] = None
-    pos: Pos = dc_field(default_factory=Pos)
-
-
-@dataclass(repr=False)
-class RawField:
-    """A field declaration, before resolution."""
-
-    name: str
-    type: str
-    uniqueness: UniquenessKind = UniquenessKind.NORMAL
-    managed: bool = False
-    managed_resource: Optional[list[str]] = None
-    is_static: bool = False
-    is_final: bool = False
-    labels: list[str] = dc_field(default_factory=list)
-    initializer: Optional[Expr] = None
-    pos: Pos = dc_field(default_factory=Pos)
-
-
-@dataclass(repr=False)
-class RawLabels:
-    """A `labels` line, before resolution."""
-
-    carriers: list[str]
-    names: list[str]
-    pos: Pos = dc_field(default_factory=Pos)
-
-
-@dataclass(repr=False)
-class RawProtocols:
-    """A `protocols` line, before resolution."""
-
-    carriers: list[str]
-    names: list[str]
-    pos: Pos = dc_field(default_factory=Pos)
-
-
-@dataclass(repr=False)
-class RawResource:
-    """A `resources` tree node."""
-
-    name: str
-    children: list["RawResource"] = dc_field(default_factory=list)
-
-
-@dataclass(repr=False)
-class RawExternal:
-    """An `external` declaration, before resolution."""
-
-    target_type: str
-    method: RawMethod
-    is_constructor: bool = False
-    pos: Pos = dc_field(default_factory=Pos)
-
-
-@dataclass(repr=False)
-class RawClass:
-    """A class or interface as parsed, before resolution."""
-
-    name: str
-    superclass: Optional[str] = None
-    interfaces: list[str] = dc_field(default_factory=list)
-    is_interface: bool = False
-    is_abstract: bool = False
-    precedence: int = 0
-    fields: list[RawField] = dc_field(default_factory=list)
-    methods: list[RawMethod] = dc_field(default_factory=list)
-    labels: list[RawLabels] = dc_field(default_factory=list)
-    protocols: list[RawProtocols] = dc_field(default_factory=list)
-    resources: list[RawResource] = dc_field(default_factory=list)
-    externals: list[RawExternal] = dc_field(default_factory=list)
     pos: Pos = dc_field(default_factory=Pos)
 
 
@@ -234,13 +137,13 @@ class Parser:
 
     # -- entry ---------------------------------------------------------------
 
-    def parse_program(self) -> list[RawClass]:
+    def parse_program(self) -> list[ClassModel]:
         decls = []
         while not self.at("eof"):
             decls.append(self.parse_type_decl())
         return decls
 
-    def parse_type_decl(self) -> RawClass:
+    def parse_type_decl(self) -> ClassModel:
         pos = self.peek().pos
         is_abstract = self.accept("keyword", "abstract") is not None
         if self.accept("keyword", "interface"):
@@ -262,27 +165,30 @@ class Parser:
             interfaces.append(self.expect_ident().text)
             while self.accept(","):
                 interfaces.append(self.expect_ident().text)
-        decl = RawClass(name, superclass, interfaces, is_interface, is_abstract, pos=pos)
+        decl = ClassModel(name, superclass, tuple(interfaces), is_interface, pos=pos)
         self.expect("{")
         while not self.accept("}"):
             self.parse_member(decl)
+        decl.is_abstract = is_abstract or any(m.is_abstract for m in decl.methods)
         return decl
 
     # -- members ---------------------------------------------------------------
 
-    def parse_member(self, decl: RawClass) -> None:
+    def parse_member(self, decl: ClassModel) -> None:
         t = self.peek()
         if self.at_keyword("labels"):
-            decl.labels.append(self.parse_labels())
+            pos, carriers, names = self.parse_carried_names()
+            decl.labels.append(LabelDecl(decl.name, carriers, names, pos))
             return
         if self.at_keyword("protocols"):
-            decl.protocols.append(self.parse_protocols())
+            pos, carriers, names = self.parse_carried_names()
+            decl.protocols.extend(ProtocolDecl(decl.name, carriers, n, (), pos) for n in names)
             return
         if self.at_keyword("resources"):
-            decl.resources.extend(self.parse_resources())
+            decl.resources += self.parse_resources()
             return
         if self.at_keyword("external"):
-            decl.externals.append(self.parse_external())
+            decl.externals.append(self.parse_external(decl.name))
             return
         if self.at_keyword("precedence"):
             self.next()
@@ -296,32 +202,25 @@ class Parser:
         self.parse_field_or_method(decl)
         return
 
-    def parse_labels(self) -> RawLabels:
-        pos = self.expect("keyword", "labels").pos
+    def parse_carried_names(self) -> tuple[Pos, tuple[str, ...], tuple[str, ...]]:
+        """A `labels` or `protocols` line: the keyword's position, the
+        carrier types and the declared names."""
+        pos = self.next().pos
         carriers = self.parse_carrier_list()
         names = [self.expect_ident().text]
         while self.accept(","):
             names.append(self.expect_ident().text)
         self.expect(";")
-        return RawLabels(carriers, names, pos)
+        return pos, carriers, tuple(names)
 
-    def parse_protocols(self) -> RawProtocols:
-        pos = self.expect("keyword", "protocols").pos
-        carriers = self.parse_carrier_list()
-        names = [self.expect_ident().text]
-        while self.accept(","):
-            names.append(self.expect_ident().text)
-        self.expect(";")
-        return RawProtocols(carriers, names, pos)
-
-    def parse_carrier_list(self) -> list[str]:
+    def parse_carrier_list(self) -> tuple[str, ...]:
         carriers: list[str] = []
         if self.accept("("):
             carriers.append(self.parse_type_name())
             while self.accept(","):
                 carriers.append(self.parse_type_name())
             self.expect(")")
-        return carriers
+        return tuple(carriers)
 
     def parse_type_name(self) -> str:
         t = self.peek()
@@ -329,47 +228,41 @@ class Parser:
             return self.next().text
         raise SyntaxIssue(f"expected type name, found '{t.text or t.kind}'", t.pos)
 
-    def parse_resources(self) -> list[RawResource]:
+    def parse_resources(self) -> tuple[ResourceNode, ...]:
         self.expect("keyword", "resources")
         out = [self.parse_resource_def()]
         while self.accept(","):
             out.append(self.parse_resource_def())
         self.expect(";")
-        return out
+        return tuple(out)
 
-    def parse_resource_def(self) -> RawResource:
+    def parse_resource_def(self) -> ResourceNode:
         name = self.expect_ident().text
-        node = RawResource(name)
-        if self.accept("{"):
-            self.nest()
-            node.children.append(self.parse_resource_def())
-            while self.accept(","):
-                node.children.append(self.parse_resource_def())
-            self.expect("}")
-            self.depth -= 1
-        return node
+        if not self.accept("{"):
+            return ResourceNode(name)
+        self.nest()
+        children = [self.parse_resource_def()]
+        while self.accept(","):
+            children.append(self.parse_resource_def())
+        self.expect("}")
+        self.depth -= 1
+        return ResourceNode(name, tuple(children))
 
-    def parse_external(self) -> RawExternal:
+    def parse_external(self, owner: str) -> ExternalDecl:
         pos = self.expect("keyword", "external").pos
         target = self.expect_ident().text
         if self.accept("."):
-            name = self.expect_ident().text
-            is_ctor = False
+            method = MethodSpec(self.expect_ident().text, owner, "void", (), pos=pos)
         else:
-            name = target
-            is_ctor = True
-        method = RawMethod(name, None if is_ctor else "", [], pos=pos)
-        self.expect("(")
-        method.args = self.parse_params()
-        self.expect(")")
-        self.parse_method_annotations(method)
+            method = MethodSpec(target, owner, target, (), is_constructor=True, pos=pos)
+        self.parse_signature(method)
         self.expect(";")
-        return RawExternal(target, method, is_ctor, pos)
+        return ExternalDecl(target, method, owner, pos)
 
-    def parse_params(self) -> list[RawArg]:
-        args: list[RawArg] = []
+    def parse_params(self) -> tuple[ArgDecl, ...]:
+        args: list[ArgDecl] = []
         if self.at(")"):
-            return args
+            return ()
         while True:
             kind = UniquenessKind.NORMAL
             t = self.peek()
@@ -377,16 +270,16 @@ class Parser:
                 kind = UNIQUENESS_KEYWORDS[self.next().text]
             ty = self.parse_type_name()
             name = self.expect_ident()
-            args.append(RawArg(kind, ty, name.text, name.pos))
+            args.append(ArgDecl(kind, ty, name.text, name.pos))
             if not self.accept(","):
                 break
-        return args
+        return tuple(args)
 
-    def parse_field_or_method(self, decl: RawClass) -> None:
+    def parse_field_or_method(self, decl: ClassModel) -> None:
         pos = self.peek().pos
         is_static = is_final = is_abstract = False
         managed = False
-        managed_resource: Optional[list[str]] = None
+        managed_resource: Optional[tuple[str, ...]] = None
         kind = UniquenessKind.NORMAL
         while True:
             t = self.peek()
@@ -405,79 +298,66 @@ class Parser:
                 self.next()
                 managed = True
                 if self.accept("("):
-                    managed_resource = self.parse_dotted_path()
+                    managed_resource = tuple(self.parse_dotted_path())
                     self.expect(")")
             elif t.text in UNIQUENESS_KEYWORDS:
                 self.next()
                 kind = UNIQUENESS_KEYWORDS[t.text]
             else:
                 break
-        result_labels: list[str] = []
-        if self.accept("+"):
-            result_labels.append(self.parse_dotted_name())
-            while self.accept(","):
-                result_labels.append(self.parse_dotted_name())
+        result_labels = self.parse_dotted_names() if self.accept("+") else ()
         first = self.parse_type_name()
-        if self.at("(") and first == decl.name and not result_labels:
-            # Constructor: the bare class name followed by a parameter list.
-            method = RawMethod(first, None, [], is_abstract, is_static,
-                               kind, result_labels, pos=pos)
-            self.parse_method_tail(method)
+        # A constructor is the bare class name followed by a parameter list.
+        is_ctor = self.at("(") and first == decl.name and not result_labels
+        name = first if is_ctor else self.expect_ident().text
+        if is_ctor or self.at("("):
+            method = MethodSpec(name, decl.name, first, (), is_ctor, is_abstract,
+                                is_static, kind, result_labels, pos=pos)
+            self.parse_signature(method)
+            if not self.accept(";"):
+                self.expect("{")
+                method.body = self.parse_statements()
             decl.methods.append(method)
             return
-        name = self.expect_ident().text
-        if self.at("("):
-            method = RawMethod(name, first, [], is_abstract, is_static,
-                               kind, result_labels, pos=pos)
-            self.parse_method_tail(method)
-            decl.methods.append(method)
-            return
-        fld = RawField(name, first, kind, managed, managed_resource,
-                       is_static, is_final, pos=pos)
+        fld = FieldDecl(name, first, decl.name, kind, managed, managed_resource,
+                        is_static, is_final, pos=pos)
         if self.accept("+"):
-            fld.labels.append(self.parse_dotted_name())
-            while self.accept(","):
-                fld.labels.append(self.parse_dotted_name())
+            fld.labels = self.parse_dotted_names()
         if self.accept("="):
             fld.initializer = self.parse_expr()
         self.expect(";")
         decl.fields.append(fld)
 
-    def parse_method_tail(self, method: RawMethod) -> None:
+    def parse_signature(self, method: MethodSpec) -> None:
+        """The parameter list and the annotations after it."""
         self.expect("(")
         method.args = self.parse_params()
         self.expect(")")
-        self.parse_method_annotations(method)
-        if self.accept(";"):
-            method.body = None
-            return
-        self.expect("{")
-        method.body = self.parse_statements()
-
-    # -- annotations -------------------------------------------------------------
-
-    def parse_method_annotations(self, method: RawMethod) -> None:
+        local_mutations: list[tuple[str, ...]] = []
+        mutates: list[RawTarget] = []
+        conjuncts: list[RawConjunct] = []
+        groups: list[tuple[RawConjunct, ...]] = []
         while True:
             t = self.peek()
             if t.kind in ("{", ";", "eof"):
-                return
+                break
             if t.kind == ",":
                 self.next()
                 continue
             if t.kind == "[":
                 self.next()
                 self.expect("!")
-                method.local_mutations.append(self.parse_dotted_path())
+                local_mutations.append(tuple(self.parse_dotted_path()))
                 while self.accept(","):
                     self.accept("!")  # a repeated bang is tolerated
-                    method.local_mutations.append(self.parse_dotted_path())
+                    local_mutations.append(tuple(self.parse_dotted_path()))
                 self.expect("]")
                 continue
             if self.at_keyword("mutates"):
                 self.next()
-                method.mutates.append(self.parse_target())
+                mutates.append(self.parse_target())
                 while self.accept(","):
-                    method.mutates.append(self.parse_target())
+                    mutates.append(self.parse_target())
                 self.expect(":")
                 continue
             if t.kind == "(":
@@ -487,13 +367,17 @@ class Parser:
                     group.append(self.parse_conjunct())
                 self.expect(")")
                 self.expect("?")
-                method.optional_groups.append(group)
+                groups.append(tuple(group))
                 continue
             if self._at_conjunct_start():
-                method.conjuncts.append(self.parse_conjunct())
+                conjuncts.append(self.parse_conjunct())
                 continue
             raise SyntaxIssue(
                 f"unknown annotation keyword '{t.text or t.kind}'", t.pos)
+        method.local_mutations = tuple(local_mutations)
+        method.mutates = tuple(mutates)
+        method.conjuncts = tuple(conjuncts)
+        method.optional_groups = tuple(groups)
 
     def _at_conjunct_start(self) -> bool:
         t = self.peek()
@@ -586,6 +470,12 @@ class Parser:
     def parse_dotted_name(self) -> str:
         return ".".join(self.parse_dotted_path())
 
+    def parse_dotted_names(self) -> tuple[str, ...]:
+        names = [self.parse_dotted_name()]
+        while self.accept(","):
+            names.append(self.parse_dotted_name())
+        return tuple(names)
+
     # -- statements -----------------------------------------------------------
 
     def parse_statements(self) -> list[Stmt]:
@@ -671,12 +561,7 @@ class Parser:
         self.expect(",")
         goal = self.parse_goal_text()
         self.expect(")")
-        with_names: tuple[str, ...] = ()
-        if self.accept("keyword", "with"):
-            names = [self.parse_dotted_name()]
-            while self.accept(","):
-                names.append(self.parse_dotted_name())
-            with_names = tuple(names)
+        with_names = self.parse_dotted_names() if self.accept("keyword", "with") else ()
         return Query(kw, produce_type, target_var, goal, with_names, pos)
 
     def parse_goal_text(self) -> str:
@@ -753,6 +638,7 @@ class Parser:
         return args
 
 
-def parse_unit(text: str) -> list[RawClass]:
-    """Parse one source unit into raw type declarations."""
+def parse_unit(text: str) -> list[ClassModel]:
+    """Parse one source unit into its type declarations, annotation names
+    unbound."""
     return Parser(text).parse_program()

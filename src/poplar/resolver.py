@@ -1,20 +1,19 @@
-"""Name resolution: raw declarations to a bound Program, plus the external
-overlay pass that merges interclass annotations onto their target methods.
+"""Name resolution: binds the annotation names of the parsed declarations in
+place into a Program, plus the external overlay pass that merges interclass
+annotations onto their target methods.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from . import parser as P
 from .diagnostics import DiagnosticSink, E_RES, E_SYN
 from .model import (
-    AddLabel, ArgDecl, ClassModel, Condition, Conjunct, ExternalDecl,
-    FieldDecl, Invariant, LabelAtom, LabelDecl, MethodSpec, MutationTarget,
-    Pos, PRIMITIVES, Program, ProtocolDecl, Query, QueryStmt, ResourceNode,
-    OBJECT, STRING, StateAtom, Stmt, Transition, VarDeclStmt,
-    any_target, this_target, var_target,
+    AddLabel, ClassModel, Condition, Conjunct, ExternalDecl, Invariant,
+    LabelAtom, MethodSpec, MutationTarget, Pos, PRIMITIVES, Program,
+    ProtocolDecl, Query, QueryStmt, OBJECT, STRING, StateAtom, Stmt,
+    Transition, VarDeclStmt, any_target, this_target, var_target,
 )
 
 
@@ -26,7 +25,7 @@ def _builtin_units() -> dict[str, ClassModel]:
 
 
 class Resolver:
-    def __init__(self, units: list[tuple[str, list[P.RawClass]]], sink: DiagnosticSink):
+    def __init__(self, units: list[tuple[str, list[ClassModel]]], sink: DiagnosticSink):
         self.units = units
         self.sink = sink
         self.program = Program(diagnostics=sink)
@@ -34,67 +33,39 @@ class Resolver:
     def error(self, path: str, pos: Pos, message: str) -> None:
         self.sink.error(path, pos.line, pos.col, E_RES, message)
 
-    # -- pass 1: skeletons ----------------------------------------------------
+    # -- pass 1: declarations -------------------------------------------------
 
     def resolve(self) -> Program:
         prog = self.program
         prog.units.update(_builtin_units())
-        raw_of: dict[str, tuple[str, P.RawClass]] = {}
+        declared: list[tuple[str, ClassModel]] = []
         for path, decls in self.units:
-            for raw in decls:
-                if raw.name in prog.units:
-                    self.error(path, raw.pos, f"duplicate type name '{raw.name}'")
+            for unit in decls:
+                if unit.name in prog.units:
+                    self.error(path, unit.pos, f"duplicate type name '{unit.name}'")
                     continue
-                prog.units[raw.name] = self._skeleton(raw)
-                prog.unit_paths[raw.name] = path
-                raw_of[raw.name] = (path, raw)
-        for name, (path, raw) in raw_of.items():
-            self._check_supertypes(path, raw)
-        self._promote_summary_fields(raw_of)
-        for name, (path, raw) in raw_of.items():
-            self._resolve_class(path, raw, prog.units[name])
+                prog.units[unit.name] = unit
+                prog.unit_paths[unit.name] = path
+                declared.append((path, unit))
+        for path, unit in declared:
+            self._check_supertypes(path, unit)
+        self._promote_summary_fields(declared)
+        for path, unit in declared:
+            self._resolve_class(path, unit)
         return prog
 
-    def _skeleton(self, raw: P.RawClass) -> ClassModel:
-        model = ClassModel(
-            name=raw.name,
-            superclass=raw.superclass,
-            interfaces=tuple(raw.interfaces),
-            is_interface=raw.is_interface,
-            is_abstract=raw.is_abstract or any(m.is_abstract for m in raw.methods),
-            precedence=raw.precedence,
-            pos=raw.pos,
-        )
-        model.resources = tuple(self._resource_node(r) for r in raw.resources)
-        for ld in raw.labels:
-            model.labels.append(LabelDecl(raw.name, tuple(ld.carriers), tuple(ld.names), ld.pos))
-        for pd in raw.protocols:
-            for pname in pd.names:
-                model.protocols.append(ProtocolDecl(raw.name, tuple(pd.carriers), pname, (), pd.pos))
-        for f in raw.fields:
-            model.fields.append(FieldDecl(
-                name=f.name, type=f.type, declared_in=raw.name,
-                uniqueness=f.uniqueness, managed=f.managed,
-                managed_resource=tuple(f.managed_resource) if f.managed_resource else None,
-                is_static=f.is_static, is_final=f.is_final,
-                initializer=f.initializer, pos=f.pos))
-        return model
-
-    def _resource_node(self, raw: P.RawResource) -> ResourceNode:
-        return ResourceNode(raw.name, tuple(self._resource_node(c) for c in raw.children))
-
-    def _check_supertypes(self, path: str, raw: P.RawClass) -> None:
-        if raw.superclass and raw.superclass not in self.program.units:
-            self.error(path, raw.pos, f"unknown superclass '{raw.superclass}'")
-        for i in raw.interfaces:
+    def _check_supertypes(self, path: str, unit: ClassModel) -> None:
+        if unit.superclass and unit.superclass not in self.program.units:
+            self.error(path, unit.pos, f"unknown superclass '{unit.superclass}'")
+        for i in unit.interfaces:
             u = self.program.units.get(i)
             if u is None:
-                self.error(path, raw.pos, f"unknown interface '{i}'")
+                self.error(path, unit.pos, f"unknown interface '{i}'")
             elif not u.is_interface:
-                self.error(path, raw.pos, f"'{i}' is not an interface")
-        cycle = self._inheritance_cycle(raw.name)
+                self.error(path, unit.pos, f"'{i}' is not an interface")
+        cycle = self._inheritance_cycle(unit.name)
         if cycle:
-            self.error(path, raw.pos, f"cyclic inheritance: {' -> '.join(cycle)}")
+            self.error(path, unit.pos, f"cyclic inheritance: {' -> '.join(cycle)}")
 
     def _inheritance_cycle(self, name: str) -> list[str]:
         """The supertype path that leads from `name` back to itself, or []."""
@@ -115,100 +86,77 @@ class Resolver:
                     work.append(s)
         return []
 
-    def _promote_summary_fields(self, raw_of: dict[str, tuple[str, P.RawClass]]) -> None:
+    def _promote_summary_fields(self, declared: list[tuple[str, ClassModel]]) -> None:
         """A field mentioned in a declared summary of its class is managed."""
-        for name, (path, raw) in raw_of.items():
-            model = self.program.units[name]
+        for _, unit in declared:
             mentioned: set[str] = set()
-            for m in raw.methods:
+            for m in unit.methods:
                 for t in m.mutates:
                     if t.root == "name":
                         mentioned.add(t.name)
-            for i, f in enumerate(model.fields):
-                if not f.managed and f.name in mentioned:
-                    model.fields[i] = replace(f, managed=True)
+            for f in unit.fields:
+                if f.name in mentioned:
+                    f.managed = True
 
     # -- pass 2: annotations ----------------------------------------------------
 
-    def _resolve_class(self, path: str, raw: P.RawClass, model: ClassModel) -> None:
-        for i, f in enumerate(model.fields):
+    def _resolve_class(self, path: str, model: ClassModel) -> None:
+        for f in model.fields:
             if f.managed and f.managed_resource is not None:
                 if not self.program.resolve_resource_path(model.name, f.managed_resource):
                     self.error(path, f.pos,
                                f"managed field '{f.name}' names unknown resource "
                                f"'{'.'.join(f.managed_resource)}'")
-            raw_field = raw.fields[i] if i < len(raw.fields) else None
-            if raw_field is not None and raw_field.labels:
-                atoms = []
-                for lbl in raw_field.labels:
-                    atom = self._resolve_label_ref(path, f.pos, lbl, model.name, f.type)
-                    if atom is not None:
-                        atoms.append(atom)
-                model.fields[i] = replace(model.fields[i], labels=tuple(atoms))
-        for rm in raw.methods:
-            model.methods.append(self._resolve_method(path, rm, model.name, model.name, raw.name))
-        for re_ in raw.externals:
-            method = self._resolve_method(path, re_.method, raw.name, re_.target_type, raw.name,
-                                          is_external=True, is_ctor=re_.is_constructor)
-            model.externals.append(ExternalDecl(re_.target_type, method, raw.name, re_.pos))
+            f.labels = self._resolve_labels(path, f.pos, f.labels, model.name, f.type)
+        for m in model.methods:
+            self._resolve_method(path, m, model.name, model.name)
+        for ex in model.externals:
+            self._resolve_method(path, ex.method, model.name, ex.target_type)
+            # An overlay merges conditions only; its summary is checked, then dropped.
+            ex.method.local_mutations = ex.method.mutates = ()
 
-    def _resolve_method(self, path: str, rm: P.RawMethod, scope: str, this_type: str,
-                        declared_in: str, is_external: bool = False,
-                        is_ctor: Optional[bool] = None) -> MethodSpec:
-        ctor = rm.return_type is None if is_ctor is None else is_ctor
-        args = tuple(ArgDecl(a.uniqueness, a.type, a.name) for a in rm.args)
+    def _resolve_method(self, path: str, m: MethodSpec, scope: str, this_type: str) -> None:
+        """Bind the method's annotation names in place."""
         seen: set[str] = set()
-        for a in rm.args:
+        for a in m.args:
             if a.name in seen:
-                self.error(path, a.pos, f"duplicate parameter '{a.name}' in '{rm.name}'")
+                self.error(path, a.pos, f"duplicate parameter '{a.name}' in '{m.name}'")
             seen.add(a.name)
-        for a in args:
+        for a in m.args:
             if a.type not in PRIMITIVES and a.type not in self.program.units \
                     and not a.type.endswith("[]"):
-                self.error(path, rm.pos, f"unknown type '{a.type}' in parameter '{a.name}'")
-        arg_types = {a.name: a.type for a in args}
-        return_type = this_type if ctor else (rm.return_type or "void")
-        result_labels = []
-        for lbl in rm.result_labels:
-            atom = self._resolve_label_ref(path, rm.pos, lbl, scope, return_type)
-            if atom is not None:
-                result_labels.append(atom)
+                self.error(path, m.pos, f"unknown type '{a.type}' in parameter '{a.name}'")
+        arg_types = {a.name: a.type for a in m.args}
+        m.result_labels = self._resolve_labels(path, m.pos, m.result_labels, scope,
+                                               m.return_type)
 
         def subject_type(subject: str) -> Optional[str]:
             if subject == "this":
                 return this_type
             if subject == "result":
-                return return_type
+                return m.return_type
             return arg_types.get(subject)
 
-        conjuncts = tuple(self._resolve_conjunct(path, cj, scope, subject_type, rm.pos)
-                          for cj in rm.conjuncts)
-        groups = tuple(tuple(self._resolve_conjunct(path, cj, scope, subject_type, rm.pos)
-                             for cj in group)
-                       for group in rm.optional_groups)
-        local_mutations = []
-        for lm in rm.local_mutations:
-            p = tuple(lm)
+        m.conjuncts = tuple(self._resolve_conjunct(path, cj, scope, subject_type)
+                            for cj in m.conjuncts)
+        m.optional_groups = tuple(tuple(self._resolve_conjunct(path, cj, scope, subject_type)
+                                        for cj in group)
+                                  for group in m.optional_groups)
+        for p in m.local_mutations:
             if not self.program.resolve_resource_path(this_type, p):
-                self.error(path, rm.pos, f"unknown resource '{'.'.join(p)}' in [!] list")
-            local_mutations.append(p)
-        mutates = tuple(t for t in
-                        (self._resolve_target(path, rt, this_type, arg_types, rm.pos)
-                         for rt in rm.mutates)
-                        if t is not None)
-        if is_external:
-            mutates = ()
-            local_mutations = []
-        return MethodSpec(
-            name=rm.name, declared_in=declared_in, return_type=return_type,
-            args=args, is_constructor=ctor, is_abstract=rm.is_abstract,
-            is_static=rm.is_static, return_uniqueness=rm.return_uniqueness,
-            result_labels=tuple(result_labels),
-            local_mutations=tuple(local_mutations), mutates=mutates,
-            conjuncts=conjuncts, optional_groups=groups, body=rm.body, pos=rm.pos)
+                self.error(path, m.pos, f"unknown resource '{'.'.join(p)}' in [!] list")
+        m.mutates = tuple(t for t in
+                          (self._resolve_target(path, rt, this_type, arg_types)
+                           for rt in m.mutates)
+                          if t is not None)
+
+    def _resolve_labels(self, path: str, pos: Pos, names: tuple[str, ...], scope: str,
+                        sub_type: str) -> tuple[LabelAtom, ...]:
+        atoms = [self._resolve_label_ref(path, pos, n, scope, sub_type) for n in names]
+        return tuple(a for a in atoms if a is not None)
 
     def _resolve_conjunct(self, path: str, cj: P.RawConjunct, scope: str,
-                          subject_type, pos: Pos) -> Conjunct:
+                          subject_type) -> Conjunct:
         sub_type = subject_type(cj.subject)
         if sub_type is None and cj.subject not in ("this", "result"):
             self.error(path, cj.pos, f"unknown condition subject '{cj.subject}'")
@@ -305,7 +253,7 @@ class Resolver:
         return candidates[0]
 
     def _resolve_target(self, path: str, rt: P.RawTarget, this_type: str,
-                        arg_types: dict[str, str], pos: Pos) -> Optional[MutationTarget]:
+                        arg_types: dict[str, str]) -> Optional[MutationTarget]:
         if rt.root == "this":
             t = this_target(tuple(rt.path))
             if not self.program.resolve_resource_path(this_type, t.path):
@@ -495,7 +443,7 @@ def iter_queries(stmts: list[Stmt], env: dict[str, str]):
             yield s.value, s.pos
 
 
-def parse_sources(sources: list[tuple[str, str]], sink: DiagnosticSink) -> list[tuple[str, list[P.RawClass]]]:
+def parse_sources(sources: list[tuple[str, str]], sink: DiagnosticSink) -> list[tuple[str, list[ClassModel]]]:
     """Parse (path, text) pairs, reporting syntax errors to the sink."""
     parsed = []
     for path, text in sources:

@@ -4,11 +4,10 @@ stripping, and integration assumptions with their compatibility check.
 
 from __future__ import annotations
 
-import hashlib
+import re
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
-from . import printer
 from .diagnostics import Diagnostic, E_SYN
 from .effects import postconditions, subject_preconditions
 from .model import (
@@ -229,6 +228,8 @@ def _widen_summary(program: Program, method: MethodSpec,
 
 def render_plain(program: Program) -> dict[str, str]:
     """Annotation-free sources, one text per unit path."""
+    from . import printer  # imported here so that verify-upgrade never loads it
+
     by_path: dict[str, list[ClassModel]] = {}
     for cname, unit in program.units.items():
         path = program.unit_paths.get(cname)
@@ -272,6 +273,8 @@ class IntegrationAssumptions:
 
 
 def fingerprint_sources(sources: list[tuple[str, str]]) -> str:
+    import hashlib  # imported here so that verify-upgrade never loads it
+
     h = hashlib.sha256()
     for path, text in sorted(sources):
         h.update(path.encode())
@@ -360,90 +363,109 @@ class MalformedAssumptions(Exception):
 
 
 class _BadField(Exception):
-    """(key, message, offset of the bad part in the key's value)"""
+    """(line index in its section, column, message)"""
 
 
+_HEADER_KEYS = ("query", "goal", "corpus")
+_RECORD_KEYS = ("type", "member", "kind", "signature", "group", "return-uniqueness",
+                "arg-kinds", "mutates", "pre", "post")
+
+
+def _lines_of(keys: tuple[str, ...]) -> re.Pattern:
+    """One `key=value` line per key, in order; each group is a value."""
+    return re.compile("\n".join(re.escape(k) + "=(.*)" for k in keys))
+
+
+_HEADER_LINES = _lines_of(_HEADER_KEYS)
+_RECORD_LINES = _lines_of(_RECORD_KEYS)
 _KINDS = ("ctor", "invoke", "fieldread")
 _KIND_ORDER = {k.keyword: k for k in UniquenessKind}
 
 
 def parse_assumptions(text: str, path: str) -> list[IntegrationAssumptions]:
-    """The queries of one `.assume` file. A record whose `kind`, `group`,
-    `return-uniqueness` or `arg-kinds` does not parse raises
-    `MalformedAssumptions`, positioned at the field's value."""
+    """The queries of one `.assume` file. Each query's header lines and each
+    record's ten lines must carry the README's keys in its order, and a
+    record's `kind`, `group`, `return-uniqueness` and `arg-kinds` must parse;
+    the first deviation raises `MalformedAssumptions`, positioned at it."""
     out: list[IntegrationAssumptions] = []
     blocks = text.strip().split("\n\n\n")
     for b, block in enumerate(blocks):
-        if not block.strip():
-            continue
         sections = block.split("\n\n")
-        head: dict[str, str] = {}
-        for line in sections[0].splitlines():
-            key, _, value = line.partition("=")
-            head[key] = value
-        a = IntegrationAssumptions(head.get("query", ""), head.get("goal", ""),
-                                   head.get("corpus", ""))
-        for s in range(1, len(sections)):
-            kv: dict[str, str] = {}
-            for line in sections[s].splitlines():
-                key, _, value = line.partition("=")
-                kv[key] = value
+        for s, section in enumerate(sections):
             try:
-                a.records.append(_record(kv))
+                if s == 0:
+                    a = IntegrationAssumptions(
+                        *_values(section, _HEADER_LINES, _HEADER_KEYS, "query header"))
+                else:
+                    a.records.append(_record(
+                        _values(section, _RECORD_LINES, _RECORD_KEYS, "record")))
             except _BadField as e:
-                key, message, at = e.args
-                line, col = _position(text, blocks[:b], sections[:s + 1], key, at)
+                index, col, message = e.args
+                line = _first_line(text, blocks[:b], sections[:s]) + index
                 raise MalformedAssumptions(
                     Diagnostic(path, line, col, "error", E_SYN, message)) from None
         out.append(a)
     return out
 
 
-def _record(kv: dict[str, str]) -> AssumptionRecord:
-    kind = kv.get("kind", "")
+def _values(section: str, lines_re: re.Pattern, keys: tuple[str, ...],
+            what: str) -> tuple[str, ...]:
+    """The values of the section's lines, whose keys must be `keys` in order."""
+    m = lines_re.fullmatch(section)
+    if m is not None:
+        return m.groups()
+    lines = section.split("\n")
+    for i, key in enumerate(keys):
+        if i == len(lines):
+            raise _BadField(i, 1, f"{what} ends before its '{key}=' line")
+        if not lines[i].startswith(key + "="):
+            raise _BadField(i, 1, f"expected '{key}=', found '{lines[i]}'")
+    raise _BadField(len(keys), 1, f"expected a blank line after '{keys[-1]}=', "
+                                  f"found '{lines[len(keys)]}'")
+
+
+def _bad_value(key: str, message: str, at: int = 0) -> _BadField:
+    """A record field whose value does not parse, positioned at its `at`-th character."""
+    return _BadField(_RECORD_KEYS.index(key), len(key) + 2 + at, message)
+
+
+def _record(values: tuple[str, ...]) -> AssumptionRecord:
+    type_, member, kind, signature, group, return_uniqueness, arg_kinds, mutates, pre, \
+        post = values
     if kind not in _KINDS:
-        raise _BadField("kind", f"unknown record kind '{kind}' "
-                                f"(expected ctor, invoke or fieldread)", 0)
+        raise _bad_value("kind", f"unknown record kind '{kind}' "
+                                 f"(expected ctor, invoke or fieldread)")
     try:
-        group = int(kv.get("group", "-1"))
+        group_index = int(group)
     except ValueError:
-        raise _BadField("group", f"group '{kv['group']}' is not an integer", 0) from None
-    return_uniqueness = kv.get("return-uniqueness", "normal")
+        raise _bad_value("group", f"group '{group}' is not an integer") from None
     if return_uniqueness not in _KIND_ORDER:
-        raise _BadField("return-uniqueness",
-                        f"unknown uniqueness kind '{return_uniqueness}'", 0)
-    arg_kinds = _split(kv.get("arg-kinds", ""))
-    for entry in arg_kinds:
+        raise _bad_value("return-uniqueness",
+                         f"unknown uniqueness kind '{return_uniqueness}'")
+    entries = _split(arg_kinds)
+    for entry in entries:
         name, _, kindword = entry.partition("=")
         if kindword not in _KIND_ORDER:
-            raise _BadField("arg-kinds", f"unknown uniqueness kind '{kindword}' for "
-                                         f"argument '{name}'",
-                            kv["arg-kinds"].index(entry) + len(name) + 1)
+            raise _bad_value("arg-kinds", f"unknown uniqueness kind '{kindword}' for "
+                                          f"argument '{name}'",
+                             arg_kinds.index(entry) + len(name) + 1)
     return AssumptionRecord(
-        type=kv.get("type", ""), member=kv.get("member", ""), kind=kind,
-        signature=kv.get("signature", ""), group=group,
-        return_uniqueness=return_uniqueness, arg_kinds=arg_kinds,
-        mutates=_split(kv.get("mutates", "")), pre=_split(kv.get("pre", "")),
-        post=_split(kv.get("post", "")))
+        type=type_, member=member, kind=kind, signature=signature, group=group_index,
+        return_uniqueness=return_uniqueness, arg_kinds=entries,
+        mutates=_split(mutates), pre=_split(pre), post=_split(post))
 
 
 def _split(raw: str) -> tuple[str, ...]:
     return tuple(filter(None, raw.split("; ")))
 
 
-def _position(text: str, blocks_before: list[str], sections: list[str],
-              key: str, at: int) -> tuple[int, int]:
-    """Line and column of the `at`-th character of the value of `key` in the
-    last of `sections`, or the record's first line when the key is absent.
-    Separators are the blank lines that `serialize_assumptions` writes."""
+def _first_line(text: str, blocks_before: list[str], sections_before: list[str]) -> int:
+    """The line number of the section after `sections_before`, which follow
+    `blocks_before`. Separators are the blank lines that
+    `serialize_assumptions` writes."""
     line = text[:len(text) - len(text.lstrip())].count("\n") + 1
     line += sum(b.count("\n") + 3 for b in blocks_before)
-    line += sum(sec.count("\n") + 2 for sec in sections[:-1])
-    where = (line, 1)
-    for i, record_line in enumerate(sections[-1].splitlines()):
-        if record_line.partition("=")[0] == key:
-            where = (line + i, len(key) + 2 + at)  # the last one counts, as in parsing
-    return where
+    return line + sum(sec.count("\n") + 2 for sec in sections_before)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,56 @@ class TestCheck:
         assert out.splitlines() == [
             f"{path}:6:26: error: E-RES: duplicate parameter 'a' in 'fill'"]
 
+    def test_every_resolution_error_is_pinned(self, capsys):
+        path = c("resolve_errors", "errors.pop")
+        code, out, _ = run(["check", path], capsys)
+        assert code == 1
+        assert out.splitlines() == [f"{path}:{line}" for line in (
+            "5:1: error: E-RES: duplicate type name 'Twice'",
+            "8:1: error: E-RES: 'Plain' is not an interface",
+            "8:1: error: E-RES: unknown interface 'Ghost'",
+            "8:1: error: E-RES: unknown superclass 'Missing'",
+            "14:1: error: E-RES: cyclic inheritance: Loop -> Loop",
+            "32:5: error: E-RES: managed field 'link' names unknown resource 'nowhere'",
+            "33:5: error: E-RES: unresolved label 'missingFieldLabel'",
+            "38:5: error: E-RES: unresolved label 'missingResultLabel'",
+            "41:12: error: E-RES: label 'Holder.own' does not apply to type 'int' "
+            "(carriers: Holder)",
+            "42:15: error: E-RES: unresolved label 'unknownLabel'",
+            "45:15: error: E-RES: ambiguous label 'seen': Marked.seen, Tagged.seen",
+            "48:15: error: E-RES: unresolved protocol 'unknownProtocol'",
+            "49:15: error: E-RES: ambiguous protocol 'phase'",
+            "51:27: error: E-RES: duplicate parameter 'a' in 'twice'",
+            "53:5: error: E-RES: unknown type 'Nowhere' in parameter 'x'",
+            "55:5: error: E-RES: unknown resource 'absent' in [!] list",
+            "58:15: error: E-RES: unknown residence resource 'absent' on type 'Holder'",
+            "61:9: error: E-RES: unknown condition subject 'ghost'",
+            "64:16: error: E-RES: unresolved label 'missingGroupLabel'",
+            "67:17: error: E-RES: unknown resource 'this.absent'",
+            "67:30: error: E-RES: unknown resource 'other.absent'",
+            "67:44: error: E-RES: unknown resource 'any(Holder).absent'",
+            "67:64: error: E-RES: unknown resource 'absent' on 'Holder'",
+            "70:17: error: E-RES: unknown type 'Nowhere' in any(...) target",
+            "73:17: error: E-RES: unresolved mutation target 'nothing'",
+            "75:5: error: E-RES: unknown type 'Nowhere' in parameter 'q'",
+            "76:17: error: E-RES: unknown resource 'this.absent'",
+            "77:15: error: E-RES: unresolved label 'externalLabel'",
+        )]
+
+    def test_every_overlay_and_query_error_is_pinned(self, capsys):
+        path = c("overlay_errors", "overlay.pop")
+        code, out, _ = run(["check", path], capsys)
+        assert code == 1
+        assert out.splitlines() == [f"{path}:{line}" for line in (
+            "14:5: error: E-RES: external names unknown type 'Nowhere'",
+            "16:5: error: E-RES: dangling external: no method matches 'Conn.missing(int)'",
+            "18:5: error: E-RES: conflicting overlay: protocol 'wire' cannot be "
+            "carried by 'Conn' (carriers: Wire)",
+            "24:9: error: E-RES: unknown type 'Nowhere' in #produce",
+            "25:9: error: E-RES: #transform names unknown variable 'ghost'",
+            "26:9: error: E-RES: no protocol or label matches goal 'nonsense'",
+        )]
+
     def test_local_alias_of_a_unique_value_breaks_its_span(self, capsys):
         path = c("unique_alias", "alias.pop")
         code, out, _ = run(["check", path], capsys)
@@ -615,6 +665,35 @@ def test_malformed_assumption_field_is_a_positioned_syntax_error(
     assert out.splitlines() == [f"{path}:{where}: error: E-SYN: {message}"]
 
 
+@pytest.mark.parametrize("edit,where,message", [
+    (lambda text: text[:text.index("return-uniqueness=") + 15], "10:1",
+     "expected 'return-uniqueness=', found 'return-uniquene'"),
+    (lambda text: "", "1:1", "expected 'query=', found ''"),
+    (lambda text: "bogus line\n" + text, "1:1", "expected 'query=', found 'bogus line'"),
+    (lambda text: text[:text.rindex("post=")], "25:1",
+     "record ends before its 'post=' line"),
+    (lambda text: text.replace("mutates=\n", "", 1), "12:1",
+     "expected 'mutates=', found 'pre='"),
+    (lambda text: text + "extra=\n", "26:1",
+     "expected a blank line after 'post=', found 'extra='"),
+], ids=["cut-in-first-record", "empty", "line-before-query", "last-line-cut",
+        "line-deleted", "line-added"])
+def test_assumption_file_that_loses_records_is_a_positioned_syntax_error(
+        tmp_path, capsys, edit, where, message):
+    """The header keys and each record's ten keys must come in order, so a
+    stored file that was cut, emptied or edited prints one E-SYN and no `ok`."""
+    stored = tmp_path / "assumptions"
+    code, _, _ = run(["synth", c("common"), c("timedate14"), c("client"),
+                      "--out", str(stored)], capsys)
+    assert code == 0
+    path = stored / "timeutils.assume"
+    path.write_text(edit(path.read_text()))
+    code, out, err = run(["verify-upgrade", "--assumptions", str(stored),
+                          c("common"), c("upgrade_stronger")], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [f"{path}:{where}: error: E-SYN: {message}"]
+
+
 # Runs `poplar.cli.main` on the arguments, then prints the poplar modules the
 # process imported as its last line.
 LOADED = """import sys
@@ -651,7 +730,8 @@ class TestImportLayers:
         code, modules = self.loaded(["verify-upgrade", "--assumptions", str(stored),
                                      c("common"), c("upgrade_stronger")])
         assert code == 0
-        assert "poplar.synth" in modules and "poplar.planner" not in modules
+        assert "poplar.synth" in modules
+        assert "poplar.planner" not in modules and "poplar.printer" not in modules
 
     def test_synth_output_is_unchanged(self, tmp_path):
         out_dir = tmp_path / "out"

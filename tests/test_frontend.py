@@ -1,12 +1,14 @@
 """Lexer, parser, resolver and external-overlay behavior."""
 
+from dataclasses import asdict
+
 import pytest
 
 from poplar import parser as P
 from poplar import printer
 from poplar.model import (
-    AddLabel, Conjunct, Invariant, LabelAtom, StateAtom, Transition,
-    UniquenessKind,
+    AddLabel, Conjunct, Invariant, LabelAtom, MutationTarget, StateAtom,
+    Transition, UniquenessKind,
 )
 from poplar.resolver import load_program
 
@@ -45,7 +47,7 @@ class TestParsing:
         assert len(decls) == 1
         d = decls[0]
         assert (d.fields, d.methods, d.labels, d.protocols, d.resources) == \
-            ([], [], [], [], [])
+            ([], [], [], [], ())
 
     def test_local_mutations_and_residence(self):
         prog = load(SOCKET)
@@ -98,7 +100,9 @@ class C {
 
     def test_parsing_deterministic(self):
         text = (CORPUS / "swing/frames.pop").read_text()
-        assert P.parse_unit(text) == P.parse_unit(text)
+        # Declarations compare by identity, so compare their field values.
+        assert [asdict(d) for d in P.parse_unit(text)] == \
+            [asdict(d) for d in P.parse_unit(text)]
 
 
 class TestRoundTrip:
@@ -181,6 +185,40 @@ class Both implements Left, Right {
         assert line.startswith("corp/a.pop:")
         parts = line.split(": ", 3)
         assert parts[1] == "error" and parts[2] == "E-RES"
+
+
+def bound_conjuncts(conjuncts):
+    return type(conjuncts) is tuple and all(
+        isinstance(cj, Conjunct) and type(cj.conditions) is tuple
+        and all(isinstance(c, (Invariant, AddLabel, Transition)) for c in cj.conditions)
+        for cj in conjuncts)
+
+
+def tuple_of(values, kind):
+    return type(values) is tuple and all(isinstance(v, kind) for v in values)
+
+
+@pytest.mark.parametrize("tree", sorted(d.name for d in CORPUS.iterdir() if d.is_dir()))
+def test_resolution_binds_every_annotation_slot(tree):
+    """The parser leaves annotation names as written in these slots; once
+    `load_program` returns, each holds only bound values, on the methods
+    of every external too, whether or not the tree resolves clean."""
+    files = sorted(str(f.relative_to(CORPUS)) for f in (CORPUS / tree).rglob("*.pop"))
+    prog = load_raw(files)
+    units = [u for name, u in prog.units.items() if name in prog.unit_paths]
+    assert units
+    for unit in units:
+        for f in unit.fields:
+            assert tuple_of(f.labels, LabelAtom), (unit.name, f.name)
+        for m in unit.methods + [ex.method for ex in unit.externals]:
+            where = (unit.name, m.name)
+            assert tuple_of(m.result_labels, LabelAtom), where
+            assert tuple_of(m.mutates, MutationTarget), where
+            assert tuple_of(m.local_mutations, tuple), where
+            assert all(tuple_of(p, str) for p in m.local_mutations), where
+            assert bound_conjuncts(m.conjuncts), where
+            assert type(m.optional_groups) is tuple, where
+            assert all(bound_conjuncts(g) for g in m.optional_groups), where
 
 
 class TestOverlay:
