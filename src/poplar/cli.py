@@ -14,7 +14,7 @@ from typing import Optional
 from .config import SearchConfig, config_from_tree, parse_precedence
 from .diagnostics import Diagnostic, DiagnosticSink, E_PLAN
 from .effects import QueryContext, check_program, query_contexts
-from .model import AssignStmt, NameExpr, Program, VarDeclStmt
+from .model import Program
 from .resolver import load_program
 
 # `check` imports only the modules above. `synth` and `verify-upgrade` import
@@ -123,16 +123,7 @@ def _solve_tree(program: Program, cfg: SearchConfig):
                                            "error", E_PLAN,
                                            f"{type(e).__name__}: {e.message}"))
                 continue
-            site_name = site_type = None
-            declare = True
-            if isinstance(ctx.stmt, VarDeclStmt):
-                site_name, site_type = ctx.stmt.name, ctx.stmt.type
-            elif isinstance(ctx.stmt, AssignStmt) and \
-                    isinstance(ctx.stmt.target, NameExpr):
-                site_name = ctx.stmt.target.name
-                declare = False
-            stmts = synth.emit_statements(result, pool, site_name, site_type,
-                                          declare=declare)
+            stmts = synth.emit_statements(result, pool, ctx.stmt.var, ctx.stmt.type)
             solutions[id(ctx.stmt)] = synth.Solution(result, stmts)
             assumptions.setdefault(path, []).append((ctx, result))
     return solutions, assumptions, failures

@@ -9,7 +9,7 @@ planner seeds itself with at each query site.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .diagnostics import E_SPAN, E_SUM, E_UNIQ, E_OVR
 from .model import (
@@ -76,7 +76,7 @@ class QueryContext:
     values: dict[str, ValueState]
     spans: list[SpanObligation]
     pos: Pos
-    stmt: Stmt
+    stmt: QueryStmt
 
 
 @dataclass(eq=False, repr=False)
@@ -353,12 +353,8 @@ class BodyAnalyzer:
 
     def _statement(self, s: Stmt) -> None:
         if isinstance(s, VarDeclStmt):
-            if isinstance(s.init, Query):
-                self._query(s.init, s.pos, s, result_name=s.name, result_type=s.type,
-                            span=s.span)
-            else:
-                value = self._eval(s.init, s.pos) if s.init is not None else None
-                self._bind_local(s.name, s.type, value, s.pos)
+            value = self._eval(s.init, s.pos) if s.init is not None else None
+            self._bind_local(s.name, s.type, value, s.pos)
         elif isinstance(s, AssignStmt):
             self._assign(s)
         elif isinstance(s, ExprStmt):
@@ -366,7 +362,7 @@ class BodyAnalyzer:
         elif isinstance(s, ReturnStmt):
             self._return(s)
         elif isinstance(s, QueryStmt):
-            self._query(s.query, s.pos, s, span=s.span)
+            self._query(s)
         elif isinstance(s, ProtectStmt):
             self._with_spans([SpanObligation(s.var, s.resource, s.pos)], s.body)
         elif isinstance(s, BlockStmt):
@@ -393,14 +389,6 @@ class BodyAnalyzer:
         return st
 
     def _assign(self, s: AssignStmt) -> None:
-        if isinstance(s.value, Query):
-            # x = #produce(...) rebinding an existing local.
-            target = s.target
-            if isinstance(target, NameExpr):
-                existing = self.values.get(target.name)
-                ty = existing.type if existing else "Object"
-                self._query(s.value, s.pos, s, result_name=target.name, result_type=ty)
-            return
         value = self._eval(s.value, s.pos)
         target = s.target
         if isinstance(target, NameExpr) and target.name in self.values \
@@ -501,33 +489,26 @@ class BodyAnalyzer:
 
     # -- queries and spans ------------------------------------------------------
 
-    def _query(self, query: Query, pos: Pos, stmt: Stmt,
-               result_name: Optional[str] = None, result_type: Optional[str] = None,
-               span: Optional[list[Stmt]] = None) -> None:
+    def _query(self, s: QueryStmt) -> None:
+        query, pos = s.query, s.pos
         snapshot = {k: _copy_state(v) for k, v in self.values.items()}
         self.query_contexts.append(QueryContext(
-            query, self.method, self.unit.name, snapshot, list(self.spans), pos, stmt))
-        goal: Optional[Atom] = None
-        subject_type = query.produce_type
-        if query.kind == "transform":
-            tv = self.values.get(query.target_var or "")
-            subject_type = tv.type if tv else None
-        try:
-            goal = self.program.normalize_goal(query.goal_text, subject_type, self.unit.name)
-        except Exception:
-            goal = None
+            query, self.method, self.unit.name, snapshot, list(self.spans), pos, s))
+        goal = query.goal
         residence: tuple[ResourcePath, ...] = ()
         if goal is not None:
             residence = goal_residence(self.program, goal)
-        if query.kind == "produce" and result_name is not None:
-            st = self._bind_local(result_name, result_type or query.produce_type or "Object",
-                                  None, pos)
+        if query.kind == "produce" and s.var is not None:
+            # `x = #produce(...)` rebinds an existing local at its own type.
+            existing = self.values.get(s.var)
+            result_type = s.type or (existing.type if existing else "Object")
+            st = self._bind_local(s.var, result_type, None, pos)
             st.fresh = True
             st.kind = KIND.NORMAL  # a plain declaration site carries no kind
             if goal is not None:
                 st.labels.add(goal)
                 st.residence[goal] = residence
-            holder = result_name
+            holder = s.var
         elif query.kind == "transform" and query.target_var in self.values:
             st = self.values[query.target_var]
             if goal is not None:
@@ -539,11 +520,11 @@ class BodyAnalyzer:
                 st.residence[goal] = residence
             holder = query.target_var
         else:
-            holder = result_name or query.target_var or ""
-        if span is not None:
+            holder = s.var or query.target_var or ""
+        if s.span is not None:
             obligations = [SpanObligation(holder, p, pos) for p in residence] \
                 or [SpanObligation(holder, (), pos)]
-            self._with_spans(obligations, span)
+            self._with_spans(obligations, s.span)
 
     def _with_spans(self, obligations: list[SpanObligation], body: list[Stmt]) -> None:
         self.spans.extend(obligations)
@@ -791,7 +772,7 @@ def _copy_state(v: ValueState) -> ValueState:
     return replace(v, labels=set(v.labels), residence=dict(v.residence))
 
 
-def _is_null(e: Union[Expr, Query, None]) -> bool:
+def _is_null(e: Optional[Expr]) -> bool:
     return isinstance(e, LiteralExpr) and e.kind == "null"
 
 

@@ -349,16 +349,16 @@ class Query:
     goal_text: str
     with_names: tuple[str, ...] = ()
     pos: Pos = field(default_factory=Pos, compare=False)
+    goal: Optional[Atom] = None  # bound by the resolver
 
 
 @dataclass(repr=False)
 class VarDeclStmt:
-    """`T name = init;`, with the protection span of a query initializer."""
+    """`T name = init;`"""
 
     type: str
     name: str
-    init: Union[Expr, Query, None]
-    span: Optional[list["Stmt"]] = None  # protection span after a query
+    init: Optional[Expr]
     pos: Pos = field(default_factory=Pos, compare=False)
 
 
@@ -367,7 +367,7 @@ class AssignStmt:
     """`target = value;`"""
 
     target: Expr  # NameExpr or FieldAccessExpr
-    value: Union[Expr, Query]
+    value: Expr
     pos: Pos = field(default_factory=Pos, compare=False)
 
 
@@ -389,10 +389,14 @@ class ReturnStmt:
 
 @dataclass(repr=False)
 class QueryStmt:
-    """A query on its own, with its protection span."""
+    """A query site, `#q`, `x = #q` or `T x = #q`, with its protection span.
+    `var` is the local that takes the goal value; `type` is set when the
+    statement declares it."""
 
     query: Query
     span: Optional[list["Stmt"]] = None
+    var: Optional[str] = None
+    type: Optional[str] = None
     pos: Pos = field(default_factory=Pos, compare=False)
 
 
@@ -932,21 +936,17 @@ class Program:
         """Canonicalize a query goal into a label or ``p@s`` state atom.
 
         ``p.s`` and ``p@s`` are interchangeable spellings of a state. The
-        goal resolves against the produced/transformed value's type first,
-        then the enclosing class, then program-wide if unambiguous.
+        goal resolves in one scope, the produced or transformed value's type
+        (the enclosing class when there is none) with its supertypes. A name
+        that scope does not declare resolves program-wide; a qualified name
+        ignores the scope.
         """
+        scope = subject_type if subject_type is not None else scope_type
         text = goal_text.strip()
         sep = "@" if "@" in text else ("." if "." in text else None)
         if sep is not None:
             head, tail = text.split(sep, 1)
-            for scope in (subject_type, scope_type):
-                if scope is None:
-                    continue
-                protos = self.resolve_protocol(head, scope)
-                if protos:
-                    p = protos[0]
-                    return StateAtom(p.owner, p.name, tail)
-            protos = self.resolve_protocol(head, None)
+            protos = self.resolve_protocol(head, scope)
             if protos:
                 p = protos[0]
                 return StateAtom(p.owner, p.name, tail)
@@ -956,16 +956,7 @@ class Program:
                 if len(labels) == 1:
                     return labels[0]
             raise UnknownGoal(f"no protocol or label matches goal '{goal_text}'")
-        for scope in (subject_type, scope_type):
-            if scope is None:
-                continue
-            labels = self.resolve_label(text, scope)
-            if len(labels) == 1:
-                return labels[0]
-            if len(labels) > 1:
-                raise UnknownGoal(f"goal '{goal_text}' is ambiguous: " +
-                                  ", ".join(a.text() for a in labels))
-        labels = self.resolve_label(text, None)
+        labels = self.resolve_label(text, scope)
         if len(labels) == 1:
             return labels[0]
         if len(labels) > 1:

@@ -10,7 +10,7 @@ positioned SyntaxIssue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Union
+from typing import Optional
 
 from .lexer import LexError, Token, tokenize
 from .model import (
@@ -506,31 +506,28 @@ class Parser:
             self.expect(";")
             return ReturnStmt(value, pos=t.pos)
         if t.kind == "#":
-            query = self.parse_query()
-            span = self.parse_optional_span()
-            return QueryStmt(query, span, pos=t.pos)
+            return self.parse_query_site(t.pos)
         # Local declaration: two identifiers in a row.
         if t.kind == "ident" and self.peek(1).kind == "ident":
             ty = self.next().text
             name = self.expect_ident().text
-            init: Union[Expr, Query, None] = None
-            span = None
+            init: Optional[Expr] = None
             if self.accept("="):
                 if self.at("#"):
-                    init = self.parse_query()
-                    span = self.parse_optional_span()
-                    return VarDeclStmt(ty, name, init, span, pos=t.pos)
+                    return self.parse_query_site(t.pos, name, ty)
                 init = self.parse_expr()
             self.expect(";")
-            return VarDeclStmt(ty, name, init, None, pos=t.pos)
+            return VarDeclStmt(ty, name, init, pos=t.pos)
         expr = self.parse_expr()
         if self.accept("="):
             if not isinstance(expr, (NameExpr, FieldAccessExpr)):
                 raise SyntaxIssue("assignment target must be a variable or field", t.pos)
             if self.at("#"):
-                value: Union[Expr, Query] = self.parse_query()
-            else:
-                value = self.parse_expr()
+                if not isinstance(expr, NameExpr):
+                    raise SyntaxIssue("a query's value can only be assigned to a variable",
+                                      t.pos)
+                return self.parse_query_site(t.pos, expr.name)
+            value = self.parse_expr()
             self.expect(";")
             return AssignStmt(expr, value, pos=t.pos)
         if not isinstance(expr, (CallExpr, NewExpr, FieldAccessExpr)):
@@ -538,13 +535,13 @@ class Parser:
         self.expect(";")
         return ExprStmt(expr, pos=t.pos)
 
-    def parse_optional_span(self) -> Optional[list[Stmt]]:
-        if self.accept(";"):
-            return None
-        if self.accept("{"):
-            return self.parse_statements()
-        self.expect(";")
-        return None
+    def parse_query_site(self, pos: Pos, var: Optional[str] = None,
+                         type_name: Optional[str] = None) -> QueryStmt:
+        query = self.parse_query()
+        span = self.parse_statements() if self.accept("{") else None
+        if span is None:
+            self.expect(";")
+        return QueryStmt(query, span, var, type_name, pos)
 
     def parse_query(self) -> Query:
         pos = self.expect("#").pos

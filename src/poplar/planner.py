@@ -427,12 +427,7 @@ class Planner:
         self.enclosing_summary = program.effective_summary(ctx.method)
         self.enclosing_var_types = {a.name: a.type for a in ctx.method.args}
         self.spans = [s for s in ctx.spans if s.protected_resource]
-        query = ctx.query
-        subject_type = query.produce_type
-        if query.kind == "transform":
-            tv = ctx.values.get(query.target_var or "")
-            subject_type = tv.type if tv else None
-        self.goal = program.normalize_goal(query.goal_text, subject_type, ctx.unit)
+        self.goal = ctx.query.goal
         self._check_with_names()
         # Candidates keyed by everything they depend on that is not fixed
         # for the query (`_context_candidates`, `_fresh_candidates`).

@@ -95,20 +95,9 @@ def _render_span(span, depth: int, plain: bool) -> list[str]:
 def _render_stmt(s: Stmt, depth: int, plain: bool) -> list[str]:
     pad = INDENT * depth
     if isinstance(s, VarDeclStmt):
-        if isinstance(s.init, Query):
-            if plain:
-                raise PlainModeError(f"unsubstituted query at line {s.pos.line}")
-            line = f"{pad}{s.type} {s.name} = {render_query(s.init)}"
-            if s.span is not None:
-                return [line] + _render_span(s.span, depth, plain)
-            return [line + ";"]
         init = f" = {render_expr(s.init)}" if s.init is not None else ""
         return [f"{pad}{s.type} {s.name}{init};"]
     if isinstance(s, AssignStmt):
-        if isinstance(s.value, Query):
-            if plain:
-                raise PlainModeError(f"unsubstituted query at line {s.pos.line}")
-            return [f"{pad}{render_expr(s.target)} = {render_query(s.value)};"]
         return [f"{pad}{render_expr(s.target)} = {render_expr(s.value)};"]
     if isinstance(s, ExprStmt):
         return [f"{pad}{render_expr(s.expr)};"]
@@ -117,7 +106,8 @@ def _render_stmt(s: Stmt, depth: int, plain: bool) -> list[str]:
     if isinstance(s, QueryStmt):
         if plain:
             raise PlainModeError(f"unsubstituted query at line {s.pos.line}")
-        line = pad + render_query(s.query)
+        site = (f"{s.type} " if s.type else "") + (f"{s.var} = " if s.var else "")
+        line = pad + site + render_query(s.query)
         if s.span is not None:
             return [line] + _render_span(s.span, depth, plain)
         return [line + ";"]

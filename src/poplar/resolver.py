@@ -12,7 +12,7 @@ from .diagnostics import DiagnosticSink, E_RES, E_SYN
 from .model import (
     AddLabel, ClassModel, Condition, Conjunct, ExternalDecl, Invariant,
     LabelAtom, MethodSpec, MutationTarget, Pos, PRIMITIVES, Program,
-    ProtocolDecl, Query, QueryStmt, OBJECT, STRING, StateAtom, Stmt,
+    ProtocolDecl, QueryStmt, OBJECT, STRING, StateAtom, Stmt,
     Transition, VarDeclStmt, any_target, this_target, var_target,
 )
 
@@ -125,7 +125,7 @@ class Resolver:
         for a in m.args:
             if a.type not in PRIMITIVES and a.type not in self.program.units \
                     and not a.type.endswith("[]"):
-                self.error(path, m.pos, f"unknown type '{a.type}' in parameter '{a.name}'")
+                self.error(path, a.pos, f"unknown type '{a.type}' in parameter '{a.name}'")
         arg_types = {a.name: a.type for a in m.args}
         m.result_labels = self._resolve_labels(path, m.pos, m.result_labels, scope,
                                                m.return_type)
@@ -173,7 +173,7 @@ class Resolver:
             atom = self._resolve_label_ref(path, rc.pos, rc.name, scope, sub_type)
             return Invariant(atom) if atom is not None else None
         if rc.kind == "invariant-state":
-            proto = self._resolve_protocol_ref(path, rc.pos, rc.name, scope, sub_type)
+            proto = self._resolve_protocol_ref(path, rc.pos, rc.name, scope)
             if proto is None:
                 return None
             return Invariant(StateAtom(proto.owner, proto.name, rc.source))
@@ -186,7 +186,7 @@ class Resolver:
         if rc.kind == "add":
             if "@" in rc.name or rc.source:
                 # +p@s: a state established on a fresh value.
-                proto = self._resolve_protocol_ref(path, rc.pos, rc.name, scope, sub_type)
+                proto = self._resolve_protocol_ref(path, rc.pos, rc.name, scope)
                 if proto is None:
                     return None
                 return AddLabel(StateAtom(proto.owner, proto.name, rc.source), residence)
@@ -195,7 +195,7 @@ class Resolver:
                 return None
             return AddLabel(atom, residence)
         if rc.kind == "transition":
-            proto = self._resolve_protocol_ref(path, rc.pos, rc.name, scope, sub_type)
+            proto = self._resolve_protocol_ref(path, rc.pos, rc.name, scope)
             if proto is None:
                 return None
             return Transition(proto.owner, proto.name, rc.source, rc.target, residence)
@@ -204,10 +204,6 @@ class Resolver:
     def _resolve_label_ref(self, path: str, pos: Pos, name: str, scope: str,
                            sub_type: Optional[str]) -> Optional[LabelAtom]:
         candidates = self.program.resolve_label(name, scope)
-        if not candidates and sub_type is not None:
-            candidates = self.program.resolve_label(name, sub_type)
-        if not candidates and "." not in name:
-            candidates = self.program.resolve_label(name, None)
         if not candidates:
             self.error(path, pos, f"unresolved label '{name}'")
             return None
@@ -236,13 +232,9 @@ class Resolver:
                        f"label '{atom.text()}' does not apply to type '{sub_type}' "
                        f"(carriers: {', '.join(decl_carriers)})")
 
-    def _resolve_protocol_ref(self, path: str, pos: Pos, name: str, scope: str,
-                              sub_type: Optional[str]) -> Optional[ProtocolDecl]:
+    def _resolve_protocol_ref(self, path: str, pos: Pos, name: str,
+                              scope: str) -> Optional[ProtocolDecl]:
         candidates = self.program.resolve_protocol(name, scope)
-        if not candidates and sub_type is not None:
-            candidates = self.program.resolve_protocol(name, sub_type)
-        if not candidates and "." not in name:
-            candidates = self.program.resolve_protocol(name, None)
         if not candidates:
             self.error(path, pos, f"unresolved protocol '{name}'")
             return None
@@ -392,7 +384,7 @@ def _collect_protocol_states(program: Program) -> None:
 
 
 def _validate_queries(program: Program) -> None:
-    """Check every query goal resolves; positions flow into diagnostics."""
+    """Bind every query's goal; an unresolved one is a positioned error."""
     from .model import UnknownGoal
 
     for cname in sorted(program.units):
@@ -419,7 +411,7 @@ def _validate_queries(program: Program) -> None:
                         continue
                     subject = fld.type
                 try:
-                    program.normalize_goal(query.goal_text, subject, cname)
+                    query.goal = program.normalize_goal(query.goal_text, subject, cname)
                 except UnknownGoal as e:
                     program.diagnostics.error(path, pos.line, pos.col, E_RES, str(e))
 
@@ -428,19 +420,15 @@ def iter_queries(stmts: list[Stmt], env: dict[str, str]):
     """Yield (query, pos) in statement order, tracking local declarations."""
     for s in stmts:
         if isinstance(s, VarDeclStmt):
-            if isinstance(s.init, Query):
-                yield s.init, s.pos
             env[s.name] = s.type
-            if s.span:
-                yield from iter_queries(s.span, env)
         elif isinstance(s, QueryStmt):
             yield s.query, s.pos
+            if s.type is not None:
+                env[s.var] = s.type
             if s.span:
                 yield from iter_queries(s.span, env)
         elif hasattr(s, "body"):
             yield from iter_queries(s.body, env)
-        elif hasattr(s, "value") and isinstance(getattr(s, "value"), Query):
-            yield s.value, s.pos
 
 
 def parse_sources(sources: list[tuple[str, str]], sink: DiagnosticSink) -> list[tuple[str, list[ClassModel]]]:

@@ -13,7 +13,7 @@ from .effects import postconditions, subject_preconditions
 from .model import (
     AssignStmt, BlockStmt, CallExpr, ClassModel, Expr, ExprStmt,
     FieldAccessExpr, MethodSpec, MutationTarget, NameExpr, NewExpr, Program,
-    ProtectStmt, Query, QueryStmt, Stmt, UniquenessKind, VarDeclStmt,
+    ProtectStmt, QueryStmt, Stmt, UniquenessKind, VarDeclStmt,
     can_override_arg, can_override_return,
 )
 
@@ -56,11 +56,11 @@ def method_declared_names(method: MethodSpec) -> set[str]:
         for s in stmts or []:
             if isinstance(s, VarDeclStmt):
                 names.add(s.name)
-                if s.span:
-                    walk(s.span)
             elif isinstance(s, (BlockStmt, ProtectStmt)):
                 walk(s.body)
-            elif isinstance(s, QueryStmt) and s.span:
+            elif isinstance(s, QueryStmt):
+                if s.type is not None:
+                    names.add(s.var)
                 walk(s.span)
 
     walk(method.body)
@@ -69,11 +69,10 @@ def method_declared_names(method: MethodSpec) -> set[str]:
 
 def emit_statements(result: PlanResult, pool: NamePool,
                     site_name: Optional[str] = None,
-                    site_type: Optional[str] = None,
-                    declare: bool = True) -> list[Stmt]:
+                    site_type: Optional[str] = None) -> list[Stmt]:
     """Statements for a closed plan. The goal value takes the site's
-    declaration name when the query is assigned; `declare=False` assigns to
-    an existing variable instead of declaring a new one."""
+    variable name when the query is assigned: declared at `site_type` when
+    one is given, else assigned to the existing variable."""
     plan = result.plan
     ordered = plan.linearize()
     used_oids: set[int] = set()
@@ -117,10 +116,7 @@ def emit_statements(result: PlanResult, pool: NamePool,
         if need_name:
             if a.result == plan.goal_oid and site_name is not None:
                 names[a.result] = site_name
-                if declare:
-                    out.append(VarDeclStmt(site_type or result_type, site_name, call))
-                else:
-                    out.append(AssignStmt(NameExpr(site_name), call))
+                out.append(_bind_site(site_name, site_type, call))
             else:
                 name = pool.fresh()
                 names[a.result] = name
@@ -130,12 +126,14 @@ def emit_statements(result: PlanResult, pool: NamePool,
     goal_obj = plan.objects.get(plan.goal_oid)
     if site_name is not None and goal_obj is not None and goal_obj.ctx_name is not None:
         # The goal bound to an existing value: a plain aliasing statement.
-        if declare:
-            out.append(VarDeclStmt(site_type or goal_obj.type, site_name,
-                                   NameExpr(goal_obj.ctx_name)))
-        else:
-            out.append(AssignStmt(NameExpr(site_name), NameExpr(goal_obj.ctx_name)))
+        out.append(_bind_site(site_name, site_type, NameExpr(goal_obj.ctx_name)))
     return out
+
+
+def _bind_site(name: str, type_name: Optional[str], value: Expr) -> Stmt:
+    if type_name is not None:
+        return VarDeclStmt(type_name, name, value)
+    return AssignStmt(NameExpr(name), value)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +170,6 @@ def splice_program(program: Program, solutions: dict[int, Solution]) -> Program:
 def _splice_stmts(stmts: list[Stmt], solutions: dict[int, Solution]) -> list[Stmt]:
     out: list[Stmt] = []
     for s in stmts:
-        if isinstance(s, VarDeclStmt) and isinstance(s.init, Query):
-            if id(s) not in solutions:
-                raise UnsolvedQueryRemains(
-                    f"query at line {s.pos.line} has no solution")
-            out.extend(solutions[id(s)].statements)
-            if s.span is not None:
-                out.append(BlockStmt(_splice_stmts(s.span, solutions)))
-            continue
         if isinstance(s, QueryStmt):
             if id(s) not in solutions:
                 raise UnsolvedQueryRemains(
@@ -187,15 +177,6 @@ def _splice_stmts(stmts: list[Stmt], solutions: dict[int, Solution]) -> list[Stm
             out.extend(solutions[id(s)].statements)
             if s.span is not None:
                 out.append(BlockStmt(_splice_stmts(s.span, solutions)))
-            continue
-        if isinstance(s, AssignStmt) and isinstance(s.value, Query):
-            if id(s) not in solutions:
-                raise UnsolvedQueryRemains(
-                    f"query at line {s.pos.line} has no solution")
-            out.extend(solutions[id(s)].statements)
-            continue
-        if isinstance(s, VarDeclStmt) and s.span is not None:
-            out.append(replace(s, span=_splice_stmts(s.span, solutions)))
             continue
         if isinstance(s, BlockStmt):
             out.append(BlockStmt(_splice_stmts(s.body, solutions)))

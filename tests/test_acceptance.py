@@ -18,7 +18,7 @@ from poplar.config import SearchConfig
 from poplar.effects import (
     check_class_conformance, check_program, check_spans, query_contexts,
 )
-from poplar.model import StateAtom, VarDeclStmt
+from poplar.model import StateAtom
 from poplar.planner import (
     NoSolution, plan_query, spec_result_atoms, spec_subject_effects,
 )
@@ -42,10 +42,7 @@ def flat(text):
 def emit_for(prog, ctx, cfg):
     result = plan_query(prog, ctx, cfg)
     pool = synth.NamePool(synth.method_declared_names(ctx.method))
-    site_name = site_type = None
-    if isinstance(ctx.stmt, VarDeclStmt):
-        site_name, site_type = ctx.stmt.name, ctx.stmt.type
-    stmts = synth.emit_statements(result, pool, site_name, site_type)
+    stmts = synth.emit_statements(result, pool, ctx.stmt.var, ctx.stmt.type)
     rendered = " ".join(_render_stmt(s, 0, True)[0] for s in stmts)
     return result, rendered
 

@@ -1,5 +1,6 @@
 """Batch driver behavior: exit codes, flags, config files, output trees."""
 
+import ast
 import hashlib
 import importlib
 import os
@@ -92,7 +93,7 @@ class TestCheck:
             "48:15: error: E-RES: unresolved protocol 'unknownProtocol'",
             "49:15: error: E-RES: ambiguous protocol 'phase'",
             "51:27: error: E-RES: duplicate parameter 'a' in 'twice'",
-            "53:5: error: E-RES: unknown type 'Nowhere' in parameter 'x'",
+            "53:24: error: E-RES: unknown type 'Nowhere' in parameter 'x'",
             "55:5: error: E-RES: unknown resource 'absent' in [!] list",
             "58:15: error: E-RES: unknown residence resource 'absent' on type 'Holder'",
             "61:9: error: E-RES: unknown condition subject 'ghost'",
@@ -103,7 +104,7 @@ class TestCheck:
             "67:64: error: E-RES: unknown resource 'absent' on 'Holder'",
             "70:17: error: E-RES: unknown type 'Nowhere' in any(...) target",
             "73:17: error: E-RES: unresolved mutation target 'nothing'",
-            "75:5: error: E-RES: unknown type 'Nowhere' in parameter 'q'",
+            "75:33: error: E-RES: unknown type 'Nowhere' in parameter 'q'",
             "76:17: error: E-RES: unknown resource 'this.absent'",
             "77:15: error: E-RES: unresolved label 'externalLabel'",
         )]
@@ -508,6 +509,27 @@ def test_unique_field_protected_by_its_own_span(capsys):
         f"protected resource 'held.content' (summary hits 'this.held.content')"]
 
 
+def test_transform_of_an_unmanaged_field_uses_the_field_type_for_its_goal(tmp_path, capsys):
+    """`ready` is declared by `Sock` and by `Pipe`; the field's type picks
+    `Sock.ready` in every command, as the resolver checked it."""
+    path = c("query_sites", "unmanaged_field.pop")
+    assert run(["check", path], capsys) == (0, "", "")
+    out_dir = tmp_path / "out"
+    code, _, err = run(["synth", path, "--out", str(out_dir)], capsys)
+    assert (code, err) == (0, "")
+    assert "        s.open();\n" in (out_dir / "unmanaged_field.pop").read_text()
+
+
+@pytest.mark.parametrize("command", ["check", "synth"])
+def test_query_assigned_to_a_field_is_a_syntax_error(tmp_path, capsys, command):
+    path = c("query_sites", "field_target.pop")
+    extra = ["--out", str(tmp_path)] if command == "synth" else []
+    code, out, err = run([command, path, *extra], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        f"{path}:12:9: error: E-SYN: a query's value can only be assigned to a variable"]
+
+
 @pytest.mark.parametrize("flags", [["--budget", "0"], ["--max-len", "0"],
                                    ["--precedence", "Calendar"]],
                          ids=["budget", "max-len", "precedence"])
@@ -706,6 +728,32 @@ sys.exit(code)
 
 class TestImportLayers:
     """A cold process imports only the layers its command runs."""
+
+    def test_every_module_level_import_is_used(self):
+        """Each name a module imports at its top level, or under a top-level
+        `if`, is read in that module: as a name in code or inside a string
+        annotation. A docstring that mentions it does not count."""
+        unused = []
+        for path in sorted(Path(poplar.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            imports = [n for top in tree.body
+                       for n in (top.body if isinstance(top, ast.If) else [top])
+                       if isinstance(n, (ast.Import, ast.ImportFrom))
+                       and getattr(n, "module", None) != "__future__"]
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            annotations = [n.annotation for n in ast.walk(tree)
+                           if isinstance(n, (ast.arg, ast.AnnAssign)) and n.annotation] + \
+                [n.returns for n in ast.walk(tree)
+                 if isinstance(n, ast.FunctionDef) and n.returns]
+            for a in annotations:
+                for n in ast.walk(a):
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                        used.update(m.id for m in ast.walk(ast.parse(n.value, mode="eval"))
+                                    if isinstance(m, ast.Name))
+            unused.extend(f"{path.name}:{n.lineno}: {alias.asname or alias.name}"
+                          for n in imports for alias in n.names
+                          if (alias.asname or alias.name.split(".")[0]) not in used)
+        assert unused == []
 
     def loaded(self, argv, cwd=None):
         src = str(Path(poplar.__file__).parents[1])

@@ -82,7 +82,8 @@ class C {
 }
 """)
         stmt = decls[0].methods[0].body[0]
-        assert stmt.init.with_names == ("JMenuItem", "helper")
+        assert (stmt.type, stmt.var) == ("Socket", "t")
+        assert stmt.query.with_names == ("JMenuItem", "helper")
         assert stmt.span is not None and len(stmt.span) == 1
 
     def test_protect_statement(self):
@@ -306,7 +307,7 @@ class TestGrammarCoverage:
 
     def test_every_production_is_witnessed(self):
         from poplar.model import (
-            AddLabel, AssignStmt, Invariant, ProtectStmt, Query, QueryStmt,
+            AddLabel, AssignStmt, Invariant, ProtectStmt, QueryStmt,
             StateAtom, Transition, UniquenessKind, VarDeclStmt,
         )
         seen = set()
@@ -402,29 +403,21 @@ class TestGrammarCoverage:
                     for s in stmts(m.body):
                         if isinstance(s, VarDeclStmt):
                             seen.add("local-decl")
-                            if isinstance(s.init, Query):
-                                seen.add("query-produce")
-                                if s.span is not None:
-                                    seen.add("query-span")
                         elif isinstance(s, AssignStmt):
                             seen.add("assignment")
-                            if isinstance(s.value, Query):
-                                seen.add("query-assigned")
-                                if s.value.with_names:
-                                    seen.add("query-with")
                         elif isinstance(s, QueryStmt):
                             q = s.query
                             seen.add("query-" + q.kind)
+                            if s.type is not None:
+                                seen.add("local-decl")
+                            elif s.var is not None:
+                                seen.add("query-assigned")
                             if q.with_names:
                                 seen.add("query-with")
                             if s.span is not None:
                                 seen.add("query-span")
                         elif isinstance(s, ProtectStmt):
                             seen.add("protect")
-                    for s in stmts(m.body):
-                        if isinstance(s, VarDeclStmt) and isinstance(s.init, Query) \
-                                and s.init.with_names:
-                            seen.add("query-with")
 
         required = {
             "class", "interface", "extends", "implements", "labels",

@@ -7,7 +7,7 @@ import pytest
 from poplar import printer, synth
 from poplar.config import SearchConfig
 from poplar.effects import check_program, infer_summary, query_contexts
-from poplar.model import AssignStmt, VarDeclStmt
+from poplar.model import VarDeclStmt
 from poplar.parser import parse_unit
 from poplar.planner import plan_query
 from poplar.resolver import load_program
@@ -28,10 +28,7 @@ def solve_queries(prog, cfg):
             pool = synth.NamePool(synth.method_declared_names(m))
             for ctx in query_contexts(prog, unit, m):
                 result = plan_query(prog, ctx, cfg)
-                site_name = site_type = None
-                if isinstance(ctx.stmt, VarDeclStmt):
-                    site_name, site_type = ctx.stmt.name, ctx.stmt.type
-                stmts = synth.emit_statements(result, pool, site_name, site_type)
+                stmts = synth.emit_statements(result, pool, ctx.stmt.var, ctx.stmt.type)
                 solutions[id(ctx.stmt)] = synth.Solution(result, stmts)
     return solutions
 
@@ -446,14 +443,7 @@ def test_plan_mutations_are_named_as_the_checker_names_them(tree, policy):
             pool = synth.NamePool(synth.method_declared_names(m))
             for ctx in query_contexts(prog, unit, m):
                 result = plan_query(prog, ctx, cfg)
-                site_name = site_type = None
-                declare = True
-                if isinstance(ctx.stmt, VarDeclStmt):
-                    site_name, site_type = ctx.stmt.name, ctx.stmt.type
-                elif isinstance(ctx.stmt, AssignStmt):
-                    site_name, declare = ctx.stmt.target.name, False
-                stmts = synth.emit_statements(result, pool, site_name, site_type,
-                                              declare=declare)
+                stmts = synth.emit_statements(result, pool, ctx.stmt.var, ctx.stmt.type)
                 solutions[id(ctx.stmt)] = synth.Solution(result, stmts)
     assert solutions
     spliced = synth.splice_program(prog, solutions)
