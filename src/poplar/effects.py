@@ -521,6 +521,12 @@ class BodyAnalyzer:
             holder = query.target_var
         else:
             holder = s.var or query.target_var or ""
+        if query.kind == "transform" and s.var is not None:
+            # Once the target holds the goal, `x = #transform(y, g)` binds
+            # `x` as the spliced `x = y;` does.
+            value = NameExpr(query.target_var or "", pos)
+            self._statement(VarDeclStmt(s.type, s.var, value, pos) if s.type else
+                            AssignStmt(NameExpr(s.var, pos), value, pos))
         if s.span is not None:
             obligations = [SpanObligation(holder, p, pos) for p in residence] \
                 or [SpanObligation(holder, (), pos)]

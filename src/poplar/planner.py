@@ -12,7 +12,8 @@ built once per Program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .config import SearchConfig
@@ -66,7 +67,7 @@ class ActionSpec:
     method: Optional[MethodSpec] = None
     fld: Optional[FieldDecl] = None
 
-    @property
+    @cached_property
     def key(self) -> tuple:
         return (self.owner, self.member, self.kind, -1 if self.group is None else self.group)
 
@@ -81,7 +82,7 @@ class ActionSpec:
 
 @dataclass(slots=True, eq=False, repr=False)
 class PlanObject:
-    """A value in a plan; one is copied per search node, so it has slots."""
+    """A value in a plan, shared by the plans that do not change it."""
 
     oid: int
     need_type: str
@@ -120,10 +121,15 @@ class CausalLink:
     consumer: int
     residence: tuple[ResourcePath, ...] = ()
 
+    @property
+    def threatenable(self) -> bool:
+        """Only a state or a residence can be undone by another action."""
+        return self.residence != () or isinstance(self.cond.atom, StateAtom)
+
 
 @dataclass(slots=True, eq=False, repr=False)
 class PlanAction:
-    """A step of a plan; one is copied per search node, so it has slots."""
+    """A step of a plan, shared by the plans that do not change it."""
 
     aid: int
     spec: Optional[ActionSpec]
@@ -135,11 +141,13 @@ class PlanAction:
 @dataclass(eq=False, repr=False)
 class Plan:
     """A partial-order plan: actions, objects, orderings, causal links and
-    the conditions still open."""
+    the conditions still open. A clone shares its parent's actions and
+    objects; a plan changes one only through a copy put in its place."""
 
     actions: dict[int, PlanAction] = field(default_factory=dict)
     objects: dict[int, PlanObject] = field(default_factory=dict)
     orderings: set = field(default_factory=set)
+    later: dict[int, int] = field(default_factory=dict)  # aid -> bitmask of later aids
     links: list[CausalLink] = field(default_factory=list)
     open_conds: list[tuple[PCond, int]] = field(default_factory=list)
     next_oid: int = 0
@@ -147,17 +155,9 @@ class Plan:
     goal_oid: int = -1
 
     def clone(self) -> "Plan":
-        p = Plan(
-            actions={k: replace(v) for k, v in self.actions.items()},
-            objects={k: replace(v) for k, v in self.objects.items()},
-            orderings=set(self.orderings),
-            links=list(self.links),
-            open_conds=list(self.open_conds),
-            next_oid=self.next_oid,
-            next_aid=self.next_aid,
-            goal_oid=self.goal_oid,
-        )
-        return p
+        return Plan(dict(self.actions), dict(self.objects), set(self.orderings),
+                    dict(self.later), list(self.links), list(self.open_conds),
+                    self.next_oid, self.next_aid, self.goal_oid)
 
     def real_actions(self) -> list[PlanAction]:
         return [a for aid, a in sorted(self.actions.items())
@@ -169,6 +169,13 @@ class Plan:
         self.next_oid += 1
         return obj
 
+    def edit(self, oid: int) -> PlanObject:
+        """Object `oid`, copied into this plan so that it may be changed."""
+        o = self.objects[oid]
+        o = self.objects[oid] = PlanObject(oid, o.need_type, o.ctx_name, o.producer,
+                                           o.actual_type, o.kind, o.fresh)
+        return o
+
     def add_ordering(self, before: int, after: int) -> bool:
         """Insert a strict ordering; False, leaving the orderings unchanged,
         when it would close a cycle. The orderings stay acyclic, so only a
@@ -176,24 +183,17 @@ class Plan:
         if before == after or self.ordered(after, before):
             return False
         self.orderings.add((before, after))
+        mask = (1 << after) | self.later.get(after, 0)
+        bit = 1 << before
+        for aid, m in self.later.items():
+            if m & bit:
+                self.later[aid] = m | mask
+        self.later[before] = self.later.get(before, 0) | mask
         return True
 
     def ordered(self, before: int, after: int) -> bool:
         """Whether `before` must precede `after` (transitively)."""
-        seen = set()
-        stack = [before]
-        succ: dict[int, list[int]] = {}
-        for a, b in self.orderings:
-            succ.setdefault(a, []).append(b)
-        while stack:
-            n = stack.pop()
-            if n == after:
-                return True
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(succ.get(n, ()))
-        return False
+        return self.later.get(before, 0) >> after & 1 == 1
 
     def linearize(self) -> list[PlanAction]:
         """The real actions in topological order, lexicographically least by
@@ -221,7 +221,7 @@ class Plan:
     def fingerprint(self) -> tuple:
         """Search-progress signature: which operations are in the plan and
         which conditions are still open (with multiplicity)."""
-        specs = frozenset(a.spec.key for a in self.real_actions() if a.spec)
+        specs = frozenset(a.spec.key for a in self.actions.values() if a.spec)
         opens = tuple(sorted((c.text(), self.objects[c.oid].need_type)
                              for c, _ in self.open_conds))
         return (specs, opens)
@@ -303,7 +303,6 @@ def spec_subject_effects(spec: ActionSpec):
 @dataclass(frozen=True, eq=False, repr=False)
 class SpecFacts:
     """What the search reads about one action of the universe."""
-    order: int  # position in the universe
     result_type: Optional[str]
     result_atoms: tuple[tuple[Atom, tuple[ResourcePath, ...]], ...]
     result_atom_set: frozenset[Atom]
@@ -318,26 +317,30 @@ class SpecFacts:
 
 class ActionIndex:
     """The action universe of one Program with everything the search reads
-    about it, computed once: per-spec facts, atom -> achievers, result type
-    -> producers, and a memoised subtype test. Valid because a Program does
+    about it, computed once: per-spec facts, atom -> achievers, need type
+    -> producers, and each class's supertypes. Valid because a Program does
     not change once resolution has ended."""
 
     def __init__(self, program: Program):
         self.program = program
         self.universe = action_universe(program)
-        self._facts: dict[int, SpecFacts] = {}
-        self._subtype: dict[tuple[str, str], bool] = {}
+        self._facts: dict[ActionSpec, SpecFacts] = {}
+        self.facts = self._facts.__getitem__  # spec -> its SpecFacts
+        self.supertypes = {t: frozenset(program.all_supertypes(t)) for t in program.units}
         # atom -> (spec, via) in universe order; per spec, "result" comes
         # before its subject effects, as in a scan of the universe.
         self.achievers: dict[Atom, list[tuple[ActionSpec, str]]] = {}
+        # need type -> the specs whose result is a subtype, in universe order
         self.producers: dict[str, list[ActionSpec]] = {}
         self.names: set[str] = set(program.units)
-        for order, spec in enumerate(self.universe):
-            f = self._spec_facts(order, spec)
-            self._facts[id(spec)] = f
+        for spec in self.universe:
+            f = self._spec_facts(spec)
+            self._facts[spec] = f
             self.names |= f.names
             if f.result_type is not None:
-                self.producers.setdefault(f.result_type, []).append(spec)
+                rt = f.result_type
+                for t in self.supertypes.get(rt) or program.all_supertypes(rt):
+                    self.producers.setdefault(t, []).append(spec)
                 for atom in f.result_atom_set:
                     self.achievers.setdefault(atom, []).append((spec, "result"))
             for subject, atom, _, _ in f.effects:
@@ -349,7 +352,7 @@ class ActionIndex:
             program.action_index = cls(program)
         return program.action_index
 
-    def _spec_facts(self, order: int, spec: ActionSpec) -> SpecFacts:
+    def _spec_facts(self, spec: ActionSpec) -> SpecFacts:
         m = spec.method
         result_atoms = tuple(spec_result_atoms(spec))
         effects = tuple(spec_subject_effects(spec))
@@ -359,7 +362,6 @@ class ActionIndex:
         # label it establishes.
         labels = [a for a, _ in result_atoms] + [a for _, a, _, _ in effects]
         return SpecFacts(
-            order=order,
             result_type=spec_result_type(spec),
             result_atoms=result_atoms,
             result_atom_set=frozenset(a for a, _ in result_atoms),
@@ -372,15 +374,10 @@ class ActionIndex:
                             {a.name for a in labels if hasattr(a, "name")}),
             slots={a.name: i for i, a in enumerate(m.args)} if m else {})
 
-    def facts(self, spec: ActionSpec) -> SpecFacts:
-        return self._facts[id(spec)]
-
     def is_subtype(self, sub: str, sup: str) -> bool:
-        key = (sub, sup)
-        hit = self._subtype.get(key)
-        if hit is None:
-            hit = self._subtype[key] = self.program.is_subtype(sub, sup)
-        return hit
+        """`Program.is_subtype`; a class's supertypes are a set lookup."""
+        sups = self.supertypes.get(sub)
+        return sup in sups if sups is not None else self.program.is_subtype(sub, sup)
 
 
 def can_substitute(program: Program, value_type: str, value_labels: set,
@@ -451,19 +448,20 @@ class Planner:
         plan = Plan()
         plan.actions[START] = PlanAction(START, None)
         plan.actions[FINISH] = PlanAction(FINISH, None)
-        plan.orderings.add((START, FINISH))
+        plan.add_ordering(START, FINISH)
         query = self.ctx.query
         if query.kind == "produce":
             goal_obj = plan.new_object(query.produce_type or "Object")
         else:
             goal_obj = plan.new_object("Object")
-            self._bind_ctx(plan, goal_obj, query.target_var or "")
+            self._bind_ctx(plan, goal_obj.oid, query.target_var or "")
         plan.goal_oid = goal_obj.oid
         plan.open_conds.append((PCond(goal_obj.oid, self.goal), FINISH))
         return plan
 
-    def _bind_ctx(self, plan: Plan, obj: PlanObject, name: str) -> None:
+    def _bind_ctx(self, plan: Plan, oid: int, name: str) -> None:
         st = self.ctx.values.get(name)
+        obj = plan.edit(oid)
         obj.ctx_name = name
         obj.actual_type = st.type if st else obj.need_type
         obj.kind = st.kind if st else KIND.NORMAL
@@ -495,14 +493,16 @@ class Planner:
     def choose_precondition(self, plan: Plan, depth_left: int):
         """Pick the open precondition to work on: zero-candidate conditions
         first (to fail fast), then fewest candidates, ties broken by the
-        deterministic condition ordering."""
-        per_cond = []
+        deterministic condition ordering. Only the chosen condition's
+        candidates are built and ranked."""
+        best = None
         for i, (cond, consumer) in enumerate(plan.open_conds):
-            cands = self._candidates(plan, cond, consumer, depth_left)
-            per_cond.append((len(cands), cond.text(), cond.oid, consumer, i, cands))
-        per_cond.sort(key=lambda t: (t[0] != 0, t[0], t[1], t[2], t[3]))
-        _, _, _, _, idx, cands = per_cond[0]
-        return idx, cands
+            ways = self._ways(plan, cond, depth_left)
+            n = len(ways[0]) + len(ways[1]) + len(ways[2])
+            key = (n != 0, n, cond.text(), cond.oid, consumer)
+            if best is None or key < best[0]:
+                best = (key, i, ways)
+        return best[1], self._ranked(*best[2])
 
     def _dfs(self, plan: Plan, depth_left: int, branch: frozenset) -> Iterator[Plan]:
         if not plan.open_conds:
@@ -532,49 +532,54 @@ class Planner:
 
     def _candidates(self, plan: Plan, cond: PCond, consumer: int,
                     depth_left: int) -> list[Candidate]:
+        return self._ranked(*self._ways(plan, cond, depth_left))
+
+    def _ways(self, plan: Plan, cond: PCond, depth_left: int) -> tuple:
+        """The achievers of `cond`, unranked: the memoised context
+        candidates, (kind, ctx_name, producer) of those found in the plan,
+        and the memoised fresh candidates."""
         obj = plan.objects[cond.oid]
-        out: list[Candidate] = []
+        context: list[Candidate] = []
+        found: list[tuple[str, str, int]] = []
         facts = self.index.facts
 
         if obj.ctx_name is not None:
             st = self.ctx.values.get(obj.ctx_name)
-            have = set(st.labels) if st else set()
-            if cond.atom is None or cond.atom in have:
-                out.append(self._mk(Candidate("ctx", ctx_name=obj.ctx_name)))
+            if cond.atom is None or (st is not None and cond.atom in st.labels):
+                found.append(("ctx", obj.ctx_name, -1))
         elif obj.producer is not None:
             atoms = facts(plan.actions[obj.producer].spec).result_atom_set
             if cond.atom is None or cond.atom in atoms:
-                out.append(self._mk(Candidate("link", producer=obj.producer)))
+                found.append(("link", "", obj.producer))
         else:
-            out.extend(self._context_candidates(obj.need_type, cond.atom))
+            context = self._context_candidates(obj.need_type, cond.atom)
+
+        merge, atom = not obj.bound, cond.atom
+        if not merge and atom is None:
+            return context, found, []  # nothing else achieves a bound value's existence
+        fresh = self._fresh_candidates(obj, atom) if depth_left > 0 else []
+        # Merges and links rank apart, so one pass in aid order (the order
+        # actions are added in) finds both in their ranked order.
+        for aid, a in plan.actions.items():
+            if a.spec is None:
+                continue
+            f = facts(a.spec)
             # Reuse a value the plan already creates.
-            for aid in sorted(plan.actions):
-                a = plan.actions[aid]
-                if a.spec is None or a.result is None:
-                    continue
-                f = facts(a.spec)
-                if f.result_type is None or \
-                        not self.index.is_subtype(f.result_type, obj.need_type):
-                    continue
-                if cond.atom is not None and cond.atom not in f.result_atom_set:
-                    continue
-                out.append(self._mk(Candidate("merge", producer=aid)))
+            if merge and a.result is not None and f.result_type is not None and \
+                    self.index.is_subtype(f.result_type, obj.need_type) and \
+                    (atom is None or atom in f.result_atom_set):
+                found.append(("merge", "", aid))
+            # In-plan actions adding the atom to this very object.
+            if atom is not None:
+                for subject, added, _, _ in f.effects:
+                    if added == atom and cond.oid == (
+                            a.receiver if subject == "this" else self._arg_oid(a, subject)):
+                        found.append(("link", "", aid))
+        return context, found, fresh
 
-        # In-plan actions adding the atom to this very object.
-        if cond.atom is not None:
-            for aid in sorted(plan.actions):
-                a = plan.actions[aid]
-                if a.spec is None:
-                    continue
-                for subject, atom, _, _ in facts(a.spec).effects:
-                    if atom != cond.atom:
-                        continue
-                    soid = a.receiver if subject == "this" else self._arg_oid(a, subject)
-                    if soid == cond.oid:
-                        out.append(self._mk(Candidate("link", producer=aid)))
-
-        if depth_left > 0:
-            out.extend(self._fresh_candidates(obj, cond.atom))
+    def _ranked(self, context: list[Candidate], found: list[tuple[str, str, int]],
+                fresh: list[Candidate]) -> list[Candidate]:
+        out = context + [self._mk(Candidate(*way)) for way in found] + fresh
         out.sort(key=lambda c: c.sort_key)
         return out
 
@@ -629,10 +634,8 @@ class Planner:
         if atom is None:
             if obj.bound:
                 return []
-            specs = [s for rt, specs in index.producers.items()
-                     if index.is_subtype(rt, obj.need_type) for s in specs]
-            specs.sort(key=lambda s: index.facts(s).order)
-            return [(s, "result") for s in specs if self._useful_result(s)]
+            return [(s, "result") for s in index.producers.get(obj.need_type, ())
+                    if self._useful_result(s)]
         ways: list[tuple[ActionSpec, str]] = []
         for spec, via in index.achievers.get(atom, ()):
             f = index.facts(spec)
@@ -686,7 +689,8 @@ class Planner:
             detail = (st.declared_order if st else 0, c.ctx_name, "")
         else:
             detail = (c.producer, "", "")
-        return replace(c, sort_key=(mentions, kind_rank, detail))
+        return Candidate(c.kind, c.ctx_name, c.producer, c.spec, c.via, c.spec_key,
+                         (mentions, kind_rank, detail))
 
     def _locality(self, spec: ActionSpec) -> int:
         if spec.owner == self.ctx.unit:
@@ -720,9 +724,8 @@ class Planner:
         p = plan.clone()
         del p.open_conds[open_idx]
         if cand.kind == "ctx":
-            obj = p.objects[cond.oid]
-            if obj.ctx_name is None:
-                self._bind_ctx(p, obj, cand.ctx_name)
+            if p.objects[cond.oid].ctx_name is None:
+                self._bind_ctx(p, cond.oid, cand.ctx_name)
             st = self.ctx.values.get(cand.ctx_name)
             residence = tuple(st.residence.get(cond.atom, ())) if st and cond.atom else ()
             return self._commit_link(p, CausalLink(START, cond, consumer, residence))
@@ -759,10 +762,10 @@ class Planner:
         def swap(oid: Optional[int]) -> Optional[int]:
             return keep if oid == old else oid
 
-        for a in p.actions.values():
-            a.receiver = swap(a.receiver)
-            a.args = tuple(swap(o) for o in a.args)
-            a.result = swap(a.result)
+        for aid, a in p.actions.items():
+            if old == a.receiver or old == a.result or old in a.args:
+                p.actions[aid] = PlanAction(aid, a.spec, swap(a.receiver),
+                                            tuple(swap(o) for o in a.args), swap(a.result))
         p.links = [CausalLink(l.producer, PCond(swap(l.cond.oid), l.cond.atom),
                               l.consumer, l.residence) for l in p.links]
         p.open_conds = [(PCond(swap(c.oid), c.atom), consumer)
@@ -783,7 +786,7 @@ class Planner:
 
         m = spec.method
         if spec.kind == "fieldread":
-            result_obj = p.objects[cond.oid]
+            result_obj = p.edit(cond.oid)
             result_obj.producer = aid
             result_obj.actual_type = spec.fld.type
             result_obj.kind = KIND.NORMAL
@@ -796,6 +799,7 @@ class Planner:
                 if cand.via == "this":
                     recv_obj = p.objects[cond.oid]
                     if self.index.is_subtype(m.declared_in, recv_obj.need_type):
+                        recv_obj = p.edit(cond.oid)
                         recv_obj.need_type = m.declared_in
                 else:
                     recv_obj = p.new_object(m.declared_in)
@@ -805,6 +809,7 @@ class Planner:
                 if cand.via == a.name:
                     obj = p.objects[cond.oid]
                     if self.index.is_subtype(a.type, obj.need_type):
+                        obj = p.edit(cond.oid)
                         obj.need_type = a.type
                     arg_objs.append(obj)
                 else:
@@ -814,7 +819,7 @@ class Planner:
             rt = f.result_type
             if rt is not None:
                 if cand.via == "result":
-                    result_obj = p.objects[cond.oid]
+                    result_obj = p.edit(cond.oid)
                     result_obj.producer = aid
                     result_obj.actual_type = rt
                     result_obj.kind = KIND.UNIQUE
@@ -849,16 +854,15 @@ class Planner:
         p.links.append(link)
         # The new link against every action, and the new action (if any)
         # against every link.
-        for a in p.actions.values():
-            if a.spec is None:
-                continue
-            if not self._resolve_threat(p, a, link):
-                self.rejected_threats += 1
-                return None
+        if link.threatenable:
+            for a in p.actions.values():
+                if a.spec is not None and not self._resolve_threat(p, a, link):
+                    self.rejected_threats += 1
+                    return None
         if new_action is not None:
             b = p.actions[new_action]
-            for other in list(p.links):
-                if not self._resolve_threat(p, b, other):
+            for other in p.links:
+                if other.threatenable and not self._resolve_threat(p, b, other):
                     self.rejected_threats += 1
                     return None
         return p

@@ -520,6 +520,20 @@ def test_transform_of_an_unmanaged_field_uses_the_field_type_for_its_goal(tmp_pa
     assert "        s.open();\n" in (out_dir / "unmanaged_field.pop").read_text()
 
 
+def test_transform_binds_its_site_variable_as_the_spliced_copy_does(tmp_path, capsys):
+    """`Conn t = #transform(c, ready); t.send();` checks as the spliced
+    `c.open(); Conn t = c; t.send();` does, declared and assigned alike."""
+    path = c("query_sites", "transform_local.pop")
+    assert run(["check", path], capsys) == (0, "", "")
+    out_dir = tmp_path / "out"
+    code, _, err = run(["synth", path, "--out", str(out_dir)], capsys)
+    assert (code, err) == (0, "")
+    text = (out_dir / "transform_local.pop").read_text()
+    assert "        c.open();\n        Conn t = c;\n" in text
+    assert "        d.open();\n        u = d;\n" in text
+    assert run(["check", str(out_dir)], capsys) == (0, "", "")
+
+
 @pytest.mark.parametrize("command", ["check", "synth"])
 def test_query_assigned_to_a_field_is_a_syntax_error(tmp_path, capsys, command):
     path = c("query_sites", "field_target.pop")
