@@ -116,6 +116,11 @@ def _solve_tree(program: Program, cfg: SearchConfig):
         pool = synth.NamePool(synth.method_declared_names(method))
         for ctx in contexts:
             path = program.unit_paths.get(ctx.unit, "<unknown>")
+            if ctx.error is not None:
+                v = ctx.error
+                failures.append(Diagnostic(path, v.pos.line, v.pos.col, "error", v.code,
+                                           v.text()))
+                continue
             try:
                 result = plan_query(program, ctx, cfg)
             except PlanFailure as e:

@@ -6,20 +6,20 @@ command-line flags; flags win on conflict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 
-@dataclass(eq=False, repr=False)
 class SearchConfig:
     """What bounds and steers the search of one run."""
 
-    plan_budget: int = 10000
-    max_plan_length: int = 12
-    summary_rewrite_policy: str = "reject"  # "reject" | "rewrite"
-    api_precedence: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __init__(self, plan_budget: int = 10000, max_plan_length: int = 12,
+                 summary_rewrite_policy: str = "reject",  # "reject" | "rewrite"
+                 api_precedence: Optional[dict[str, int]] = None):
+        self.plan_budget = plan_budget
+        self.max_plan_length = max_plan_length
+        self.summary_rewrite_policy = summary_rewrite_policy
+        self.api_precedence = {} if api_precedence is None else api_precedence
         if self.plan_budget <= 0:
             raise ValueError("plan budget must be strictly positive")
         if self.max_plan_length <= 0:

@@ -5,7 +5,9 @@ One diagnostic per line, formatted ``path:line:col: severity: code: message``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
+
+from . import Frozen, setfield
 
 E_SYN = "E-SYN"
 E_RES = "E-RES"
@@ -16,26 +18,28 @@ E_SPAN = "E-SPAN"
 E_PLAN = "E-PLAN"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Diagnostic:
+class Diagnostic(Frozen):
     """One positioned message."""
 
-    path: str
-    line: int
-    col: int
-    severity: str  # "error" | "warning"
-    code: str
-    message: str
+    def __init__(self, path: str, line: int, col: int,
+                 severity: str,  # "error" | "warning"
+                 code: str, message: str):
+        setfield(self, "path", path)
+        setfield(self, "line", line)
+        setfield(self, "col", col)
+        setfield(self, "severity", severity)
+        setfield(self, "code", code)
+        setfield(self, "message", message)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.severity}: {self.code}: {self.message}"
 
 
-@dataclass(eq=False, repr=False)
 class DiagnosticSink:
     """The diagnostics of one run, rendered in a stable order."""
 
-    items: list[Diagnostic] = field(default_factory=list)
+    def __init__(self, items: Optional[list[Diagnostic]] = None):
+        self.items = [] if items is None else items
 
     def error(self, path: str, line: int, col: int, code: str, message: str) -> None:
         self.items.append(Diagnostic(path, line, col, "error", code, message))

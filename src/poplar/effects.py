@@ -8,9 +8,9 @@ planner seeds itself with at each query site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
+from . import Frozen, setfield
 from .diagnostics import E_SPAN, E_SUM, E_UNIQ, E_OVR
 from .model import (
     AssignStmt, Atom, BlockStmt, CallExpr, ClassModel, Condition, Conjunct,
@@ -24,70 +24,82 @@ from .model import (
 
 KIND = UniquenessKind
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Violation:
+class Violation(Frozen):
     """A broken discipline at a position in a unit."""
 
-    code: str
-    rule: str
-    message: str
-    pos: Pos
-    unit: str = ""
+    def __init__(self, code: str, rule: str, message: str, pos: Pos, unit: str = ""):
+        setfield(self, "code", code)
+        setfield(self, "rule", rule)
+        setfield(self, "message", message)
+        setfield(self, "pos", pos)
+        setfield(self, "unit", unit)
 
     def text(self) -> str:
         return f"{self.rule}: {self.message}"
 
 
-@dataclass(eq=False, repr=False)
 class ValueState:
     """Tracked facts about one in-scope value."""
 
-    variable: str
-    type: str
-    kind: UniquenessKind = KIND.NORMAL
-    fresh: bool = False        # created by `new` inside this method
-    is_field: bool = False
-    field_path: Optional[ResourcePath] = None  # managed field provenance
-    labels: set[Atom] = field(default_factory=set)
-    residence: dict[Atom, tuple[ResourcePath, ...]] = field(default_factory=dict)
-    consumed: bool = False
-    declared_order: int = 0
-    # The in-scope variable whose object a local was bound to (`Box c = a;`),
-    # followed to its first source; None once that variable is rebound.
-    alias_of: Optional[str] = None
+    def __init__(self, variable: str, type: str, kind: UniquenessKind = KIND.NORMAL,
+                 fresh: bool = False,  # created by `new` inside this method
+                 is_field: bool = False,
+                 field_path: Optional[ResourcePath] = None,  # managed field provenance
+                 labels: Optional[set[Atom]] = None,
+                 residence: Optional[dict[Atom, tuple[ResourcePath, ...]]] = None,
+                 consumed: bool = False, declared_order: int = 0,
+                 alias_of: Optional[str] = None):
+        self.variable = variable
+        self.type = type
+        self.kind = kind
+        self.fresh = fresh
+        self.is_field = is_field
+        self.field_path = field_path
+        self.labels = set() if labels is None else labels
+        self.residence = {} if residence is None else residence
+        self.consumed = consumed
+        self.declared_order = declared_order
+        # The in-scope variable whose object a local was bound to (`Box c = a;`),
+        # followed to its first source; None once that variable is rebound.
+        self.alias_of = alias_of
 
 
-@dataclass(eq=False, repr=False)
 class SpanObligation:
     """A protection span in force: the resource it protects."""
 
-    protected_variable: str
-    protected_resource: ResourcePath
-    pos: Pos
+    def __init__(self, protected_variable: str, protected_resource: ResourcePath, pos: Pos):
+        self.protected_variable = protected_variable
+        self.protected_resource = protected_resource
+        self.pos = pos
 
 
-@dataclass(eq=False, repr=False)
 class QueryContext:
-    """Everything the planner needs at one query site."""
+    """Everything the planner needs at one query site. A site with an
+    `error` has no splice that checks, so `synth` reports it unplanned."""
 
-    query: Query
-    method: MethodSpec
-    unit: str
-    values: dict[str, ValueState]
-    spans: list[SpanObligation]
-    pos: Pos
-    stmt: QueryStmt
+    def __init__(self, query: Query, method: MethodSpec, unit: str,
+                 values: dict[str, ValueState], spans: list[SpanObligation],
+                 pos: Pos, stmt: QueryStmt):
+        self.query = query
+        self.method = method
+        self.unit = unit
+        self.values = values
+        self.spans = spans
+        self.pos = pos
+        self.stmt = stmt
+        self.error: Optional[Violation] = None
 
 
-@dataclass(eq=False, repr=False)
 class MethodAnalysis:
     """What the one walk of a method body leaves for its readers, with the
     unannotated callee of no inferable summary at which it stopped."""
 
-    inferred: frozenset[MutationTarget]
-    violations: list[Violation]
-    query_contexts: list[QueryContext]
-    stopped_at: Optional[MethodSpec]
+    def __init__(self, inferred: frozenset[MutationTarget], violations: list[Violation],
+                 query_contexts: list[QueryContext], stopped_at: Optional[MethodSpec]):
+        self.inferred = inferred
+        self.violations = violations
+        self.query_contexts = query_contexts
+        self.stopped_at = stopped_at
 
 
 class MissingCalleeSummary(Exception):
@@ -492,13 +504,22 @@ class BodyAnalyzer:
     def _query(self, s: QueryStmt) -> None:
         query, pos = s.query, s.pos
         snapshot = {k: _copy_state(v) for k, v in self.values.items()}
-        self.query_contexts.append(QueryContext(
-            query, self.method, self.unit.name, snapshot, list(self.spans), pos, s))
+        ctx = QueryContext(query, self.method, self.unit.name, snapshot, list(self.spans),
+                           pos, s)
+        self.query_contexts.append(ctx)
         goal = query.goal
         residence: tuple[ResourcePath, ...] = ()
         if goal is not None:
             residence = goal_residence(self.program, goal)
-        if query.kind == "produce" and s.var is not None:
+        if query.kind == "produce" and s.type is None and s.var is not None \
+                and s.var not in self.values \
+                and self.program.find_field(self.unit.name, s.var) is None:
+            # The spliced `x = v;` would be refused here, so the site is.
+            self._violate(E_UNIQ, "IllegalFlow",
+                          "assignment target is neither a local nor a field", pos)
+            ctx.error = self.violations[-1]
+            holder = s.var
+        elif query.kind == "produce" and s.var is not None:
             # `x = #produce(...)` rebinds an existing local at its own type.
             existing = self.values.get(s.var)
             result_type = s.type or (existing.type if existing else "Object")
@@ -775,7 +796,9 @@ def _alias_root(values: dict[str, ValueState], name: str) -> str:
 
 
 def _copy_state(v: ValueState) -> ValueState:
-    return replace(v, labels=set(v.labels), residence=dict(v.residence))
+    return ValueState(v.variable, v.type, v.kind, v.fresh, v.is_field, v.field_path,
+                      set(v.labels), dict(v.residence), v.consumed, v.declared_order,
+                      v.alias_of)
 
 
 def _is_null(e: Optional[Expr]) -> bool:
@@ -826,21 +849,6 @@ def analyze_method(program: Program, unit: ClassModel, method: MethodSpec) -> Me
     return program.analyses[id(method)]
 
 
-def infer_summary(program: Program, unit: ClassModel, method: MethodSpec) -> frozenset[MutationTarget]:
-    analysis = analyze_method(program, unit, method)
-    for v in analysis.violations:
-        if v.rule == "MissingCalleeSummary":
-            raise MissingCalleeSummary(v.message)
-    return analysis.inferred
-
-
-def verify_summary(program: Program, unit: ClassModel, method: MethodSpec) -> list[Violation]:
-    """Declared summary must be a superset of the inferred one."""
-    analysis = analyze_method(program, unit, method)
-    out = [v for v in analysis.violations if v.rule == "MissingCalleeSummary"]
-    return out + _summary_too_narrow(program, unit.name, method, analysis.inferred)
-
-
 def _summary_too_narrow(program: Program, unit: str, method: MethodSpec,
                         inferred: frozenset[MutationTarget]) -> list[Violation]:
     """One violation per inferred mutation the declared summary misses."""
@@ -851,16 +859,6 @@ def _summary_too_narrow(program: Program, unit: str, method: MethodSpec,
                       f"but does not declare it", method.pos, unit)
             for t in program.summary_covers(declared, inferred,
                                             unit, var_types)]
-
-
-def check_uniqueness(program: Program, unit: ClassModel, method: MethodSpec) -> list[Violation]:
-    return [v for v in analyze_method(program, unit, method).violations
-            if v.code == E_UNIQ]
-
-
-def check_spans(program: Program, unit: ClassModel, method: MethodSpec) -> list[Violation]:
-    return [v for v in analyze_method(program, unit, method).violations
-            if v.code == E_SPAN]
 
 
 def query_contexts(program: Program, unit: ClassModel, method: MethodSpec) -> list[QueryContext]:

@@ -10,7 +10,6 @@ with `str.isdigit`/`isalpha` exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .model import Pos
 
@@ -53,13 +52,16 @@ class LexError(Exception):
         self.pos = pos
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class Token:
     """One token; a file has thousands, so it has slots."""
 
-    kind: str  # "ident" | "keyword" | "int" | "string" | punctuation | "eof"
-    text: str
-    pos: Pos
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str,  # "ident" | "keyword" | "int" | "string" | punctuation | "eof"
+                 text: str, pos: Pos):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
 
 
 def tokenize(text: str) -> list[Token]:

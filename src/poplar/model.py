@@ -13,11 +13,11 @@ they are shared freely between concurrent checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 from typing import Iterator, Optional, Union
 
+from . import Frozen, setfield
 from .diagnostics import DiagnosticSink
 
 # Built-in reference types; every declared type is a subtype of Object.
@@ -26,13 +26,32 @@ STRING = "String"
 PRIMITIVES = frozenset({"int", "boolean", "byte", "void"})
 
 
-@dataclass(slots=True, repr=False)
-class Pos:
+class Record:
+    """Field equality: two records of one class are equal when their
+    `_compared` fields, taken in order as a tuple, are. A record can change,
+    so it has no hash."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(map(self.__getattribute__, self._compared)) == \
+            tuple(map(other.__getattribute__, self._compared))
+
+
+class Pos(Record):
     """A 1-based source position. One is built per token, so it has slots;
     it is immutable by convention, like the rest of the model."""
 
-    line: int = 0
-    col: int = 0
+    __slots__ = ("line", "col")
+    _compared = ("line", "col")
+
+    def __init__(self, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
 
 
 class UniquenessKind(Enum):
@@ -121,25 +140,49 @@ def can_override_return(sup: UniquenessKind, sub: UniquenessKind) -> bool:
 # Condition vocabulary
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LabelAtom:
+class LabelAtom(Frozen):
     """A label, identified by its declaring type plus its name."""
 
-    owner: str
-    name: str
+    def __init__(self, owner: str, name: str):
+        setfield(self, "owner", owner)
+        setfield(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.owner, self.name) == (other.owner, other.name)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.owner, self.name))
+
+    def __repr__(self):
+        return f"LabelAtom(owner={self.owner!r}, name={self.name!r})"
 
     def text(self) -> str:
         return f"{self.owner}.{self.name}"
 
 
-@dataclass(frozen=True)
-class StateAtom:
+class StateAtom(Frozen):
     """A protocol state, written ``p@s``. States behave like labels that a
     transition leaving ``s`` removes."""
 
-    owner: str
-    protocol: str
-    state: str
+    def __init__(self, owner: str, protocol: str, state: str):
+        setfield(self, "owner", owner)
+        setfield(self, "protocol", protocol)
+        setfield(self, "state", state)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.owner, self.protocol, self.state) == \
+                (other.owner, other.protocol, other.state)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.owner, self.protocol, self.state))
+
+    def __repr__(self):
+        return (f"StateAtom(owner={self.owner!r}, protocol={self.protocol!r}, "
+                f"state={self.state!r})")
 
     def text(self) -> str:
         return f"{self.protocol}@{self.state}"
@@ -155,13 +198,22 @@ ResourcePath = tuple[str, ...]
 # for none) and the `residence` of what it establishes. Only the printer
 # looks at a condition's class.
 
-@dataclass(frozen=True, repr=False)
-class Invariant:
+class Invariant(Frozen):
     """Holds before the call and still holds after it."""
 
-    atom: Atom
     residence = ()
     removed = None
+
+    def __init__(self, atom: Atom):
+        setfield(self, "atom", atom)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.atom,) == (other.atom,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.atom,))
 
     @property
     def before(self) -> Atom:
@@ -172,30 +224,49 @@ class Invariant:
         return self.atom
 
 
-@dataclass(frozen=True, repr=False)
-class AddLabel:
+class AddLabel(Frozen):
     """Holds after the call, whatever held before."""
 
-    atom: LabelAtom
-    residence: tuple[ResourcePath, ...] = ()
     before = None
     removed = None
+
+    def __init__(self, atom: LabelAtom, residence: tuple[ResourcePath, ...] = ()):
+        setfield(self, "atom", atom)
+        setfield(self, "residence", residence)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.atom, self.residence) == (other.atom, other.residence)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.atom, self.residence))
 
     @property
     def after(self) -> Atom:
         return self.atom
 
 
-@dataclass(frozen=True, repr=False)
-class Transition:
+class Transition(Frozen):
     """Goes from the source state to the target state, removing the source
     (a self-transition removes and re-establishes it)."""
 
-    owner: str
-    protocol: str
-    source: str
-    target: str
-    residence: tuple[ResourcePath, ...] = ()
+    def __init__(self, owner: str, protocol: str, source: str, target: str,
+                 residence: tuple[ResourcePath, ...] = ()):
+        setfield(self, "owner", owner)
+        setfield(self, "protocol", protocol)
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+        setfield(self, "residence", residence)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.owner, self.protocol, self.source, self.target, self.residence) == \
+                (other.owner, other.protocol, other.source, other.target, other.residence)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.owner, self.protocol, self.source, self.target, self.residence))
 
     # Cached on the instance: the checkers read them for every call.
     @cached_property
@@ -214,13 +285,21 @@ class Transition:
 Condition = Union[Invariant, AddLabel, Transition]
 
 
-@dataclass(frozen=True, repr=False)
-class Conjunct:
+class Conjunct(Frozen):
     """Conditions attached to one subject: ``this``, ``result`` or an
     argument name."""
 
-    subject: str
-    conditions: tuple[Condition, ...]
+    def __init__(self, subject: str, conditions: tuple[Condition, ...]):
+        setfield(self, "subject", subject)
+        setfield(self, "conditions", conditions)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.subject, self.conditions) == (other.subject, other.conditions)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.subject, self.conditions))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +311,7 @@ ROOT_VAR = "var"
 ROOT_ANY = "any"
 
 
-@dataclass(frozen=True, repr=False)
-class MutationTarget:
+class MutationTarget(Frozen):
     """A qualified resource rooted at ``this``, a named variable/field, or
     an arbitrary object of a type (``any(T)``).
 
@@ -242,9 +320,19 @@ class MutationTarget:
     type. An empty path denotes the object's implicit root resource.
     """
 
-    root_kind: str
-    root_name: str
-    path: ResourcePath
+    def __init__(self, root_kind: str, root_name: str, path: ResourcePath):
+        setfield(self, "root_kind", root_kind)
+        setfield(self, "root_name", root_name)
+        setfield(self, "path", path)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.root_kind, self.root_name, self.path) == \
+                (other.root_kind, other.root_name, other.path)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.root_kind, self.root_name, self.path))
 
     def text(self) -> str:
         if self.root_kind == ROOT_THIS:
@@ -277,145 +365,181 @@ def any_target(type_name: str, path: ResourcePath = ()) -> MutationTarget:
 # Statements and expressions (kept syntactic; names resolve via Program)
 # ---------------------------------------------------------------------------
 
-@dataclass(repr=False)
-class NameExpr:
+class NameExpr(Record):
     """A variable, field or type name."""
 
-    name: str
-    pos: Pos = field(default_factory=Pos, compare=False)
+    _compared = ("name",)
+
+    def __init__(self, name: str, pos: Optional[Pos] = None):
+        self.name = name
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class ThisExpr:
+class ThisExpr(Record):
     """`this`."""
 
-    pos: Pos = field(default_factory=Pos, compare=False)
+    def __init__(self, pos: Optional[Pos] = None):
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class SuperExpr:
+class SuperExpr(Record):
     """`super`, as the receiver of a call."""
 
-    pos: Pos = field(default_factory=Pos, compare=False)
+    def __init__(self, pos: Optional[Pos] = None):
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class LiteralExpr:
+class LiteralExpr(Record):
     """An int, string, boolean or null literal."""
 
-    kind: str  # "int" | "string" | "bool" | "null"
-    value: object
-    pos: Pos = field(default_factory=Pos, compare=False)
+    _compared = ("kind", "value")
+
+    def __init__(self, kind: str,  # "int" | "string" | "bool" | "null"
+                 value: object, pos: Optional[Pos] = None):
+        self.kind = kind
+        self.value = value
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class NewExpr:
+class NewExpr(Record):
     """`new T(args)`."""
 
-    type: str
-    args: list["Expr"]
-    pos: Pos = field(default_factory=Pos, compare=False)
+    _compared = ("type", "args")
+
+    def __init__(self, type: str, args: list[Expr], pos: Optional[Pos] = None):
+        self.type = type
+        self.args = args
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class CallExpr:
+class CallExpr(Record):
     """`receiver.method(args)`, or `method(args)` on `this`."""
 
-    receiver: Optional["Expr"]  # None for unqualified calls on this
-    method: str
-    args: list["Expr"]
-    pos: Pos = field(default_factory=Pos, compare=False)
+    _compared = ("receiver", "method", "args")
+
+    def __init__(self, receiver: Optional[Expr],  # None for unqualified calls on this
+                 method: str, args: list[Expr], pos: Optional[Pos] = None):
+        self.receiver = receiver
+        self.method = method
+        self.args = args
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class FieldAccessExpr:
+class FieldAccessExpr(Record):
     """`receiver.field`."""
 
-    receiver: "Expr"
-    field: str
-    pos: Pos = field(default_factory=Pos, compare=False)
+    _compared = ("receiver", "field")
+
+    def __init__(self, receiver: Expr, field: str, pos: Optional[Pos] = None):
+        self.receiver = receiver
+        self.field = field
+        self.pos = Pos() if pos is None else pos
 
 
 Expr = Union[NameExpr, ThisExpr, SuperExpr, LiteralExpr, NewExpr, CallExpr, FieldAccessExpr]
 
 
-@dataclass(repr=False)
-class Query:
+class Query(Record):
     """A `#produce` or `#transform` query."""
 
-    kind: str  # "produce" | "transform"
-    produce_type: Optional[str]
-    target_var: Optional[str]
-    goal_text: str
-    with_names: tuple[str, ...] = ()
-    pos: Pos = field(default_factory=Pos, compare=False)
-    goal: Optional[Atom] = None  # bound by the resolver
+    _compared = ("kind", "produce_type", "target_var", "goal_text", "with_names", "goal")
+
+    def __init__(self, kind: str,  # "produce" | "transform"
+                 produce_type: Optional[str], target_var: Optional[str], goal_text: str,
+                 with_names: tuple[str, ...] = (), pos: Optional[Pos] = None,
+                 goal: Optional[Atom] = None):
+        self.kind = kind
+        self.produce_type = produce_type
+        self.target_var = target_var
+        self.goal_text = goal_text
+        self.with_names = with_names
+        self.pos = Pos() if pos is None else pos
+        self.goal = goal  # bound by the resolver
 
 
-@dataclass(repr=False)
-class VarDeclStmt:
+class VarDeclStmt(Record):
     """`T name = init;`"""
 
-    type: str
-    name: str
-    init: Optional[Expr]
-    pos: Pos = field(default_factory=Pos, compare=False)
+    _compared = ("type", "name", "init")
+
+    def __init__(self, type: str, name: str, init: Optional[Expr],
+                 pos: Optional[Pos] = None):
+        self.type = type
+        self.name = name
+        self.init = init
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class AssignStmt:
+class AssignStmt(Record):
     """`target = value;`"""
 
-    target: Expr  # NameExpr or FieldAccessExpr
-    value: Expr
-    pos: Pos = field(default_factory=Pos, compare=False)
+    _compared = ("target", "value")
+
+    def __init__(self, target: Expr,  # NameExpr or FieldAccessExpr
+                 value: Expr, pos: Optional[Pos] = None):
+        self.target = target
+        self.value = value
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class ExprStmt:
+class ExprStmt(Record):
     """An expression evaluated for its effects."""
 
-    expr: Expr
-    pos: Pos = field(default_factory=Pos, compare=False)
+    _compared = ("expr",)
+
+    def __init__(self, expr: Expr, pos: Optional[Pos] = None):
+        self.expr = expr
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class ReturnStmt:
+class ReturnStmt(Record):
     """`return value;`"""
 
-    value: Optional[Expr]
-    pos: Pos = field(default_factory=Pos, compare=False)
+    _compared = ("value",)
+
+    def __init__(self, value: Optional[Expr], pos: Optional[Pos] = None):
+        self.value = value
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class QueryStmt:
+class QueryStmt(Record):
     """A query site, `#q`, `x = #q` or `T x = #q`, with its protection span.
     `var` is the local that takes the goal value; `type` is set when the
     statement declares it."""
 
-    query: Query
-    span: Optional[list["Stmt"]] = None
-    var: Optional[str] = None
-    type: Optional[str] = None
-    pos: Pos = field(default_factory=Pos, compare=False)
+    _compared = ("query", "span", "var", "type")
+
+    def __init__(self, query: Query, span: Optional[list[Stmt]] = None,
+                 var: Optional[str] = None, type: Optional[str] = None,
+                 pos: Optional[Pos] = None):
+        self.query = query
+        self.span = span
+        self.var = var
+        self.type = type
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class ProtectStmt:
+class ProtectStmt(Record):
     """`protect var.resource { body }`."""
 
-    var: str
-    resource: ResourcePath
-    body: list["Stmt"]
-    pos: Pos = field(default_factory=Pos, compare=False)
+    _compared = ("var", "resource", "body")
+
+    def __init__(self, var: str, resource: ResourcePath, body: list[Stmt],
+                 pos: Optional[Pos] = None):
+        self.var = var
+        self.resource = resource
+        self.body = body
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class BlockStmt:
+class BlockStmt(Record):
     """`{ body }`."""
 
-    body: list["Stmt"]
-    pos: Pos = field(default_factory=Pos, compare=False)
+    _compared = ("body",)
+
+    def __init__(self, body: list[Stmt], pos: Optional[Pos] = None):
+        self.body = body
+        self.pos = Pos() if pos is None else pos
 
 
 Stmt = Union[VarDeclStmt, AssignStmt, ExprStmt, ReturnStmt, QueryStmt, ProtectStmt, BlockStmt]
@@ -425,87 +549,114 @@ Stmt = Union[VarDeclStmt, AssignStmt, ExprStmt, ReturnStmt, QueryStmt, ProtectSt
 # Declarations
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False, repr=False)
 class ArgDecl:
     """A method parameter with its uniqueness kind."""
 
-    uniqueness: UniquenessKind
-    type: str
-    name: str
-    pos: Pos = field(default_factory=Pos)
+    def __init__(self, uniqueness: UniquenessKind, type: str, name: str,
+                 pos: Optional[Pos] = None):
+        self.uniqueness = uniqueness
+        self.type = type
+        self.name = name
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(eq=False, repr=False)
 class FieldDecl:
     """A field, with its label and resource annotations. From the parser
     until `Resolver.resolve` returns, `labels` holds the names as written."""
 
-    name: str
-    type: str
-    declared_in: str
-    uniqueness: UniquenessKind = UniquenessKind.NORMAL
-    managed: bool = False
-    managed_resource: Optional[ResourcePath] = None  # None = parented at root
-    is_static: bool = False
-    is_final: bool = False
-    labels: tuple[LabelAtom, ...] = ()
-    initializer: Optional[Expr] = None
-    pos: Pos = field(default_factory=Pos)
+    def __init__(self, name: str, type: str, declared_in: str,
+                 uniqueness: UniquenessKind = UniquenessKind.NORMAL,
+                 managed: bool = False,
+                 managed_resource: Optional[ResourcePath] = None,  # None = parented at root
+                 is_static: bool = False, is_final: bool = False,
+                 labels: tuple[LabelAtom, ...] = (), initializer: Optional[Expr] = None,
+                 pos: Optional[Pos] = None):
+        self.name = name
+        self.type = type
+        self.declared_in = declared_in
+        self.uniqueness = uniqueness
+        self.managed = managed
+        self.managed_resource = managed_resource
+        self.is_static = is_static
+        self.is_final = is_final
+        self.labels = labels
+        self.initializer = initializer
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class LabelDecl:
+class LabelDecl(Record):
     """One `labels` line: label names and the types that carry them."""
 
-    owner: str
-    carriers: tuple[str, ...]  # empty = the declaring type itself
-    names: tuple[str, ...]
-    pos: Pos = field(default_factory=Pos, compare=False)
+    _compared = ("owner", "carriers", "names")
+
+    def __init__(self, owner: str,
+                 carriers: tuple[str, ...],  # empty = the declaring type itself
+                 names: tuple[str, ...], pos: Optional[Pos] = None):
+        self.owner = owner
+        self.carriers = carriers
+        self.names = names
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(eq=False, repr=False)
 class ProtocolDecl:
     """A protocol and its states, in first-seen order."""
 
-    owner: str
-    carriers: tuple[str, ...]
-    name: str
-    states: tuple[str, ...] = ()  # in declaration/first-seen order
-    pos: Pos = field(default_factory=Pos)
+    def __init__(self, owner: str, carriers: tuple[str, ...], name: str,
+                 states: tuple[str, ...] = (),  # in declaration/first-seen order
+                 pos: Optional[Pos] = None):
+        self.owner = owner
+        self.carriers = carriers
+        self.name = name
+        self.states = states
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class ResourceNode:
+class ResourceNode(Record):
     """A resource and the resources nested in it."""
 
-    name: str
-    children: tuple["ResourceNode", ...] = ()
+    _compared = ("name", "children")
+
+    def __init__(self, name: str, children: tuple[ResourceNode, ...] = ()):
+        self.name = name
+        self.children = children
 
 
-@dataclass(eq=False, repr=False)
 class MethodSpec:
     """A method or constructor with its annotations; `body` is None when
     the declaration has none. From the parser until `Resolver.resolve`
-    returns, `result_labels` holds the names as written, and `mutates`,
-    `conjuncts` and `optional_groups` hold the parser's `RawTarget` and
-    `RawConjunct` forms; the resolver binds each in place."""
+    returns, `result_labels` holds the names as written, `local_mutations`
+    holds `(path, pos)` pairs, and `mutates`, `conjuncts` and
+    `optional_groups` hold the parser's `RawTarget` and `RawConjunct` forms;
+    the resolver binds each in place."""
 
-    name: str
-    declared_in: str
-    return_type: str
-    args: tuple[ArgDecl, ...]
-    is_constructor: bool = False
-    is_abstract: bool = False
-    is_static: bool = False
-    return_uniqueness: UniquenessKind = UniquenessKind.NORMAL
-    result_labels: tuple[LabelAtom, ...] = ()
-    local_mutations: tuple[ResourcePath, ...] = ()
-    mutates: tuple[MutationTarget, ...] = ()
-    conjuncts: tuple[Conjunct, ...] = ()
-    optional_groups: tuple[tuple[Conjunct, ...], ...] = ()
-    body: Optional[list[Stmt]] = None
-    merged_externals: tuple[str, ...] = ()  # classes whose overlays merged in
-    pos: Pos = field(default_factory=Pos)
+    def __init__(self, name: str, declared_in: str, return_type: str,
+                 args: tuple[ArgDecl, ...], is_constructor: bool = False,
+                 is_abstract: bool = False, is_static: bool = False,
+                 return_uniqueness: UniquenessKind = UniquenessKind.NORMAL,
+                 result_labels: tuple[LabelAtom, ...] = (),
+                 local_mutations: tuple[ResourcePath, ...] = (),
+                 mutates: tuple[MutationTarget, ...] = (),
+                 conjuncts: tuple[Conjunct, ...] = (),
+                 optional_groups: tuple[tuple[Conjunct, ...], ...] = (),
+                 body: Optional[list[Stmt]] = None,
+                 merged_externals: tuple[str, ...] = (),  # classes whose overlays merged in
+                 pos: Optional[Pos] = None):
+        self.name = name
+        self.declared_in = declared_in
+        self.return_type = return_type
+        self.args = args
+        self.is_constructor = is_constructor
+        self.is_abstract = is_abstract
+        self.is_static = is_static
+        self.return_uniqueness = return_uniqueness
+        self.result_labels = result_labels
+        self.local_mutations = local_mutations
+        self.mutates = mutates
+        self.conjuncts = conjuncts
+        self.optional_groups = optional_groups
+        self.body = body
+        self.merged_externals = merged_externals
+        self.pos = Pos() if pos is None else pos
 
     def signature(self) -> str:
         params = ", ".join(a.type for a in self.args)
@@ -540,33 +691,43 @@ class MethodSpec:
         return frozenset(targets)
 
 
-@dataclass(eq=False, repr=False)
 class ExternalDecl:
     """Annotations declared for a method of another type."""
 
-    target_type: str
-    method: MethodSpec  # annotations only, body is None
-    declared_in: str = ""
-    pos: Pos = field(default_factory=Pos)
+    def __init__(self, target_type: str,
+                 method: MethodSpec,  # annotations only, body is None
+                 declared_in: str = "", pos: Optional[Pos] = None):
+        self.target_type = target_type
+        self.method = method
+        self.declared_in = declared_in
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(eq=False, repr=False)
 class ClassModel:
     """A resolved class or interface."""
 
-    name: str
-    superclass: Optional[str] = None
-    interfaces: tuple[str, ...] = ()
-    is_interface: bool = False
-    is_abstract: bool = False
-    fields: list[FieldDecl] = field(default_factory=list)
-    methods: list[MethodSpec] = field(default_factory=list)
-    labels: list[LabelDecl] = field(default_factory=list)
-    protocols: list[ProtocolDecl] = field(default_factory=list)
-    resources: tuple[ResourceNode, ...] = ()
-    externals: list[ExternalDecl] = field(default_factory=list)
-    precedence: int = 0
-    pos: Pos = field(default_factory=Pos)
+    def __init__(self, name: str, superclass: Optional[str] = None,
+                 interfaces: tuple[str, ...] = (), is_interface: bool = False,
+                 is_abstract: bool = False, fields: Optional[list[FieldDecl]] = None,
+                 methods: Optional[list[MethodSpec]] = None,
+                 labels: Optional[list[LabelDecl]] = None,
+                 protocols: Optional[list[ProtocolDecl]] = None,
+                 resources: tuple[ResourceNode, ...] = (),
+                 externals: Optional[list[ExternalDecl]] = None, precedence: int = 0,
+                 pos: Optional[Pos] = None):
+        self.name = name
+        self.superclass = superclass
+        self.interfaces = interfaces
+        self.is_interface = is_interface
+        self.is_abstract = is_abstract
+        self.fields = [] if fields is None else fields
+        self.methods = [] if methods is None else methods
+        self.labels = [] if labels is None else labels
+        self.protocols = [] if protocols is None else protocols
+        self.resources = resources
+        self.externals = [] if externals is None else externals
+        self.precedence = precedence
+        self.pos = Pos() if pos is None else pos
 
 
 class ModelError(Exception):
@@ -577,22 +738,22 @@ class UnknownGoal(ModelError):
     pass
 
 
-@dataclass(eq=False, repr=False)
 class Program:
     """The resolved units of a source tree, with caches filled on first use."""
 
-    units: dict[str, ClassModel] = field(default_factory=dict)
-    unit_paths: dict[str, str] = field(default_factory=dict)  # type -> source path
-    diagnostics: DiagnosticSink = field(default_factory=DiagnosticSink)
-    # The planner's action index, built on first use once resolution has
-    # ended (`planner.ActionIndex.of`).
-    action_index: object = None
-    # Atom -> residence of the corpus effects that achieve it, built on the
-    # first query once resolution has ended (`effects.goal_residence`).
-    goal_residences: Optional[dict] = None
-    # id(method) -> the one walk of its body (`effects.analyze_method`),
-    # filled on first use once resolution has ended.
-    analyses: dict = field(default_factory=dict)
+    def __init__(self, diagnostics: Optional[DiagnosticSink] = None):
+        self.units: dict[str, ClassModel] = {}
+        self.unit_paths: dict[str, str] = {}  # type -> source path
+        self.diagnostics = DiagnosticSink() if diagnostics is None else diagnostics
+        # The planner's action index, built on first use once resolution has
+        # ended (`planner.ActionIndex.of`).
+        self.action_index: object = None
+        # Atom -> residence of the corpus effects that achieve it, built on the
+        # first query once resolution has ended (`effects.goal_residence`).
+        self.goal_residences: Optional[dict] = None
+        # id(method) -> the one walk of its body (`effects.analyze_method`),
+        # filled on first use once resolution has ended.
+        self.analyses: dict = {}
 
     # -- type hierarchy -----------------------------------------------------
 
@@ -829,18 +990,6 @@ class Program:
                 missing.append(t)
         return missing
 
-    def summary_closure(self, targets: frozenset[MutationTarget], this_type: str,
-                        var_types: dict[str, str]) -> frozenset[MutationTarget]:
-        """Upward closure: every target plus all its ancestors to the root."""
-        out: set[MutationTarget] = set()
-        for t in targets:
-            root_type = self.target_root_type(t, this_type, var_types)
-            if root_type is None:
-                out.add(t)
-                continue
-            out.update(self.target_ancestors(t, root_type))
-        return frozenset(out)
-
     # -- labels and protocols -------------------------------------------------
 
     def visible_scopes(self, type_name: str) -> list[str]:
@@ -906,20 +1055,6 @@ class Program:
         for tname in sorted(self.units):
             out.extend(p for p in self.units[tname].protocols if p.name == name)
         return out
-
-    def protocol_transitions(self, proto: ProtocolDecl) -> frozenset[tuple[str, str]]:
-        """The protocol's state machine: the union of transitions declared in
-        the methods (and merged externals) of its carrier types."""
-        carriers = proto.carriers or (proto.owner,)
-        transitions: set[tuple[str, str]] = set()
-        for carrier in carriers:
-            for t in self.supertype_chain(carrier):
-                u = self.units.get(t)
-                if u is None:
-                    continue
-                for m in u.methods:
-                    transitions.update(self._method_transitions(m, proto))
-        return frozenset(transitions)
 
     def _method_transitions(self, method: MethodSpec, proto: ProtocolDecl) -> set[tuple[str, str]]:
         """(source, target) of each transition of `proto` among the method's

@@ -9,7 +9,6 @@ positioned SyntaxIssue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .lexer import LexError, Token, tokenize
@@ -17,7 +16,7 @@ from .model import (
     ArgDecl, AssignStmt, BlockStmt, CallExpr, ClassModel, Expr, ExprStmt,
     ExternalDecl, FieldAccessExpr, FieldDecl, LabelDecl, LiteralExpr,
     MethodSpec, NameExpr, NewExpr, Pos, ProtectStmt, ProtocolDecl, Query,
-    QueryStmt, ResourceNode, ReturnStmt, Stmt, SuperExpr, ThisExpr,
+    QueryStmt, Record, ResourceNode, ReturnStmt, Stmt, SuperExpr, ThisExpr,
     UniquenessKind, VarDeclStmt,
 )
 
@@ -43,35 +42,47 @@ class SyntaxIssue(Exception):
 
 # -- annotation forms whose names bind only once every unit is parsed --------
 
-@dataclass(repr=False)
-class RawCondition:
+class RawCondition(Record):
     """One condition of a conjunct, before its names resolve."""
 
-    kind: str  # "invariant-label" | "invariant-state" | "add" | "transition"
-    name: str  # label or protocol reference text (possibly qualified)
-    source: str = ""
-    target: str = ""
-    residence: list[list[str]] = dc_field(default_factory=list)
-    pos: Pos = dc_field(default_factory=Pos)
+    _compared = ("kind", "name", "source", "target", "residence", "pos")
+
+    def __init__(self, kind: str,  # "invariant-label" | "invariant-state" | "add" | "transition"
+                 name: str,  # label or protocol reference text (possibly qualified)
+                 source: str = "", target: str = "",
+                 residence: Optional[list[list[str]]] = None, pos: Optional[Pos] = None):
+        self.kind = kind
+        self.name = name
+        self.source = source
+        self.target = target
+        self.residence = [] if residence is None else residence
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class RawConjunct:
+class RawConjunct(Record):
     """A subject and its conditions, before resolution."""
 
-    subject: str
-    conditions: list[RawCondition]
-    pos: Pos = dc_field(default_factory=Pos)
+    _compared = ("subject", "conditions", "pos")
+
+    def __init__(self, subject: str, conditions: list[RawCondition],
+                 pos: Optional[Pos] = None):
+        self.subject = subject
+        self.conditions = conditions
+        self.pos = Pos() if pos is None else pos
 
 
-@dataclass(repr=False)
-class RawTarget:
+class RawTarget(Record):
     """A `mutates` target, before resolution."""
 
-    root: str  # "this" | "any" | "name"
-    name: str  # type name for any, variable/field name otherwise
-    path: list[str] = dc_field(default_factory=list)
-    pos: Pos = dc_field(default_factory=Pos)
+    _compared = ("root", "name", "path", "pos")
+
+    def __init__(self, root: str,  # "this" | "any" | "name"
+                 name: str,  # type name for any, variable/field name otherwise
+                 path: Optional[list[str]] = None, pos: Optional[Pos] = None):
+        self.root = root
+        self.name = name
+        self.path = [] if path is None else path
+        self.pos = Pos() if pos is None else pos
 
 
 class Parser:
@@ -333,7 +344,7 @@ class Parser:
         self.expect("(")
         method.args = self.parse_params()
         self.expect(")")
-        local_mutations: list[tuple[str, ...]] = []
+        local_mutations: list[tuple[tuple[str, ...], Pos]] = []
         mutates: list[RawTarget] = []
         conjuncts: list[RawConjunct] = []
         groups: list[tuple[RawConjunct, ...]] = []
@@ -347,10 +358,10 @@ class Parser:
             if t.kind == "[":
                 self.next()
                 self.expect("!")
-                local_mutations.append(tuple(self.parse_dotted_path()))
+                local_mutations.append(self.parse_local_mutation())
                 while self.accept(","):
                     self.accept("!")  # a repeated bang is tolerated
-                    local_mutations.append(tuple(self.parse_dotted_path()))
+                    local_mutations.append(self.parse_local_mutation())
                 self.expect("]")
                 continue
             if self.at_keyword("mutates"):
@@ -460,6 +471,11 @@ class Parser:
         if self.accept("."):
             path = self.parse_dotted_path()
         return RawTarget("name", name, path, t.pos)
+
+    def parse_local_mutation(self) -> tuple[tuple[str, ...], Pos]:
+        """One `[!]` path, with the position of its first name."""
+        pos = self.peek().pos
+        return tuple(self.parse_dotted_path()), pos
 
     def parse_dotted_path(self) -> list[str]:
         parts = [self.expect_ident().text]

@@ -12,10 +12,10 @@ built once per Program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional
 
+from . import Frozen, setfield
 from .config import SearchConfig
 from .effects import (
     QueryContext, name_mutation, paths_comparable, result_atoms, span_hits,
@@ -55,17 +55,19 @@ class CyclicOrder(Exception):
     """Internal invariant breach: the ordering relation acquired a cycle."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class ActionSpec:
+class ActionSpec(Frozen):
     """A corpus operation the planner may add: a constructor, a method call
     or a static field read, with one choice of optional group."""
 
-    kind: str  # "ctor" | "invoke" | "fieldread"
-    owner: str
-    member: str
-    group: Optional[int]
-    method: Optional[MethodSpec] = None
-    fld: Optional[FieldDecl] = None
+    def __init__(self, kind: str,  # "ctor" | "invoke" | "fieldread"
+                 owner: str, member: str, group: Optional[int],
+                 method: Optional[MethodSpec] = None, fld: Optional[FieldDecl] = None):
+        setfield(self, "kind", kind)
+        setfield(self, "owner", owner)
+        setfield(self, "member", member)
+        setfield(self, "group", group)
+        setfield(self, "method", method)
+        setfield(self, "fld", fld)
 
     @cached_property
     def key(self) -> tuple:
@@ -80,17 +82,22 @@ class ActionSpec:
         return f"{self.owner}.{self.member}(){g}"
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class PlanObject:
     """A value in a plan, shared by the plans that do not change it."""
 
-    oid: int
-    need_type: str
-    ctx_name: Optional[str] = None
-    producer: Optional[int] = None  # aid of the creating action
-    actual_type: Optional[str] = None
-    kind: UniquenessKind = KIND.UNIQUE
-    fresh: bool = True
+    __slots__ = ("oid", "need_type", "ctx_name", "producer", "actual_type", "kind", "fresh")
+
+    def __init__(self, oid: int, need_type: str, ctx_name: Optional[str] = None,
+                 producer: Optional[int] = None,  # aid of the creating action
+                 actual_type: Optional[str] = None, kind: UniquenessKind = KIND.UNIQUE,
+                 fresh: bool = True):
+        self.oid = oid
+        self.need_type = need_type
+        self.ctx_name = ctx_name
+        self.producer = producer
+        self.actual_type = actual_type
+        self.kind = kind
+        self.fresh = fresh
 
     @property
     def bound(self) -> bool:
@@ -101,25 +108,26 @@ class PlanObject:
         return self.actual_type or self.need_type
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class PCond:
+class PCond(Frozen):
     """A condition on a plan object; a None atom asks only that it exist."""
 
-    oid: int
-    atom: Optional[Atom]
+    def __init__(self, oid: int, atom: Optional[Atom]):
+        setfield(self, "oid", oid)
+        setfield(self, "atom", atom)
 
     def text(self) -> str:
         return self.atom.text() if self.atom is not None else "<exists>"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class CausalLink:
+class CausalLink(Frozen):
     """The producer action establishes the consumer's condition."""
 
-    producer: int
-    cond: PCond
-    consumer: int
-    residence: tuple[ResourcePath, ...] = ()
+    def __init__(self, producer: int, cond: PCond, consumer: int,
+                 residence: tuple[ResourcePath, ...] = ()):
+        setfield(self, "producer", producer)
+        setfield(self, "cond", cond)
+        setfield(self, "consumer", consumer)
+        setfield(self, "residence", residence)
 
     @property
     def threatenable(self) -> bool:
@@ -127,32 +135,41 @@ class CausalLink:
         return self.residence != () or isinstance(self.cond.atom, StateAtom)
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class PlanAction:
     """A step of a plan, shared by the plans that do not change it."""
 
-    aid: int
-    spec: Optional[ActionSpec]
-    receiver: Optional[int] = None
-    args: tuple[int, ...] = ()
-    result: Optional[int] = None
+    __slots__ = ("aid", "spec", "receiver", "args", "result")
+
+    def __init__(self, aid: int, spec: Optional[ActionSpec], receiver: Optional[int] = None,
+                 args: tuple[int, ...] = (), result: Optional[int] = None):
+        self.aid = aid
+        self.spec = spec
+        self.receiver = receiver
+        self.args = args
+        self.result = result
 
 
-@dataclass(eq=False, repr=False)
 class Plan:
     """A partial-order plan: actions, objects, orderings, causal links and
     the conditions still open. A clone shares its parent's actions and
     objects; a plan changes one only through a copy put in its place."""
 
-    actions: dict[int, PlanAction] = field(default_factory=dict)
-    objects: dict[int, PlanObject] = field(default_factory=dict)
-    orderings: set = field(default_factory=set)
-    later: dict[int, int] = field(default_factory=dict)  # aid -> bitmask of later aids
-    links: list[CausalLink] = field(default_factory=list)
-    open_conds: list[tuple[PCond, int]] = field(default_factory=list)
-    next_oid: int = 0
-    next_aid: int = 2
-    goal_oid: int = -1
+    def __init__(self, actions: Optional[dict[int, PlanAction]] = None,
+                 objects: Optional[dict[int, PlanObject]] = None,
+                 orderings: Optional[set] = None,
+                 later: Optional[dict[int, int]] = None,  # aid -> bitmask of later aids
+                 links: Optional[list[CausalLink]] = None,
+                 open_conds: Optional[list[tuple[PCond, int]]] = None,
+                 next_oid: int = 0, next_aid: int = 2, goal_oid: int = -1):
+        self.actions = {} if actions is None else actions
+        self.objects = {} if objects is None else objects
+        self.orderings = set() if orderings is None else orderings
+        self.later = {} if later is None else later
+        self.links = [] if links is None else links
+        self.open_conds = [] if open_conds is None else open_conds
+        self.next_oid = next_oid
+        self.next_aid = next_aid
+        self.goal_oid = goal_oid
 
     def clone(self) -> "Plan":
         return Plan(dict(self.actions), dict(self.objects), set(self.orderings),
@@ -227,18 +244,20 @@ class Plan:
         return (specs, opens)
 
 
-@dataclass(eq=False, repr=False)
 class PlanResult:
     """A closed plan for one query, with its search counters."""
 
-    plan: Plan
-    program: Program
-    ctx: QueryContext
-    goal: Atom
-    explored: int
-    rejected_threats: int
-    chosen_groups: dict[int, int]
-    solution_targets: frozenset = frozenset()
+    def __init__(self, plan: Plan, program: Program, ctx: QueryContext, goal: Atom,
+                 explored: int, rejected_threats: int, chosen_groups: dict[int, int],
+                 solution_targets: frozenset = frozenset()):
+        self.plan = plan
+        self.program = program
+        self.ctx = ctx
+        self.goal = goal
+        self.explored = explored
+        self.rejected_threats = rejected_threats
+        self.chosen_groups = chosen_groups
+        self.solution_targets = solution_targets
 
     def action_count(self) -> int:
         return len(self.plan.real_actions())
@@ -248,17 +267,20 @@ class PlanResult:
 # Achiever enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Candidate:
+class Candidate(Frozen):
     """One way to achieve an open condition."""
 
-    kind: str  # "ctx" | "link" | "merge" | "new"
-    ctx_name: str = ""
-    producer: int = -1
-    spec: Optional[ActionSpec] = None
-    via: str = "result"  # how a new action achieves: "result" | "this" | arg name
-    spec_key: tuple = ()
-    sort_key: tuple = ()
+    def __init__(self, kind: str,  # "ctx" | "link" | "merge" | "new"
+                 ctx_name: str = "", producer: int = -1, spec: Optional[ActionSpec] = None,
+                 via: str = "result",  # how a new action achieves: "result" | "this" | arg name
+                 spec_key: tuple = (), sort_key: tuple = ()):
+        setfield(self, "kind", kind)
+        setfield(self, "ctx_name", ctx_name)
+        setfield(self, "producer", producer)
+        setfield(self, "spec", spec)
+        setfield(self, "via", via)
+        setfield(self, "spec_key", spec_key)
+        setfield(self, "sort_key", sort_key)
 
 
 def action_universe(program: Program) -> list[ActionSpec]:
@@ -300,19 +322,29 @@ def spec_subject_effects(spec: ActionSpec):
     return subject_effects(spec.method, spec.group)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class SpecFacts:
+class SpecFacts(Frozen):
     """What the search reads about one action of the universe."""
-    result_type: Optional[str]
-    result_atoms: tuple[tuple[Atom, tuple[ResourcePath, ...]], ...]
-    result_atom_set: frozenset[Atom]
-    effects: tuple  # spec_subject_effects
-    preconditions: tuple[tuple[str, Atom], ...]
-    summary: frozenset[MutationTarget]
-    any_targets: tuple[MutationTarget, ...]  # summary targets rooted at any(T)
-    precedence: int  # the owner's corpus precedence
-    names: frozenset[str]  # what a with-clause may name to select the action
-    slots: dict[str, int]  # parameter name -> argument position
+
+    def __init__(self, result_type: Optional[str],
+                 result_atoms: tuple[tuple[Atom, tuple[ResourcePath, ...]], ...],
+                 result_atom_set: frozenset[Atom],
+                 effects: tuple,  # spec_subject_effects
+                 preconditions: tuple[tuple[str, Atom], ...],
+                 summary: frozenset[MutationTarget],
+                 any_targets: tuple[MutationTarget, ...],  # summary targets rooted at any(T)
+                 precedence: int,  # the owner's corpus precedence
+                 names: frozenset[str],  # what a with-clause may name to select the action
+                 slots: dict[str, int]):  # parameter name -> argument position
+        setfield(self, "result_type", result_type)
+        setfield(self, "result_atoms", result_atoms)
+        setfield(self, "result_atom_set", result_atom_set)
+        setfield(self, "effects", effects)
+        setfield(self, "preconditions", preconditions)
+        setfield(self, "summary", summary)
+        setfield(self, "any_targets", any_targets)
+        setfield(self, "precedence", precedence)
+        setfield(self, "names", names)
+        setfield(self, "slots", slots)
 
 
 class ActionIndex:
@@ -1000,14 +1032,6 @@ def detect_stagnation(branch: frozenset, fingerprint: tuple) -> bool:
 
 def plan_query(program: Program, ctx: QueryContext, cfg: SearchConfig) -> PlanResult:
     return Planner(program, ctx, cfg).plan()
-
-
-def candidate_actions(program: Program, ctx: QueryContext, cfg: SearchConfig):
-    """Ranked achievers for a query's goal condition against a fresh plan."""
-    planner = Planner(program, ctx, cfg)
-    plan = planner.initial_plan()
-    cond, consumer = plan.open_conds[0]
-    return planner._candidates(plan, cond, consumer, cfg.max_plan_length)
 
 
 # ---------------------------------------------------------------------------

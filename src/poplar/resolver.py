@@ -142,9 +142,10 @@ class Resolver:
         m.optional_groups = tuple(tuple(self._resolve_conjunct(path, cj, scope, subject_type)
                                         for cj in group)
                                   for group in m.optional_groups)
-        for p in m.local_mutations:
+        for p, pos in m.local_mutations:
             if not self.program.resolve_resource_path(this_type, p):
-                self.error(path, m.pos, f"unknown resource '{'.'.join(p)}' in [!] list")
+                self.error(path, pos, f"unknown resource '{'.'.join(p)}' in [!] list")
+        m.local_mutations = tuple(p for p, _ in m.local_mutations)
         m.mutates = tuple(t for t in
                           (self._resolve_target(path, rt, this_type, arg_types)
                            for rt in m.mutates)

@@ -5,9 +5,9 @@ stripping, and integration assumptions with their compatibility check.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
+from . import Frozen, setfield
 from .diagnostics import Diagnostic, E_SYN
 from .effects import postconditions, subject_preconditions
 from .model import (
@@ -140,12 +140,12 @@ def _bind_site(name: str, type_name: Optional[str], value: Expr) -> Stmt:
 # Substitution
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False, repr=False)
 class Solution:
     """A plan and the statements that replace its query."""
 
-    result: PlanResult
-    statements: list[Stmt]
+    def __init__(self, result: PlanResult, statements: list[Stmt]):
+        self.result = result
+        self.statements = statements
 
 
 def splice_program(program: Program, solutions: dict[int, Solution]) -> Program:
@@ -161,9 +161,15 @@ def splice_program(program: Program, solutions: dict[int, Solution]) -> Program:
                 continue
             new_body = _splice_stmts(m.body, solutions)
             widened = _widen_summary(program, m, solutions)
-            methods.append(replace(m, body=new_body, mutates=widened))
-        new_unit = replace(unit, methods=methods)
-        spliced.units[cname] = new_unit
+            methods.append(MethodSpec(
+                m.name, m.declared_in, m.return_type, m.args, m.is_constructor,
+                m.is_abstract, m.is_static, m.return_uniqueness, m.result_labels,
+                m.local_mutations, widened, m.conjuncts, m.optional_groups, new_body,
+                m.merged_externals, m.pos))
+        spliced.units[cname] = ClassModel(
+            unit.name, unit.superclass, unit.interfaces, unit.is_interface,
+            unit.is_abstract, unit.fields, methods, unit.labels, unit.protocols,
+            unit.resources, unit.externals, unit.precedence, unit.pos)
     return spliced
 
 
@@ -182,7 +188,7 @@ def _splice_stmts(stmts: list[Stmt], solutions: dict[int, Solution]) -> list[Stm
             out.append(BlockStmt(_splice_stmts(s.body, solutions)))
             continue
         if isinstance(s, ProtectStmt):
-            out.append(replace(s, body=_splice_stmts(s.body, solutions)))
+            out.append(ProtectStmt(s.var, s.resource, _splice_stmts(s.body, solutions), s.pos))
             continue
         out.append(s)
     return out
@@ -227,30 +233,35 @@ def render_plain(program: Program) -> dict[str, str]:
 # Integration assumptions
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False, repr=False)
 class AssumptionRecord:
     """What a plan assumed of one corpus member."""
 
-    type: str
-    member: str
-    kind: str  # "ctor" | "invoke" | "fieldread"
-    signature: str
-    group: int = -1
-    return_uniqueness: str = "normal"
-    arg_kinds: tuple[str, ...] = ()
-    mutates: tuple[str, ...] = ()
-    pre: tuple[str, ...] = ()
-    post: tuple[str, ...] = ()
+    def __init__(self, type: str, member: str,
+                 kind: str,  # "ctor" | "invoke" | "fieldread"
+                 signature: str, group: int = -1, return_uniqueness: str = "normal",
+                 arg_kinds: tuple[str, ...] = (), mutates: tuple[str, ...] = (),
+                 pre: tuple[str, ...] = (), post: tuple[str, ...] = ()):
+        self.type = type
+        self.member = member
+        self.kind = kind
+        self.signature = signature
+        self.group = group
+        self.return_uniqueness = return_uniqueness
+        self.arg_kinds = arg_kinds
+        self.mutates = mutates
+        self.pre = pre
+        self.post = post
 
 
-@dataclass(eq=False, repr=False)
 class IntegrationAssumptions:
     """The assumption records of one query."""
 
-    query_id: str
-    goal: str
-    corpus: str
-    records: list[AssumptionRecord] = field(default_factory=list)
+    def __init__(self, query_id: str, goal: str, corpus: str,
+                 records: Optional[list[AssumptionRecord]] = None):
+        self.query_id = query_id
+        self.goal = goal
+        self.corpus = corpus
+        self.records = [] if records is None else records
 
 
 def fingerprint_sources(sources: list[tuple[str, str]]) -> str:
@@ -360,13 +371,15 @@ def _lines_of(keys: tuple[str, ...]) -> re.Pattern:
 _HEADER_LINES = _lines_of(_HEADER_KEYS)
 _RECORD_LINES = _lines_of(_RECORD_KEYS)
 _KINDS = ("ctor", "invoke", "fieldread")
+_CORPUS = re.compile("[0-9a-f]{64}")
 _KIND_ORDER = {k.keyword: k for k in UniquenessKind}
 
 
 def parse_assumptions(text: str, path: str) -> list[IntegrationAssumptions]:
     """The queries of one `.assume` file. Each query's header lines and each
-    record's ten lines must carry the README's keys in its order, and a
-    record's `kind`, `group`, `return-uniqueness` and `arg-kinds` must parse;
+    record's ten lines must carry the README's keys in its order, the
+    header's `corpus` must be a sha256 hex digest, and a record's `kind`,
+    `group`, `return-uniqueness` and `arg-kinds` must parse;
     the first deviation raises `MalformedAssumptions`, positioned at it."""
     out: list[IntegrationAssumptions] = []
     blocks = text.strip().split("\n\n\n")
@@ -375,8 +388,7 @@ def parse_assumptions(text: str, path: str) -> list[IntegrationAssumptions]:
         for s, section in enumerate(sections):
             try:
                 if s == 0:
-                    a = IntegrationAssumptions(
-                        *_values(section, _HEADER_LINES, _HEADER_KEYS, "query header"))
+                    a = _header(_values(section, _HEADER_LINES, _HEADER_KEYS, "query header"))
                 else:
                     a.records.append(_record(
                         _values(section, _RECORD_LINES, _RECORD_KEYS, "record")))
@@ -403,6 +415,15 @@ def _values(section: str, lines_re: re.Pattern, keys: tuple[str, ...],
             raise _BadField(i, 1, f"expected '{key}=', found '{lines[i]}'")
     raise _BadField(len(keys), 1, f"expected a blank line after '{keys[-1]}=', "
                                   f"found '{lines[len(keys)]}'")
+
+
+def _header(values: tuple[str, ...]) -> IntegrationAssumptions:
+    query_id, goal, corpus = values
+    if _CORPUS.fullmatch(corpus) is None:
+        raise _BadField(_HEADER_KEYS.index("corpus"), len("corpus") + 2,
+                        f"corpus '{corpus}' is not a sha256 digest "
+                        f"(64 lowercase hex digits)")
+    return IntegrationAssumptions(query_id, goal, corpus)
 
 
 def _bad_value(key: str, message: str, at: int = 0) -> _BadField:
@@ -453,14 +474,14 @@ def _first_line(text: str, blocks_before: list[str], sections_before: list[str])
 # Upgrade compatibility
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Incompatibility:
+class Incompatibility(Frozen):
     """An assumption the upgraded corpus no longer meets."""
 
-    query_id: str
-    member: str
-    rule: str
-    message: str
+    def __init__(self, query_id: str, member: str, rule: str, message: str):
+        setfield(self, "query_id", query_id)
+        setfield(self, "member", member)
+        setfield(self, "rule", rule)
+        setfield(self, "message", message)
 
 
 def check_compat(assumed: IntegrationAssumptions,

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from poplar.config import SearchConfig
-from poplar.effects import query_contexts
+from poplar.effects import analyze_method, query_contexts
 from poplar.resolver import load_program
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -19,6 +19,25 @@ SOCKET = ["socket/socket.pop", "socket/server.pop"]
 SWING = ["swing/toolkit.pop", "swing/widgets.pop", "swing/frames.pop"]
 SWING_QUERY = ["swing/toolkit.pop", "swing/widgets.pop", "swing_query/frames.pop"]
 RECORDSET = ["recordset/records.pop"]
+
+
+def stored(x):
+    """The attributes `x` stores, by name: its own slots, or its `__dict__`."""
+    slots = type(x).__dict__.get("__slots__")
+    return {name: getattr(x, name) for name in slots} if slots else dict(vars(x))
+
+
+def inferred_summary(program, unit, method):
+    """The summary the walk of `method` infers, which must not have stopped
+    at a callee with no summary."""
+    analysis = analyze_method(program, unit, method)
+    assert analysis.stopped_at is None, analysis.stopped_at.name
+    return analysis.inferred
+
+
+def walk_violations(program, unit, method, code):
+    """The violations with `code` that the walk of `method` found."""
+    return [v for v in analyze_method(program, unit, method).violations if v.code == code]
 
 
 def corpus_sources(files):

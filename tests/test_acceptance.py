@@ -16,7 +16,7 @@ from poplar import synth
 from poplar.cli import main as cli_main
 from poplar.config import SearchConfig
 from poplar.effects import (
-    check_class_conformance, check_program, check_spans, query_contexts,
+    check_class_conformance, check_program, query_contexts,
 )
 from poplar.model import StateAtom
 from poplar.planner import (
@@ -27,7 +27,7 @@ from poplar.resolver import load_program
 
 from conftest import (
     CORPUS, RECORDSET, SOCKET, SWING, SWING_QUERY, TD14, TD15,
-    all_query_contexts, corpus_sources, load, load_raw, query_in,
+    all_query_contexts, corpus_sources, load, load_raw, query_in, walk_violations,
 )
 
 
@@ -184,7 +184,7 @@ def test_criterion_4_span_enforcement(cfg):
                          ("client.pop", SPAN_CLIENT.format(s1=s1, s2=s2,
                                                            summary=summary))])
         unit = prog.units["SpanClient"]
-        return check_spans(prog, unit, unit.methods[0])
+        return walk_violations(prog, unit, unit.methods[0], "E-SPAN")
 
     both_normal = spans_of("maintain ", "", "any(Socket).connState")
     assert [v.code for v in both_normal] == ["E-SPAN"]
@@ -199,7 +199,7 @@ def test_criterion_4_span_enforcement(cfg):
         "            ClientRequest other = reader.nextBroadcast();")
     prog = load([], [("socket.pop", socket_text), ("server.pop", injected)])
     unit = prog.units["NetworkServer"]
-    hits = [v for v in check_spans(prog, unit, unit.methods[0])
+    hits = [v for v in walk_violations(prog, unit, unit.methods[0], "E-SPAN")
             if v.code == "E-SPAN"]
     assert hits, "handwritten injection must be flagged"
     # ... and the planner refuses to generate one.

@@ -14,11 +14,11 @@ import poplar
 from poplar.cli import main
 from poplar.config import SearchConfig, config_from_tree
 from poplar import effects
-from poplar.effects import check_program, infer_summary
+from poplar.effects import check_program
 from poplar.model import this_target
 from poplar.resolver import load_program
 
-from conftest import CORPUS
+from conftest import CORPUS, inferred_summary
 
 
 def run(argv, capsys):
@@ -94,7 +94,7 @@ class TestCheck:
             "49:15: error: E-RES: ambiguous protocol 'phase'",
             "51:27: error: E-RES: duplicate parameter 'a' in 'twice'",
             "53:24: error: E-RES: unknown type 'Nowhere' in parameter 'x'",
-            "55:5: error: E-RES: unknown resource 'absent' in [!] list",
+            "55:19: error: E-RES: unknown resource 'absent' in [!] list",
             "58:15: error: E-RES: unknown residence resource 'absent' on type 'Holder'",
             "61:9: error: E-RES: unknown condition subject 'ghost'",
             "64:16: error: E-RES: unresolved label 'missingGroupLabel'",
@@ -407,6 +407,32 @@ def test_synth_output_bytes_are_golden(paths, tmp_path, monkeypatch, capsys):
     assert h.hexdigest() == SYNTH_GOLDEN[paths]
 
 
+SYNTH_DIGESTS = """import hashlib, sys, tempfile
+from pathlib import Path
+from poplar.cli import main
+for arg in sys.argv[1:]:
+    with tempfile.TemporaryDirectory() as out:
+        assert main(["synth", *arg.split(","), "--out", out]) == 0
+        h = hashlib.sha256()
+        for f in sorted(Path(out).iterdir()):
+            h.update(f.name.encode() + b"\\0" + f.read_bytes() + b"\\0")
+        print(h.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_synth_output_bytes_do_not_depend_on_the_hash_seed(seed):
+    """The value classes' hashes order sets; no output byte may follow."""
+    scenarios = sorted(SYNTH_GOLDEN)
+    src = str(Path(poplar.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SYNTH_DIGESTS, *(",".join(p) for p in scenarios)],
+        cwd=CORPUS, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == [SYNTH_GOLDEN[p] for p in scenarios]
+
+
 # Names the benchmark's `--trace 1` mode wraps, at the module where the
 # toolchain looks each one up.
 TRACED_NAMES = [
@@ -544,6 +570,22 @@ def test_query_assigned_to_a_field_is_a_syntax_error(tmp_path, capsys, command):
         f"{path}:12:9: error: E-SYN: a query's value can only be assigned to a variable"]
 
 
+@pytest.mark.parametrize("command", ["check", "synth"])
+def test_query_assigned_to_an_undeclared_name_is_refused_as_its_splice_is(
+        tmp_path, capsys, command):
+    """`c = #produce(Clock, ticking);` names neither a local nor a field, so
+    the spliced `c = v1;` would not check; neither command accepts the site,
+    and `synth` writes nothing."""
+    path = c("query_sites", "undeclared_target.pop")
+    extra = ["--out", str(tmp_path)] if command == "synth" else []
+    code, out, err = run([command, path, *extra], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        f"{path}:10:9: error: E-UNIQ: IllegalFlow: assignment target is neither "
+        f"a local nor a field"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags", [["--budget", "0"], ["--max-len", "0"],
                                    ["--precedence", "Calendar"]],
                          ids=["budget", "max-len", "precedence"])
@@ -624,7 +666,7 @@ class TestCalleeChains:
         program = load_program([("chain.pop", text)])
         assert not program.diagnostics.has_errors
         unit = program.units["C"]
-        assert infer_summary(program, unit, unit.methods[0]) == \
+        assert inferred_summary(program, unit, unit.methods[0]) == \
             frozenset({this_target(("r",))})
 
     def test_400_chain_walks_each_body_once_plus_one_per_restart(self, monkeypatch):
@@ -701,6 +743,28 @@ def test_malformed_assumption_field_is_a_positioned_syntax_error(
     assert out.splitlines() == [f"{path}:{where}: error: E-SYN: {message}"]
 
 
+@pytest.mark.parametrize("edit", [str.upper, lambda d: d[:63], lambda d: "",
+                                  lambda d: d[:63] + "g", lambda d: d + "0"],
+                         ids=["uppercase", "short", "empty", "not-hex", "long"])
+def test_assumption_corpus_that_is_no_sha256_digest_is_a_positioned_syntax_error(
+        tmp_path, capsys, edit):
+    stored = tmp_path / "assumptions"
+    code, _, _ = run(["synth", c("common"), c("timedate14"), c("client"),
+                      "--out", str(stored)], capsys)
+    assert code == 0
+    path = stored / "timeutils.assume"
+    text = path.read_text()
+    digest = text.split("corpus=", 1)[1].split("\n", 1)[0]
+    bad = edit(digest)
+    path.write_text(text.replace("corpus=" + digest, "corpus=" + bad, 1))
+    code, out, err = run(["verify-upgrade", "--assumptions", str(stored),
+                          c("common"), c("upgrade_stronger")], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        f"{path}:3:8: error: E-SYN: corpus '{bad}' is not a sha256 digest "
+        f"(64 lowercase hex digits)"]
+
+
 @pytest.mark.parametrize("edit,where,message", [
     (lambda text: text[:text.index("return-uniqueness=") + 15], "10:1",
      "expected 'return-uniqueness=', found 'return-uniquene'"),
@@ -732,10 +796,15 @@ def test_assumption_file_that_loses_records_is_a_positioned_syntax_error(
 
 # Runs `poplar.cli.main` on the arguments, then prints the poplar modules the
 # process imported as its last line.
+# What poplar must not load: `dataclasses`, and `inspect` with it, cost each
+# cold process more than writing the classes out does.
+UNWANTED = {"dataclasses", "inspect"}
+
 LOADED = """import sys
 from poplar.cli import main
 code = main(sys.argv[1:])
-print(" ".join(sorted(m for m in sys.modules if m.startswith("poplar."))))
+print(" ".join(sorted(m for m in sys.modules
+                      if m.startswith("poplar.") or m in ("dataclasses", "inspect"))))
 sys.exit(code)
 """
 
@@ -769,6 +838,17 @@ class TestImportLayers:
                           if (alias.asname or alias.name.split(".")[0]) not in used)
         assert unused == []
 
+    def test_no_module_imports_dataclasses(self):
+        """Not at module level, and not inside a function either."""
+        found = []
+        for path in sorted(Path(poplar.__file__).parent.glob("*.py")):
+            for n in ast.walk(ast.parse(path.read_text())):
+                names = [a.name for a in n.names] if isinstance(n, ast.Import) else \
+                    [n.module] if isinstance(n, ast.ImportFrom) else []
+                found.extend(f"{path.name}:{n.lineno}" for name in names
+                             if name and name.split(".")[0] == "dataclasses")
+        assert found == []
+
     def loaded(self, argv, cwd=None):
         src = str(Path(poplar.__file__).parents[1])
         proc = subprocess.run([sys.executable, "-c", LOADED, *argv], cwd=cwd,
@@ -778,6 +858,7 @@ class TestImportLayers:
         return proc.returncode, set(proc.stdout.splitlines()[-1].split())
 
     def test_check_imports_the_check_path_only(self):
+        """Nor `dataclasses` or `inspect`."""
         code, modules = self.loaded(["check", c("socket")])
         assert code == 0
         assert modules == {"poplar.cli", "poplar.config", "poplar.diagnostics",
@@ -794,12 +875,14 @@ class TestImportLayers:
         assert code == 0
         assert "poplar.synth" in modules
         assert "poplar.planner" not in modules and "poplar.printer" not in modules
+        assert not modules & UNWANTED
 
     def test_synth_output_is_unchanged(self, tmp_path):
         out_dir = tmp_path / "out"
         code, modules = self.loaded(["synth", "witness", "--out", str(out_dir)],
                                     cwd=CORPUS)
         assert code == 0 and "poplar.planner" in modules
+        assert not modules & UNWANTED
         h = hashlib.sha256()
         for f in sorted(out_dir.iterdir()):
             h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")

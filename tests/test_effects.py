@@ -5,10 +5,9 @@ import itertools
 import pytest
 
 from poplar.effects import (
-    MissingCalleeSummary, ValueState, check_class_conformance, check_program,
-    check_spans, check_uniqueness, goal_residence, infer_summary,
-    is_subprotocol, class_protocol_machine, name_mutation, postconditions,
-    result_atoms, subject_effects, subject_preconditions, verify_summary,
+    ValueState, analyze_method, check_class_conformance, check_program,
+    goal_residence, is_subprotocol, class_protocol_machine, name_mutation,
+    postconditions, result_atoms, subject_effects, subject_preconditions,
 )
 from poplar.model import (
     AddLabel, ArgDecl, Conjunct, Invariant, LabelAtom, MethodSpec, StateAtom,
@@ -17,7 +16,7 @@ from poplar.model import (
 
 from conftest import (
     CORPUS, RECORDSET, SOCKET, SWING, SWING_QUERY, TD14, TD15, TD_BOTH,
-    all_query_contexts, load, load_raw,
+    all_query_contexts, inferred_summary, load, load_raw, walk_violations,
 )
 
 K = UniquenessKind
@@ -31,6 +30,12 @@ def unit_method(prog, cls, name):
         if m.name == name:
             return unit, m
     raise AssertionError(f"{cls}.{name} missing")
+
+
+def summary_violations(prog, unit, m):
+    """What `check_program` reports on the summary of `m`."""
+    return [v for v in check_program(prog)
+            if v.code == "E-SUM" and v.unit == unit.name and v.pos is m.pos]
 
 
 CONNECT_AND_SEND = """
@@ -48,14 +53,14 @@ class TestInferSummary:
     def test_connect_and_send(self):
         prog = load([SOCKET_FILE], [("util.pop", CONNECT_AND_SEND)])
         unit, m = unit_method(prog, "SocketUtil", "connectAndSend")
-        inferred = infer_summary(prog, unit, m)
+        inferred = inferred_summary(prog, unit, m)
         assert inferred == frozenset({var_target("s", ("connState",)),
                                       var_target("s", ("data",))})
 
     def test_empty_body(self):
         prog = load([SOCKET_FILE], [("util.pop", "class U { void nop() { } }")])
         unit, m = unit_method(prog, "U", "nop")
-        assert infer_summary(prog, unit, m) == frozenset()
+        assert inferred_summary(prog, unit, m) == frozenset()
 
     def test_managed_field_assignment_converts_to_resource(self):
         prog = load(RECORDSET, [("extra.pop", """
@@ -67,10 +72,10 @@ class Resetter extends RecordSet {
 }
 """)])
         unit, m = unit_method(prog, "Resetter", "reset")
-        inferred = infer_summary(prog, unit, m)
+        inferred = inferred_summary(prog, unit, m)
         assert inferred == frozenset({this_target(("policy",))})
         # and the declared resource of the owning class covers it
-        assert verify_summary(prog, unit, m) == []
+        assert summary_violations(prog, unit, m) == []
 
     def test_missing_callee_summary_on_recursion(self):
         prog = load([SOCKET_FILE], [("util.pop", """
@@ -84,22 +89,23 @@ class A {
 }
 """)])
         unit, m = unit_method(prog, "A", "ping")
-        with pytest.raises(MissingCalleeSummary):
-            infer_summary(prog, unit, m)
+        analysis = analyze_method(prog, unit, m)
+        assert analysis.stopped_at is not None
+        assert "MissingCalleeSummary" in [v.rule for v in analysis.violations]
 
 
 class TestVerifySummary:
     def test_declared_equals_inferred_passes(self):
         prog = load([SOCKET_FILE], [("util.pop", CONNECT_AND_SEND)])
         unit, m = unit_method(prog, "SocketUtil", "connectAndSend")
-        assert verify_summary(prog, unit, m) == []
+        assert summary_violations(prog, unit, m) == []
 
     def test_narrowed_summary_names_the_missing_target(self):
         narrowed = CONNECT_AND_SEND.replace("mutates s.connState, s.data:",
                                             "mutates s.connState:")
         prog = load([SOCKET_FILE], [("util.pop", narrowed)])
         unit, m = unit_method(prog, "SocketUtil", "connectAndSend")
-        violations = verify_summary(prog, unit, m)
+        violations = summary_violations(prog, unit, m)
         assert len(violations) == 1
         assert "s.data" in violations[0].message
         assert violations[0].rule == "SummaryTooNarrow"
@@ -108,13 +114,13 @@ class TestVerifySummary:
         prog = load(SWING)
         unit, m = unit_method(prog, "SmartFrame", "setup")
         # `panel` is declared though the body never touches it.
-        assert verify_summary(prog, unit, m) == []
+        assert summary_violations(prog, unit, m) == []
 
     def test_figures_pass_as_written(self):
         prog = load(SWING)
         for cls in ("SmartFrame", "MenuFrame", "ToolbarFrame"):
             for m in prog.units[cls].methods:
-                assert verify_summary(prog, prog.units[cls], m) == [], f"{cls}.{m.name}"
+                assert summary_violations(prog, prog.units[cls], m) == [], f"{cls}.{m.name}"
 
 
 class TestGeneralizeSummary:
@@ -174,7 +180,7 @@ class Container {
 }
 """)])
         unit, m = unit_method(prog, "Container", "getPayload")
-        assert check_uniqueness(prog, unit, m) == []
+        assert walk_violations(prog, unit, m, "E-UNIQ") == []
 
     def test_destructive_read_pattern(self):
         prog = load([], [("a.pop", """
@@ -195,9 +201,9 @@ class Holder {
 }
 """)])
         unit, m = unit_method(prog, "Holder", "setSlot")
-        assert check_uniqueness(prog, unit, m) == []
+        assert walk_violations(prog, unit, m, "E-UNIQ") == []
         unit, m = unit_method(prog, "Holder", "roundTrip")
-        assert check_uniqueness(prog, unit, m) == []
+        assert walk_violations(prog, unit, m, "E-UNIQ") == []
 
     def test_use_after_consume(self):
         prog = load([], [("a.pop", """
@@ -217,7 +223,7 @@ class Holder {
 }
 """)])
         unit, m = unit_method(prog, "Holder", "oops")
-        violations = check_uniqueness(prog, unit, m)
+        violations = walk_violations(prog, unit, m, "E-UNIQ")
         assert any(v.rule == "UseAfterConsume" for v in violations)
 
     def test_storing_maintain_parameter_is_a_heap_alias(self):
@@ -233,7 +239,7 @@ class Holder {
 }
 """)])
         unit, m = unit_method(prog, "Holder", "keep")
-        violations = check_uniqueness(prog, unit, m)
+        violations = walk_violations(prog, unit, m, "E-UNIQ")
         assert any(v.rule == "HeapAliasOfMaintained" for v in violations)
 
     def test_maintained_value_cannot_flow_to_normal_parameter(self):
@@ -249,7 +255,7 @@ class Client {
 }
 """)])
         unit, m = unit_method(prog, "Client", "run")
-        violations = check_uniqueness(prog, unit, m)
+        violations = walk_violations(prog, unit, m, "E-UNIQ")
         assert any(v.rule == "IllegalFlow" for v in violations)
 
     def test_destructive_read_of_field_forbidden(self):
@@ -267,7 +273,7 @@ class Holder {
 }
 """)])
         unit, m = unit_method(prog, "Holder", "leak")
-        violations = check_uniqueness(prog, unit, m)
+        violations = walk_violations(prog, unit, m, "E-UNIQ")
         assert any("destructive read of field" in v.message for v in violations)
 
 
@@ -291,20 +297,20 @@ class TestSpans:
         prog = load([SOCKET_FILE], [("c.pop", span_client(
             "maintain", "normal", "any(Socket).connState"))])
         unit, m = unit_method(prog, "SpanClient", "hold")
-        violations = check_spans(prog, unit, m)
+        violations = walk_violations(prog, unit, m, "E-SPAN")
         assert [v.rule for v in violations] == ["SpanViolation"]
 
     def test_other_socket_unique_is_exempt(self):
         prog = load([SOCKET_FILE], [("c.pop", span_client(
             "maintain", "unique", "s1.connState, s2.connState"))])
         unit, m = unit_method(prog, "SpanClient", "hold")
-        assert check_spans(prog, unit, m) == []
+        assert walk_violations(prog, unit, m, "E-SPAN") == []
 
     def test_protected_socket_unique_is_safe(self):
         prog = load([SOCKET_FILE], [("c.pop", span_client(
             "unique", "normal", "any(Socket).connState"))])
         unit, m = unit_method(prog, "SpanClient", "hold")
-        assert check_spans(prog, unit, m) == []
+        assert walk_violations(prog, unit, m, "E-SPAN") == []
 
     def test_unique_protected_still_rejects_direct_pass(self):
         prog = load([SOCKET_FILE], [("c.pop", """
@@ -319,7 +325,7 @@ class SpanClient {
 }
 """)])
         unit, m = unit_method(prog, "SpanClient", "hold")
-        violations = check_spans(prog, unit, m)
+        violations = walk_violations(prog, unit, m, "E-SPAN")
         assert [v.rule for v in violations] == ["SpanViolation"]
 
     def test_empty_span_body(self):
@@ -334,7 +340,7 @@ class SpanClient {
 }
 """)])
         unit, m = unit_method(prog, "SpanClient", "hold")
-        assert check_spans(prog, unit, m) == []
+        assert walk_violations(prog, unit, m, "E-SPAN") == []
 
     def test_explicit_protect_block(self):
         prog = load([SOCKET_FILE], [("c.pop", """
@@ -348,7 +354,7 @@ class SpanClient {
 }
 """)])
         unit, m = unit_method(prog, "SpanClient", "hold")
-        violations = check_spans(prog, unit, m)
+        violations = walk_violations(prog, unit, m, "E-SPAN")
         assert [v.rule for v in violations] == ["SpanViolation"]
 
     def test_disjoint_resources_never_flagged(self):
@@ -364,7 +370,7 @@ class SpanClient {
 }
 """)])
         unit, m = unit_method(prog, "SpanClient", "hold")
-        assert check_spans(prog, unit, m) == []
+        assert walk_violations(prog, unit, m, "E-SPAN") == []
 
 
 class TestSubprotocol:
@@ -395,12 +401,12 @@ class SocketAddress { SocketAddress(); }
 
     def test_identical_protocols(self):
         prog, proto = self.socket_machine(self.BASE)
-        machine = prog.protocol_transitions(proto)
+        machine = class_protocol_machine(prog, proto.owner, proto)
         assert is_subprotocol(machine, machine)
 
     def test_removed_transition(self):
         prog, proto = self.socket_machine(self.BASE)
-        full = prog.protocol_transitions(proto)
+        full = class_protocol_machine(prog, proto.owner, proto)
         reduced = frozenset(t for t in full if t != ("bound", "open"))
         assert not is_subprotocol(reduced, full)
         assert self.brute_force_inclusion(reduced, full) == is_subprotocol(reduced, full)
@@ -415,8 +421,8 @@ class Socket {
 """, 1)
         prog_sub, proto_sub = self.socket_machine(extended)
         prog_sup, proto_sup = self.socket_machine(self.BASE)
-        sub = prog_sub.protocol_transitions(proto_sub)
-        sup = prog_sup.protocol_transitions(proto_sup)
+        sub = class_protocol_machine(prog_sub, proto_sub.owner, proto_sub)
+        sup = class_protocol_machine(prog_sup, proto_sup.owner, proto_sup)
         assert is_subprotocol(sub, sup)
         assert self.brute_force_inclusion(sub, sup)
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from poplar.model import (
-    ARG_FLOW, LabelAtom, StateAtom, UniquenessKind, any_target, can_flow,
+    ARG_FLOW, AddLabel, Conjunct, Invariant, LabelAtom, MutationTarget, NameExpr,
+    Pos, StateAtom, ThisExpr, Transition, UniquenessKind, any_target, can_flow,
     can_override_arg, can_override_return, flow_consumes, this_target,
     var_target,
 )
@@ -13,6 +14,15 @@ from poplar.model import (
 from conftest import SOCKET, SWING, TD14, load
 
 K = UniquenessKind
+
+
+def closure(prog, targets, this_type, var_types):
+    """Upward closure: every target plus all its ancestors to the root."""
+    out = set()
+    for t in targets:
+        root_type = prog.target_root_type(t, this_type, var_types)
+        out.update([t] if root_type is None else prog.target_ancestors(t, root_type))
+    return frozenset(out)
 
 
 class TestArgumentFlow:
@@ -135,16 +145,16 @@ class TestTargets:
             for m in unit.methods:
                 targets = prog.effective_summary(m)
                 var_types = {a.name: a.type for a in m.args}
-                once = prog.summary_closure(targets, cname, var_types)
-                twice = prog.summary_closure(once, cname, var_types)
+                once = closure(prog, targets, cname, var_types)
+                twice = closure(prog, once, cname, var_types)
                 assert once == twice
 
     @given(st.lists(st.sampled_from(["connState", "data"]), max_size=2))
     def test_closure_idempotent_generated(self, path):
         prog = load(SOCKET)
         targets = frozenset({this_target(tuple(path))})
-        once = prog.summary_closure(targets, "Socket", {})
-        assert once == prog.summary_closure(once, "Socket", {})
+        once = closure(prog, targets, "Socket", {})
+        assert once == closure(prog, once, "Socket", {})
 
 
 class TestGoals:
@@ -192,3 +202,50 @@ class UsesLeft implements Left {
         right = prog.normalize_goal("Right.mark", "int", "UsesLeft")
         assert left != right
         assert left == LabelAtom("Left", "mark")
+
+
+class TestValueSemantics:
+    """The model's value classes compare and hash as their field tuples and
+    cannot change; its syntax records compare their fields, not their
+    positions, and have no hash."""
+
+    def test_atom_repr_is_pinned(self):
+        # `effects.check_override` orders its diagnostics by this text.
+        assert repr(LabelAtom("T", "x")) == "LabelAtom(owner='T', name='x')"
+        assert repr(StateAtom("T", "p", "s")) == \
+            "StateAtom(owner='T', protocol='p', state='s')"
+
+    @pytest.mark.parametrize("cls,fields,change", [
+        (LabelAtom, {"owner": "T", "name": "x"}, {"name": "y"}),
+        (StateAtom, {"owner": "T", "protocol": "p", "state": "s"}, {"state": "t"}),
+        (Invariant, {"atom": LabelAtom("T", "x")}, {"atom": LabelAtom("T", "y")}),
+        (AddLabel, {"atom": LabelAtom("T", "x"), "residence": (("r",),)},
+         {"residence": ()}),
+        (Transition, {"owner": "T", "protocol": "p", "source": "a", "target": "b",
+                      "residence": (("r",),)}, {"source": "b"}),
+        (Conjunct, {"subject": "this", "conditions": (Invariant(LabelAtom("T", "x")),)},
+         {"subject": "result"}),
+        (MutationTarget, {"root_kind": "this", "root_name": "", "path": ("r", "q")},
+         {"path": ("r",)}),
+    ], ids=lambda x: x.__name__ if isinstance(x, type) else "")
+    def test_frozen_value_is_its_field_tuple(self, cls, fields, change):
+        a, b = cls(**fields), cls(**fields)
+        assert a == b and not a != b
+        assert hash(a) == hash(b) == hash(tuple(fields.values()))
+        assert a.__eq__(tuple(fields.values())) is NotImplemented
+        assert a != cls(**{**fields, **change})
+        name = next(iter(fields))
+        with pytest.raises(AttributeError):
+            setattr(a, name, fields[name])
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert getattr(a, name) == fields[name]
+
+    def test_syntax_record_compares_fields_not_positions(self):
+        assert NameExpr("x", Pos(1, 2)) == NameExpr("x", Pos(3, 4))
+        assert NameExpr("x") != NameExpr("y")
+        assert NameExpr("x").__eq__(ThisExpr()) is NotImplemented
+        assert Pos(1, 2) == Pos(1, 2) != Pos(1, 3)
+        for record in (Pos(1, 2), NameExpr("x"), ThisExpr()):
+            with pytest.raises(TypeError):
+                hash(record)

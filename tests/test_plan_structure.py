@@ -2,14 +2,12 @@
 never changes its parent, the ordering map answers as the orderings do,
 and the action index's subtype test and producer lists are the Program's."""
 
-from dataclasses import fields
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from poplar.planner import ActionIndex, Plan, PlanFailure, Planner
 
-from conftest import CORPUS, all_query_contexts, load, load_raw
+from conftest import CORPUS, all_query_contexts, load, load_raw, stored
 from test_search_counters import CONFIGS, TREES
 
 QUERY_TREES = {
@@ -24,11 +22,8 @@ def snapshot(plan):
     """Every field of every action and object, and the plan's orderings,
     links, open conditions and counters. The ordering map's copy on clone
     is checked by the property test below."""
-    def values(x):
-        return tuple(getattr(x, f.name) for f in fields(x))
-
-    return ({aid: values(a) for aid, a in plan.actions.items()},
-            {oid: values(o) for oid, o in plan.objects.items()},
+    return ({aid: stored(a) for aid, a in plan.actions.items()},
+            {oid: stored(o) for oid, o in plan.objects.items()},
             set(plan.orderings), list(plan.links),
             list(plan.open_conds), plan.next_oid, plan.next_aid, plan.goal_oid)
 

@@ -7,17 +7,17 @@ import pytest
 
 import oracle
 from poplar.config import SearchConfig
-from poplar.effects import check_spans, query_contexts
+from poplar.effects import query_contexts
 from poplar.model import StateAtom, UniquenessKind
 from poplar.planner import (
     NoSolution, Planner, WithUnsatisfiable,
-    candidate_actions, can_substitute, detect_stagnation, plan_query,
+    can_substitute, detect_stagnation, plan_query,
     render_dot, render_plan, useful,
 )
 
 from conftest import (
     RECORDSET, SOCKET, SWING_QUERY, TD14, TD15, TD_BOTH, all_query_contexts,
-    load, query_in,
+    load, query_in, walk_violations,
 )
 
 K = UniquenessKind
@@ -198,6 +198,14 @@ class Wisher {
         expected = oracle.solve(prog, ctx, max_len=6)
         res = plan_query(prog, ctx, SearchConfig(max_plan_length=6))
         assert expected is not None and res.action_count() == expected[0] == 5
+
+
+def candidate_actions(program, ctx, cfg):
+    """Ranked achievers for a query's goal condition against a fresh plan."""
+    planner = Planner(program, ctx, cfg)
+    plan = planner.initial_plan()
+    cond, consumer = plan.open_conds[0]
+    return planner._candidates(plan, cond, consumer, cfg.max_plan_length)
 
 
 class TestHeuristics:
@@ -652,7 +660,7 @@ def test_span_rule_agrees_for_handwritten_and_generated(field, a, b, alias,
         return prog, unit, unit.methods[0]
 
     prog, unit, m = method(f"{subject}.touch();")
-    handwritten_hit = [v.code for v in check_spans(prog, unit, m)] == ["E-SPAN"]
+    handwritten_hit = [v.code for v in walk_violations(prog, unit, m, "E-SPAN")] == ["E-SPAN"]
     query = f"#transform({subject}, touched);"
     prog, unit, m = method(query)
     try:
@@ -684,7 +692,7 @@ def test_local_alias_of_a_unique_value_is_the_protected_object(alias, hit):
         return prog, unit, unit.methods[0]
 
     prog, unit, m = method("c.touch();")
-    assert [v.code for v in check_spans(prog, unit, m)] == (["E-SPAN"] if hit else [])
+    assert [v.code for v in walk_violations(prog, unit, m, "E-SPAN")] == (["E-SPAN"] if hit else [])
     for guard, refused in (("protect a.content", hit), ("", False)):
         prog, unit, m = method("#transform(c, touched);", guard)
         try:

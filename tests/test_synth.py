@@ -6,7 +6,7 @@ import pytest
 
 from poplar import printer, synth
 from poplar.config import SearchConfig
-from poplar.effects import check_program, infer_summary, query_contexts
+from poplar.effects import check_program, query_contexts
 from poplar.model import VarDeclStmt
 from poplar.parser import parse_unit
 from poplar.planner import plan_query
@@ -14,7 +14,7 @@ from poplar.resolver import load_program
 
 from conftest import (
     RECORDSET, SOCKET, SWING_QUERY, TD14, TD15, TD_BOTH, corpus_sources,
-    load, query_in,
+    inferred_summary, load, query_in,
 )
 
 
@@ -451,8 +451,8 @@ def test_plan_mutations_are_named_as_the_checker_names_them(tree, policy):
         ctx = sol.result.ctx
         unit = prog.units[ctx.unit]
         index = next(i for i, m in enumerate(unit.methods) if m is ctx.method)
-        inferred = infer_summary(spliced, spliced.units[ctx.unit],
-                                 spliced.units[ctx.unit].methods[index])
+        inferred = inferred_summary(spliced, spliced.units[ctx.unit],
+                                    spliced.units[ctx.unit].methods[index])
         assert sol.result.solution_targets <= inferred, (
             sorted(t.text() for t in sol.result.solution_targets),
             sorted(t.text() for t in inferred))
