@@ -417,11 +417,16 @@ class BodyAnalyzer:
                           "assignment target is neither a local nor a field", s.pos)
             return
         self._check_store(fld, s.value, value, s.pos)
+        self._store_field(fld, target, value, s.pos)
+
+    def _store_field(self, fld: FieldDecl, target: Expr, value: Optional[ValueState],
+                     pos: Pos) -> None:
+        """What a store into `fld` does besides its kind check."""
         # Assigning a managed field is a mutation of the field itself; its
         # owning resource covers it. Unmanaged fields stay invisible.
         if fld.managed:
             t = this_target((fld.name,))
-            self._check_spans(t, s.pos)
+            self._check_spans(t, pos)
             self.inferred.add(t)
         if isinstance(target, NameExpr) or (isinstance(target, FieldAccessExpr)
                                             and isinstance(target.receiver, ThisExpr)):
@@ -511,18 +516,34 @@ class BodyAnalyzer:
         residence: tuple[ResourcePath, ...] = ()
         if goal is not None:
             residence = goal_residence(self.program, goal)
+        local = self.values.get(s.var) if s.var is not None else None
         if query.kind == "produce" and s.type is None and s.var is not None \
-                and s.var not in self.values \
-                and self.program.find_field(self.unit.name, s.var) is None:
-            # The spliced `x = v;` would be refused here, so the site is.
-            self._violate(E_UNIQ, "IllegalFlow",
-                          "assignment target is neither a local nor a field", pos)
-            ctx.error = self.violations[-1]
+                and (local is None or local.is_field):
+            # The spliced `x = v;` stores into a field or is refused here, so
+            # the site does the same. A produced value is fresh, as a `new`
+            # is, so the field's kind takes it; a managed field's store must
+            # be in the summary, and the site is refused where it is not.
+            fld = self.program.find_field(self.unit.name, s.var)
+            narrow = [] if fld is None or not fld.managed else _summary_too_narrow(
+                self.program, self.unit.name, self.method,
+                frozenset({this_target((fld.name,))}), pos)
+            if fld is None:
+                self._violate(E_UNIQ, "IllegalFlow",
+                              "assignment target is neither a local nor a field", pos)
+                ctx.error = self.violations[-1]
+            elif narrow:
+                self.violations.extend(narrow)
+                ctx.error = narrow[0]
+            else:
+                value = ValueState(s.var, fld.type, fresh=True)
+                if goal is not None:
+                    value.labels.add(goal)
+                    value.residence[goal] = residence
+                self._store_field(fld, NameExpr(s.var, pos), value, pos)
             holder = s.var
         elif query.kind == "produce" and s.var is not None:
             # `x = #produce(...)` rebinds an existing local at its own type.
-            existing = self.values.get(s.var)
-            result_type = s.type or (existing.type if existing else "Object")
+            result_type = s.type or (local.type if local else "Object")
             st = self._bind_local(s.var, result_type, None, pos)
             st.fresh = True
             st.kind = KIND.NORMAL  # a plain declaration site carries no kind
@@ -850,13 +871,14 @@ def analyze_method(program: Program, unit: ClassModel, method: MethodSpec) -> Me
 
 
 def _summary_too_narrow(program: Program, unit: str, method: MethodSpec,
-                        inferred: frozenset[MutationTarget]) -> list[Violation]:
-    """One violation per inferred mutation the declared summary misses."""
+                        inferred: frozenset[MutationTarget], pos: Pos) -> list[Violation]:
+    """One violation at `pos` per inferred mutation the declared summary
+    misses."""
     declared = program.effective_summary(method)
     var_types = {a.name: a.type for a in method.args}
     return [Violation(E_SUM, "SummaryTooNarrow",
                       f"'{unit}.{method.name}' mutates '{t.text()}' "
-                      f"but does not declare it", method.pos, unit)
+                      f"but does not declare it", pos, unit)
             for t in program.summary_covers(declared, inferred,
                                             unit, var_types)]
 
@@ -1139,5 +1161,5 @@ def check_program(program: Program) -> list[Violation]:
                 continue
             analysis = analyze_method(program, unit, m)
             out.extend(analysis.violations)
-            out.extend(_summary_too_narrow(program, cname, m, analysis.inferred))
+            out.extend(_summary_too_narrow(program, cname, m, analysis.inferred, m.pos))
     return out

@@ -2,9 +2,11 @@
 
 One compiled pattern finds each token together with the whitespace and
 comments in front of it, so a doc comment costs one match. Line and column
-come from newline offsets. The ASCII cases have their own alternatives; any
-other text falls to `_irregular`, which applies the character-class rules
-with `str.isdigit`/`isalpha` exactly.
+come from newline offsets. A token keeps them as two plain ints, and its
+`pos` builds a `Pos` only when read, so a token whose position no node or
+diagnostic keeps never builds one. The ASCII cases have their own
+alternatives; any other text falls to `_irregular`, which applies the
+character-class rules with `str.isdigit`/`isalpha` exactly.
 """
 
 from __future__ import annotations
@@ -53,15 +55,23 @@ class LexError(Exception):
 
 
 class Token:
-    """One token; a file has thousands, so it has slots."""
+    """One token; a file has thousands, so it has slots. It keeps its line
+    and column as two ints, and `pos` builds a `Pos` from them on each read:
+    the parser reads it only for a position that a node or a diagnostic
+    keeps."""
 
-    __slots__ = ("kind", "text", "pos")
+    __slots__ = ("kind", "text", "line", "col")
 
     def __init__(self, kind: str,  # "ident" | "keyword" | "int" | "string" | punctuation | "eof"
-                 text: str, pos: Pos):
+                 text: str, line: int, col: int):
         self.kind = kind
         self.text = text
-        self.pos = pos
+        self.line = line
+        self.col = col
+
+    @property
+    def pos(self) -> Pos:
+        return Pos(self.line, self.col)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -74,46 +84,47 @@ def tokenize(text: str) -> list[Token]:
     while True:
         m = match(text, i)
         kind = m.lastgroup
-        start = m.start(kind)
+        start, end = m.span(kind)
         if start != i:
             newlines = count("\n", i, start)
             if newlines:
                 line += newlines
                 line_start = text.rindex("\n", i, start) + 1
-        i = m.end()
+        i = end
         if kind == "ident":
-            word = m.group(kind)
+            word = text[start:end]
             append(Token("keyword" if word in KEYWORDS else "ident", word,
-                         Pos(line, start - line_start + 1)))
+                         line, start - line_start + 1))
         elif kind == "punct":
-            p = m.group(kind)
-            append(Token(p, p, Pos(line, start - line_start + 1)))
+            p = text[start:end]
+            append(Token(p, p, line, start - line_start + 1))
         elif kind == "string":
-            body = m.group(kind)
+            body = text[start:end]
+            i += 1  # the closing quote
             if "\\" in body:
                 body = _ESCAPE.sub(lambda e: _ESCAPES.get(e.group(1), e.group(1)), body)
-            append(Token("string", body, Pos(line, start - line_start)))
+            append(Token("string", body, line, start - line_start))
         elif kind == "int":
-            append(Token("int", m.group(kind), Pos(line, start - line_start + 1)))
+            append(Token("int", text[start:end], line, start - line_start + 1))
         elif kind == "eof":
             lc = m.start("lc")
             if lc >= 0 and text.find("\n", lc) < 0:
                 start = lc  # a trailing line comment leaves the column at its start
-            append(Token("eof", "", Pos(line, start - line_start + 1)))
+            append(Token("eof", "", line, start - line_start + 1))
             return tokens
         else:
-            token, i = _irregular(text, start, Pos(line, start - line_start + 1))
+            token, i = _irregular(text, start, line, start - line_start + 1)
             append(token)
 
 
-def _irregular(text: str, i: int, pos: Pos) -> tuple[Token, int]:
+def _irregular(text: str, i: int, line: int, col: int) -> tuple[Token, int]:
     """The token at `i` that no ASCII alternative matched, and its end."""
     c = text[i]
     if c.isdigit():
         j = i + 1
         while j < len(text) and text[j].isdigit():
             j += 1
-        return Token("int", text[i:j], pos), j
+        return Token("int", text[i:j], line, col), j
     if c.isalpha():
         j = i + 1
         while j < len(text) and (text[j].isalnum() or text[j] == "_"):
@@ -121,7 +132,8 @@ def _irregular(text: str, i: int, pos: Pos) -> tuple[Token, int]:
         if text.startswith("[]", j):
             j += 2
         word = text[i:j]
-        return Token("keyword" if word in KEYWORDS else "ident", word, pos), j
+        return Token("keyword" if word in KEYWORDS else "ident", word, line, col), j
+    pos = Pos(line, col)
     if c == '"':
         raise LexError("unterminated string literal", pos)
     if text.startswith("/*", i):

@@ -43,7 +43,7 @@ class Record:
 
 
 class Pos(Record):
-    """A 1-based source position. One is built per token, so it has slots;
+    """A 1-based source position. Every node keeps one, so it has slots;
     it is immutable by convention, like the rest of the model."""
 
     __slots__ = ("line", "col")
@@ -751,6 +751,9 @@ class Program:
         # Atom -> residence of the corpus effects that achieve it, built on the
         # first query once resolution has ended (`effects.goal_residence`).
         self.goal_residences: Optional[dict] = None
+        # Label name -> the units that declare it, in unit order, built on
+        # first use once every unit is registered (`label_decl_sites`).
+        self.label_sites: Optional[dict[str, tuple[str, ...]]] = None
         # id(method) -> the one walk of its body (`effects.analyze_method`),
         # filled on first use once resolution has ended.
         self.analyses: dict = {}
@@ -999,13 +1002,14 @@ class Program:
 
     def label_decl_sites(self, name: str) -> list[LabelAtom]:
         """Every declaration site of a label called `name` in the program."""
-        out = []
-        for tname in sorted(self.units):
-            u = self.units[tname]
-            for ld in u.labels:
-                if name in ld.names:
-                    out.append(LabelAtom(tname, name))
-        return out
+        if self.label_sites is None:
+            table: dict[str, tuple[str, ...]] = {}
+            for tname in sorted(self.units):
+                for ld in self.units[tname].labels:
+                    for n in set(ld.names):
+                        table[n] = table.get(n, ()) + (tname,)
+            self.label_sites = table
+        return [LabelAtom(owner, name) for owner in self.label_sites.get(name, ())]
 
     def resolve_label(self, name: str, scope_type: Optional[str]) -> list[LabelAtom]:
         """Label candidates for `name`, preferring the scope's own

@@ -5,6 +5,12 @@ forms. Names inside annotations stay textual here (see `MethodSpec`); the
 resolver binds them in place against the merged declaration set. The
 parser is total per file: the first error aborts the file with a
 positioned SyntaxIssue.
+
+The parser reads its tokens by plain index: the list ends in three `eof`s,
+so a lookahead of up to two never needs a bound. A token carries its line
+and column as ints, and `Token.pos` builds a `Pos` from them on each read;
+the parser reads it once for each position that a node or a SyntaxIssue
+keeps.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ UNIQUENESS_KEYWORDS = {
     "unique": UniquenessKind.UNIQUE,
     "uniquer": UniquenessKind.UNIQUE_RETAINS,
 }
+
+# The keywords that may start a field or a method.
+MEMBER_MODIFIERS = frozenset({"static", "final", "abstract", "managed", *UNIQUENESS_KEYWORDS})
 
 
 class SyntaxIssue(Exception):
@@ -88,47 +97,57 @@ class RawTarget(Record):
 class Parser:
     def __init__(self, text: str):
         try:
-            self.tokens = tokenize(text)
+            tokens = tokenize(text)
         except LexError as e:
             raise SyntaxIssue(e.message, e.pos) from e
+        # Two more copies of the `eof` let `peek(2)` index without a bound:
+        # `next` never moves past the first `eof`, and no caller asks
+        # `accept` or `expect` for one.
+        tokens += tokens[-1:] * 2
+        self.tokens = tokens
         self.i = 0
         self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.i + ahead]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.tokens[self.i]
         if t.kind != "eof":
             self.i += 1
         return t
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        t = self.peek()
+        t = self.tokens[self.i]
         return t.kind == kind and (text is None or t.text == text)
 
     def at_keyword(self, word: str) -> bool:
-        return self.at("keyword", word)
+        t = self.tokens[self.i]
+        return t.kind == "keyword" and t.text == word
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        t = self.peek()
+        t = self.tokens[self.i]
         if t.kind != kind or (text is not None and t.text != text):
             want = text or kind
             got = t.text or t.kind
             raise SyntaxIssue(f"expected '{want}', found '{got}'", t.pos)
-        return self.next()
+        self.i += 1
+        return t
 
     def expect_ident(self) -> Token:
-        t = self.peek()
+        t = self.tokens[self.i]
         if t.kind != "ident":
             raise SyntaxIssue(f"expected identifier, found '{t.text or t.kind}'", t.pos)
-        return self.next()
+        self.i += 1
+        return t
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, text):
-            return self.next()
+        t = self.tokens[self.i]
+        if t.kind == kind and (text is None or t.text == text):
+            self.i += 1
+            return t
         return None
 
     def int_value(self, t: Token) -> int:
@@ -186,32 +205,25 @@ class Parser:
     # -- members ---------------------------------------------------------------
 
     def parse_member(self, decl: ClassModel) -> None:
-        t = self.peek()
-        if self.at_keyword("labels"):
+        t = self.tokens[self.i]
+        if t.kind != "keyword" or t.text in MEMBER_MODIFIERS:
+            self.parse_field_or_method(decl)
+        elif t.text == "labels":
             pos, carriers, names = self.parse_carried_names()
             decl.labels.append(LabelDecl(decl.name, carriers, names, pos))
-            return
-        if self.at_keyword("protocols"):
+        elif t.text == "protocols":
             pos, carriers, names = self.parse_carried_names()
             decl.protocols.extend(ProtocolDecl(decl.name, carriers, n, (), pos) for n in names)
-            return
-        if self.at_keyword("resources"):
+        elif t.text == "resources":
             decl.resources += self.parse_resources()
-            return
-        if self.at_keyword("external"):
+        elif t.text == "external":
             decl.externals.append(self.parse_external(decl.name))
-            return
-        if self.at_keyword("precedence"):
+        elif t.text == "precedence":
             self.next()
             decl.precedence = self.int_value(self.expect("int"))
             self.expect(";")
-            return
-        if t.kind == "keyword" and t.text not in (
-            "static", "final", "abstract", "managed", *UNIQUENESS_KEYWORDS,
-        ):
+        else:
             raise SyntaxIssue(f"unknown annotation keyword '{t.text}'", t.pos)
-        self.parse_field_or_method(decl)
-        return
 
     def parse_carried_names(self) -> tuple[Pos, tuple[str, ...], tuple[str, ...]]:
         """A `labels` or `protocols` line: the keyword's position, the

@@ -6,6 +6,10 @@ from poplar.lexer import KEYWORDS, PUNCT, LexError, Token
 from poplar.model import Pos
 
 
+def token(kind: str, text: str, pos: Pos) -> Token:
+    return Token(kind, text, pos.line, pos.col)
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     i = 0
@@ -70,14 +74,14 @@ def tokenize(text: str) -> list[Token]:
                 raise LexError("unterminated string literal", start)
             i += 1
             col += 1
-            tokens.append(Token("string", "".join(out), start))
+            tokens.append(token("string", "".join(out), start))
             continue
         if c.isdigit():
             start = pos()
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(Token("int", text[i:j], start))
+            tokens.append(token("int", text[i:j], start))
             col += j - i
             i = j
             continue
@@ -95,7 +99,7 @@ def tokenize(text: str) -> list[Token]:
                 i += 2
                 col += 2
             kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, start))
+            tokens.append(token(kind, word, start))
             continue
         matched = None
         for p in PUNCT:
@@ -104,8 +108,8 @@ def tokenize(text: str) -> list[Token]:
                 break
         if matched is None:
             raise LexError(f"unexpected character {c!r}", pos())
-        tokens.append(Token(matched, matched, pos()))
+        tokens.append(token(matched, matched, pos()))
         i += len(matched)
         col += len(matched)
-    tokens.append(Token("eof", "", pos()))
+    tokens.append(token("eof", "", pos()))
     return tokens

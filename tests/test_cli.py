@@ -586,6 +586,36 @@ def test_query_assigned_to_an_undeclared_name_is_refused_as_its_splice_is(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["check", "synth"])
+def test_query_assigned_to_a_managed_field_needs_it_in_the_summary(
+        tmp_path, capsys, command):
+    """`s = #produce(Sock, ready);` on a managed field `s` stores into the
+    field, as the spliced `s = new Sock();` does; with no `mutates this.s`
+    that store is refused, at the query, and `synth` writes nothing."""
+    path = c("query_sites", "managed_field.pop")
+    extra = ["--out", str(tmp_path)] if command == "synth" else []
+    code, out, err = run([command, path, *extra], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        f"{path}:13:9: error: E-SUM: SummaryTooNarrow: 'Server.start' mutates "
+        f"'this.s' but does not declare it"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_query_assigned_to_a_declared_managed_field_checks_and_synthesizes(
+        tmp_path, capsys):
+    path = c("query_sites", "managed_field_declared.pop")
+    assert run(["check", path], capsys) == (0, "", "")
+    out_dir = tmp_path / "out"
+    code, _, err = run(["synth", path, "--out", str(out_dir)], capsys)
+    assert (code, err) == (0, "")
+    assert "        s = new Sock();\n" in (out_dir / "managed_field_declared.pop").read_text()
+    assert run(["check", str(out_dir)], capsys) == (0, "", "")
+    hand = tmp_path / "hand.pop"
+    hand.write_text(Path(path).read_text().replace("#produce(Sock, ready)", "new Sock()"))
+    assert run(["check", str(hand)], capsys) == (0, "", "")
+
+
 @pytest.mark.parametrize("flags", [["--budget", "0"], ["--max-len", "0"],
                                    ["--precedence", "Calendar"]],
                          ids=["budget", "max-len", "precedence"])

@@ -1,11 +1,16 @@
 """Lexer, parser, resolver and external-overlay behavior."""
 
+import hashlib
+import sys
 from enum import Enum
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poplar import parser as P
 from poplar import printer
+from poplar.lexer import tokenize
 from poplar.model import (
     AddLabel, Conjunct, Invariant, LabelAtom, MutationTarget, StateAtom,
     Transition, UniquenessKind,
@@ -16,6 +21,10 @@ from conftest import (
     CORPUS, SOCKET, SWING, SWING_QUERY, TD14, TD15, corpus_sources, load,
     load_raw, stored,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import gen  # noqa: E402
 
 
 def method(prog, cls, name):
@@ -479,3 +488,68 @@ def test_protocol_states_follow_first_use_across_units():
         ("Lock", "life"): ("idle", "armed"),
         ("Lock", "bolt"): ("free", "jammed", "set"),
     }
+
+
+
+CORPUS_TEXTS = [(str(f.relative_to(CORPUS)), f.read_text(encoding="utf-8"))
+                for f in sorted(CORPUS.rglob("*.pop"))]
+
+# sha256 of every parse below, positions included: the model the front end
+# builds from the corpus and from two generated benchmark trees, and the
+# error (or model) from each corpus file cut at seven points.
+PARSE_GOLDEN = "5edcf545fb3d0381a6843a98e70ef463300edef7800fdebf4c67f8df08c590d1"
+
+
+def parse_outcome(text):
+    """The field tree of `text`'s declarations, or its SyntaxIssue."""
+    try:
+        return field_tree(P.parse_unit(text))
+    except P.SyntaxIssue as e:
+        return "SyntaxIssue", e.message, e.pos.line, e.pos.col
+
+
+def test_parse_of_corpus_and_generated_trees_is_golden():
+    sources = CORPUS_TEXTS + [(f"{name}[:{len(text) * k // 8}]", text[:len(text) * k // 8])
+                              for name, text in CORPUS_TEXTS for k in range(1, 8)]
+    for work in (gen.wide_tree(1), gen.deep_queries(1)):
+        sources += [(f"{work.name}/{name}", work.files[name]) for name in sorted(work.files)]
+    digest = hashlib.sha256()
+    for name, text in sources:
+        digest.update(repr((name, parse_outcome(text))).encode())
+    assert digest.hexdigest() == PARSE_GOLDEN
+
+
+def token_starts(text):
+    """The offset of each token of `text`, its `eof` last."""
+    line_starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+    return [line_starts[t.pos.line - 1] + t.pos.col - 1 for t in tokenize(text)]
+
+
+@st.composite
+def edited_corpus_file(draw):
+    """A corpus file cut at a token boundary, or with one token deleted or
+    duplicated (with the space or comment after it)."""
+    name, text = draw(st.sampled_from(CORPUS_TEXTS))
+    starts = token_starts(text)
+    i = draw(st.integers(0, len(starts) - 1))
+    edit = draw(st.sampled_from(["cut", "delete", "duplicate"]))
+    if edit == "cut" or i == len(starts) - 1:
+        return name, text[:starts[i]]
+    start, end = starts[i], starts[i + 1]
+    if edit == "delete":
+        return name, text[:start] + " " + text[end:]
+    return name, text[:end] + text[start:end] + text[end:]
+
+
+@settings(max_examples=250, deadline=None)
+@given(edited_corpus_file())
+def test_cut_or_edited_input_loads_or_is_a_positioned_syntax_error(edit):
+    """Whatever the edit leaves, the front end ends in a model or in
+    positioned diagnostics, never in an exception: a parser that looks
+    past the `eof` would raise here."""
+    name, text = edit
+    program = load_program([(name, text)])
+    lines = text.count("\n") + 1
+    for d in program.diagnostics.items:
+        assert d.path == name
+        assert 1 <= d.line <= lines and d.col >= 1, d.render()
