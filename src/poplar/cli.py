@@ -35,6 +35,8 @@ def _read_source(path: Path) -> tuple[str, str]:
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: not UTF-8: byte 0x{e.object[e.start]:02x} "
                          f"at offset {e.start} ({e.reason})") from None
+    except OSError as e:
+        raise ValueError(f"{path}: cannot read: {e.strerror}") from None
 
 
 def _collect_sources(paths: list[str]) -> list[tuple[str, str]]:
@@ -42,7 +44,7 @@ def _collect_sources(paths: list[str]) -> list[tuple[str, str]]:
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            sources.extend(_read_source(f) for f in sorted(p.rglob("*.pop")))
+            sources.extend(_read_source(f) for f in sorted(p.rglob("*.pop")) if f.is_file())
         elif p.is_file():
             sources.append(_read_source(p))
         else:
@@ -103,6 +105,18 @@ def cmd_check(args) -> int:
 def _query_id(program: Program, ctx: QueryContext) -> str:
     path = program.unit_paths.get(ctx.unit, ctx.unit)
     return f"{path}:{ctx.pos.line}"
+
+
+def _id_matches(qid: str, wanted: str) -> bool:
+    """Whether `wanted` names the query `qid`: the whole id, or its line
+    with the trailing components of its path."""
+    if qid == wanted:
+        return True
+    path, _, line = qid.rpartition(":")
+    wanted_path, _, wanted_line = wanted.rpartition(":")
+    parts, wanted_parts = Path(path).parts, Path(wanted_path).parts
+    return bool(wanted_parts) and line == wanted_line and \
+        parts[len(parts) - len(wanted_parts):] == wanted_parts
 
 
 def _solve_tree(program: Program, cfg: SearchConfig):
@@ -206,19 +220,16 @@ def cmd_explain(args) -> int:
         print(program.diagnostics.render())
         return 1
     wanted = args.explain
-    target: Optional[QueryContext] = None
-    for unit, method, contexts in _all_query_contexts(program):
-        for ctx in contexts:
-            qid = _query_id(program, ctx)
-            if qid == wanted or qid.endswith(wanted) or \
-                    f"{Path(program.unit_paths.get(ctx.unit, '')).name}:{ctx.pos.line}" == wanted:
-                target = ctx
-                break
-        if target:
-            break
-    if target is None:
+    matches = [ctx for _, _, contexts in _all_query_contexts(program) for ctx in contexts
+               if _id_matches(_query_id(program, ctx), wanted)]
+    if not matches:
         print(f"no query matches id '{wanted}'", file=sys.stderr)
         return 2
+    if len(matches) > 1:
+        print(f"query id '{wanted}' matches {len(matches)} queries: " +
+              ", ".join(_query_id(program, ctx) for ctx in matches), file=sys.stderr)
+        return 2
+    target = matches[0]
     try:
         result = plan_query(program, target, cfg)
     except PlanFailure as e:

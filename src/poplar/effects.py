@@ -184,13 +184,8 @@ def _goal_residence_table(program: Program) -> dict[Atom, tuple[ResourcePath, ..
 def paths_comparable(program: Program, root_type: str, a: ResourcePath, b: ResourcePath) -> bool:
     """Whether two resource paths on the same object overlap (one is an
     ancestor-or-equal of the other in the unified tree)."""
-    ta = this_target(a)
-    tb = this_target(b)
-    a_up = {t.path for t in program.target_ancestors(ta, root_type)}
-    if tb.path in a_up:
-        return True
-    b_up = {t.path for t in program.target_ancestors(tb, root_type)}
-    return ta.path in b_up
+    return b in program.path_ancestors(root_type, a) or \
+        a in program.path_ancestors(root_type, b)
 
 
 def span_hits(program: Program, unit: str, values: dict[str, ValueState],
@@ -982,7 +977,7 @@ def check_override(program: Program, sub: MethodSpec, sup: MethodSpec) -> list[V
                               f"restriction it did not have above")
             continue
         for r in sub_res:
-            if not any(_path_within(program, subject_ty, r, sr) for sr in sup_res):
+            if not any(sr in program.path_ancestors(subject_ty, r) for sr in sup_res):
                 violate("B2", f"effect '{atom.text()}' resides in "
                               f"'{'.'.join(r)}', not within the declared resources")
 
@@ -1068,13 +1063,6 @@ def _subject_type(program: Program, m: MethodSpec, rename: dict[str, str],
     return arg.type if arg else m.declared_in
 
 
-def _path_within(program: Program, root_type: str, path: ResourcePath,
-                 outer: ResourcePath) -> bool:
-    """`path` equal to or below `outer` in the unified per-object tree."""
-    t = this_target(path)
-    return any(anc.path == outer for anc in program.target_ancestors(t, root_type))
-
-
 def _resource_owner(program: Program, class_name: str, path: ResourcePath) -> Optional[str]:
     """The type that declares the first segment of a resource path."""
     if not path:
@@ -1127,7 +1115,7 @@ def check_class_conformance(program: Program, unit: ClassModel) -> list[Violatio
     # B3: protocols visible above must stay subprotocols below.
     if sup_chain:
         seen: set[tuple[str, str]] = set()
-        for t in sup_chain + sorted(program.all_supertypes(unit.superclass or unit.name)):
+        for t in program.lookup_order(sup_chain[0]):
             u = program.units.get(t)
             if u is None:
                 continue

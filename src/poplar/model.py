@@ -621,6 +621,12 @@ class ResourceNode(Record):
         self.children = children
 
 
+def _tree_holds(nodes: tuple[ResourceNode, ...], path: ResourcePath) -> bool:
+    """Whether the declared resource trees `nodes` hold `path`."""
+    return any(n.name == path[0] and (len(path) == 1 or _tree_holds(n.children, path[1:]))
+               for n in nodes)
+
+
 class MethodSpec:
     """A method or constructor with its annotations; `body` is None when
     the declaration has none. From the parser until `Resolver.resolve`
@@ -739,7 +745,13 @@ class UnknownGoal(ModelError):
 
 
 class Program:
-    """The resolved units of a source tree, with caches filled on first use."""
+    """The resolved units of a source tree, with caches filled on first use.
+
+    Every hierarchy, member and resource-path question is answered here,
+    by one lookup per concept. The per-type facts it keeps are each
+    type's supertypes and its lookup order; members and resources are
+    read from the declaring units along that order, not copied into each
+    subtype."""
 
     def __init__(self, diagnostics: Optional[DiagnosticSink] = None):
         self.units: dict[str, ClassModel] = {}
@@ -757,6 +769,10 @@ class Program:
         # id(method) -> the one walk of its body (`effects.analyze_method`),
         # filled on first use once resolution has ended.
         self.analyses: dict = {}
+        # Type -> its supertypes and its lookup order, each built on first
+        # use once every unit is registered (`supertypes`, `lookup_order`).
+        self.supertype_sets: dict[str, frozenset[str]] = {}
+        self.lookup_orders: dict[str, tuple[str, ...]] = {}
 
     # -- type hierarchy -----------------------------------------------------
 
@@ -772,23 +788,38 @@ class Program:
             cur = u.superclass if u else None
         return chain
 
-    def all_supertypes(self, name: str) -> set[str]:
-        """Every reference supertype of `name`, including itself and Object."""
-        out: set[str] = set()
-        work = [name]
-        while work:
-            t = work.pop()
-            if t in out:
-                continue
-            out.add(t)
-            u = self.units.get(t)
-            if u is not None:
-                if u.superclass:
-                    work.append(u.superclass)
-                work.extend(u.interfaces)
-        if name not in PRIMITIVES:
-            out.add(OBJECT)
-        return out
+    def supertypes(self, name: str) -> frozenset[str]:
+        """Every reference supertype of `name`, itself and Object included
+        (a primitive's is itself alone)."""
+        sups = self.supertype_sets.get(name)
+        if sups is None:
+            out: set[str] = set()
+            work = [name]
+            while work:
+                t = work.pop()
+                if t in out:
+                    continue
+                out.add(t)
+                u = self.units.get(t)
+                if u is not None:
+                    if u.superclass:
+                        work.append(u.superclass)
+                    work.extend(u.interfaces)
+            if name not in PRIMITIVES:
+                out.add(OBJECT)
+            sups = self.supertype_sets[name] = frozenset(out)
+        return sups
+
+    def lookup_order(self, name: str) -> tuple[str, ...]:
+        """The order in which members, resources, labels and protocols are
+        looked up for `name`: its class chain, then its other supertypes
+        sorted."""
+        order = self.lookup_orders.get(name)
+        if order is None:
+            chain = self.supertype_chain(name)
+            order = self.lookup_orders[name] = \
+                tuple(chain + sorted(self.supertypes(name).difference(chain)))
+        return order
 
     def is_subtype(self, sub: str, sup: str) -> bool:
         if sub == sup:
@@ -797,7 +828,7 @@ class Program:
             return False
         if sub == "null":
             return True
-        return sup in self.all_supertypes(sub)
+        return sup in self.supertypes(sub)
 
     # -- members ------------------------------------------------------------
 
@@ -811,22 +842,28 @@ class Program:
                     return f
         return None
 
-    def find_method(self, type_name: str, method_name: str, argc: Optional[int] = None) -> Optional[MethodSpec]:
+    def find_method(self, type_name: str, method_name: str, argc: int) -> Optional[MethodSpec]:
+        """The method a call of `method_name` with `argc` arguments on a
+        `type_name` reaches: the most derived along the class chain, else
+        the first an interface declares, in lookup order."""
+        m = self._chain_method(type_name, method_name, argc)
+        if m is not None:
+            return m
+        for t in self.lookup_order(type_name):
+            u = self.units.get(t)
+            if u is not None and u.is_interface:
+                for m in u.methods:
+                    if m.name == method_name and len(m.args) == argc:
+                        return m
+        return None
+
+    def _chain_method(self, type_name: str, method_name: str, argc: int) -> Optional[MethodSpec]:
         for t in self.supertype_chain(type_name):
             u = self.units.get(t)
             if u is None:
                 continue
             for m in u.methods:
-                if m.name == method_name and not m.is_constructor:
-                    if argc is None or len(m.args) == argc:
-                        return m
-        # Interface-declared methods (abstract specs).
-        for t in sorted(self.all_supertypes(type_name)):
-            u = self.units.get(t)
-            if u is None or not u.is_interface:
-                continue
-            for m in u.methods:
-                if m.name == method_name and (argc is None or len(m.args) == argc):
+                if m.name == method_name and not m.is_constructor and len(m.args) == argc:
                     return m
         return None
 
@@ -842,21 +879,9 @@ class Program:
     def overridden_method(self, method: MethodSpec) -> Optional[MethodSpec]:
         """The nearest method this one overrides, if any."""
         u = self.units.get(method.declared_in)
-        if u is None or method.is_constructor:
+        if u is None or u.superclass is None or method.is_constructor:
             return None
-        start = u.superclass
-        if start is None:
-            candidates = []
-        else:
-            candidates = self.supertype_chain(start)
-        for t in candidates:
-            sup = self.units.get(t)
-            if sup is None:
-                continue
-            for m in sup.methods:
-                if m.name == method.name and len(m.args) == len(method.args) and not m.is_constructor:
-                    return m
-        return None
+        return self._chain_method(u.superclass, method.name, len(method.args))
 
     def effective_summary(self, method: MethodSpec) -> frozenset[MutationTarget]:
         """Declared summary, joined with the summaries of everything this
@@ -871,29 +896,6 @@ class Program:
         return frozenset(targets)
 
     # -- resources ------------------------------------------------------------
-
-    def resource_nodes(self, type_name: str) -> dict[ResourcePath, ResourceNode]:
-        """All declared resource paths of a type, including inherited ones."""
-        out: dict[ResourcePath, ResourceNode] = {}
-
-        def walk(prefix: ResourcePath, node: ResourceNode) -> None:
-            path = prefix + (node.name,)
-            out.setdefault(path, node)
-            for c in node.children:
-                walk(path, c)
-
-        for t in reversed(self.supertype_chain(type_name)):
-            u = self.units.get(t)
-            if u is None:
-                continue
-            for node in u.resources:
-                walk((), node)
-        for t in sorted(self.all_supertypes(type_name)):
-            u = self.units.get(t)
-            if u is not None and u.is_interface:
-                for node in u.resources:
-                    walk((), node)
-        return out
 
     def managed_fields(self, type_name: str) -> dict[str, FieldDecl]:
         out: dict[str, FieldDecl] = {}
@@ -911,13 +913,17 @@ class Program:
         possibly crossing managed fields into the field type's tree."""
         if not path:
             return True
-        nodes = self.resource_nodes(type_name)
-        if path in nodes:
-            return True
-        fields = self.managed_fields(type_name)
-        head = path[0]
-        if head in fields:
-            return self.resolve_resource_path(fields[head].type, path[1:])
+        # The trees of the class chain and of every interface: a path is
+        # declared when one of them holds it.
+        chain = self.supertype_chain(type_name)
+        for t in self.lookup_order(type_name):
+            u = self.units.get(t)
+            if u is not None and (u.is_interface or t in chain) \
+                    and _tree_holds(u.resources, path):
+                return True
+        fld = self.managed_fields(type_name).get(path[0])
+        if fld is not None:
+            return self.resolve_resource_path(fld.type, path[1:])
         # A resource path may extend below a declared resource only through
         # declaration, so anything else is unknown.
         return False
@@ -930,36 +936,25 @@ class Program:
             return target.root_name
         return var_types.get(target.root_name)
 
-    def target_parent(self, target: MutationTarget, root_type: str) -> Optional[MutationTarget]:
-        """One step up the unified per-object tree: resources step to their
-        declared parent, managed fields step to their owning resource."""
-        if not target.path:
-            return None
-        prefix = target.path[:-1]
-        last = target.path[-1]
-        # The class owning `last`: walk prefix through fields.
-        owner = root_type
-        for seg in prefix:
-            fields = self.managed_fields(owner)
-            if seg in fields:
-                owner = fields[seg].type
-        fields = self.managed_fields(owner)
-        fld = fields.get(last)
-        if fld is None:
-            fld = self.find_field(owner, last)
-        if fld is not None:
-            home = fld.managed_resource or ()
-            return target.with_path(prefix + tuple(home))
-        return target.with_path(prefix)
-
-    def target_ancestors(self, target: MutationTarget, root_type: str) -> Iterator[MutationTarget]:
-        """The target itself, then every ancestor up to the object root."""
+    def path_ancestors(self, root_type: str, path: ResourcePath) -> Iterator[ResourcePath]:
+        """`path`, then each ancestor up to the object root `()` in the
+        unified per-object tree of a `root_type`: a resource steps to its
+        declared parent, a managed field to its owning resource."""
         seen = set()
-        cur: Optional[MutationTarget] = target
-        while cur is not None and cur not in seen:
-            seen.add(cur)
-            yield cur
-            cur = self.target_parent(cur, root_type)
+        while path not in seen:
+            seen.add(path)
+            yield path
+            if not path:
+                return
+            prefix, last = path[:-1], path[-1]
+            # The type owning `last`: walk the prefix through managed fields.
+            owner = root_type
+            for seg in prefix:
+                fld = self.managed_fields(owner).get(seg)
+                if fld is not None:
+                    owner = fld.type
+            fld = self.managed_fields(owner).get(last) or self.find_field(owner, last)
+            path = prefix + tuple(fld.managed_resource or ()) if fld is not None else prefix
 
     def target_covers(self, declared: MutationTarget, t: MutationTarget,
                       this_type: str, var_types: dict[str, str]) -> bool:
@@ -978,10 +973,7 @@ class Program:
         else:
             if (t.root_kind, t.root_name) != (declared.root_kind, declared.root_name):
                 return False
-        for anc in self.target_ancestors(t, t_type):
-            if anc.path == declared.path:
-                return True
-        return False
+        return declared.path in self.path_ancestors(t_type, t.path)
 
     def summary_covers(self, declared: frozenset[MutationTarget],
                        inferred: frozenset[MutationTarget],
@@ -994,11 +986,6 @@ class Program:
         return missing
 
     # -- labels and protocols -------------------------------------------------
-
-    def visible_scopes(self, type_name: str) -> list[str]:
-        ordered = self.supertype_chain(type_name)
-        rest = sorted(self.all_supertypes(type_name) - set(ordered))
-        return ordered + rest
 
     def label_decl_sites(self, name: str) -> list[LabelAtom]:
         """Every declaration site of a label called `name` in the program."""
@@ -1018,7 +1005,7 @@ class Program:
             owner, simple = name.rsplit(".", 1)
             u = self.units.get(owner)
             if u is not None:
-                for t in self.visible_scopes(owner):
+                for t in self.lookup_order(owner):
                     tu = self.units.get(t)
                     if tu is None:
                         continue
@@ -1028,7 +1015,7 @@ class Program:
             return []
         if scope_type is not None:
             found = []
-            for t in self.visible_scopes(scope_type):
+            for t in self.lookup_order(scope_type):
                 u = self.units.get(t)
                 if u is None:
                     continue
@@ -1048,7 +1035,7 @@ class Program:
             return [p for p in u.protocols if p.name == simple]
         if scope_type is not None:
             found = []
-            for t in self.visible_scopes(scope_type):
+            for t in self.lookup_order(scope_type):
                 u = self.units.get(t)
                 if u is None:
                     continue

@@ -349,16 +349,16 @@ class SpecFacts(Frozen):
 
 class ActionIndex:
     """The action universe of one Program with everything the search reads
-    about it, computed once: per-spec facts, atom -> achievers, need type
-    -> producers, and each class's supertypes. Valid because a Program does
-    not change once resolution has ended."""
+    about it, computed once: per-spec facts, atom -> achievers and need type
+    -> producers. Valid because a Program does not change once resolution
+    has ended. Type facts (supertypes, lookup order) live on the Program,
+    and the search asks `Program.is_subtype`."""
 
     def __init__(self, program: Program):
         self.program = program
         self.universe = action_universe(program)
         self._facts: dict[ActionSpec, SpecFacts] = {}
         self.facts = self._facts.__getitem__  # spec -> its SpecFacts
-        self.supertypes = {t: frozenset(program.all_supertypes(t)) for t in program.units}
         # atom -> (spec, via) in universe order; per spec, "result" comes
         # before its subject effects, as in a scan of the universe.
         self.achievers: dict[Atom, list[tuple[ActionSpec, str]]] = {}
@@ -370,8 +370,7 @@ class ActionIndex:
             self._facts[spec] = f
             self.names |= f.names
             if f.result_type is not None:
-                rt = f.result_type
-                for t in self.supertypes.get(rt) or program.all_supertypes(rt):
+                for t in program.supertypes(f.result_type):
                     self.producers.setdefault(t, []).append(spec)
                 for atom in f.result_atom_set:
                     self.achievers.setdefault(atom, []).append((spec, "result"))
@@ -406,11 +405,6 @@ class ActionIndex:
                             {a.name for a in labels if hasattr(a, "name")}),
             slots={a.name: i for i, a in enumerate(m.args)} if m else {})
 
-    def is_subtype(self, sub: str, sup: str) -> bool:
-        """`Program.is_subtype`; a class's supertypes are a set lookup."""
-        sups = self.supertypes.get(sub)
-        return sup in sups if sups is not None else self.program.is_subtype(sub, sup)
-
 
 def can_substitute(program: Program, value_type: str, value_labels: set,
                    need_type: str, need_labels: set) -> bool:
@@ -419,25 +413,25 @@ def can_substitute(program: Program, value_type: str, value_labels: set,
     return program.is_subtype(value_type, need_type) and need_labels <= set(value_labels)
 
 
+# Uniqueness kinds from the weakest promise to the strongest.
+KIND_STRENGTH = {KIND.NORMAL: 0, KIND.MAINTAIN_RETAINS: 1, KIND.MAINTAIN: 2,
+                 KIND.UNIQUE_RETAINS: 3, KIND.UNIQUE: 4}
+
+
 def useful(candidate: tuple[str, frozenset, UniquenessKind, frozenset],
            existing: list[tuple[str, frozenset, UniquenessKind, frozenset]]) -> bool:
     """Whether a new value offers anything over the existing ones: a new
     type, a new type/label combination, a stronger uniqueness kind, or a
-    smaller/new residence set for some combination."""
+    residence set other than the combination's (a first, smaller or
+    different one)."""
     ctype, clabels, ckind, cres = candidate
     if not any(e[0] == ctype for e in existing):
         return True
-    strength = {KIND.NORMAL: 0, KIND.MAINTAIN_RETAINS: 1, KIND.MAINTAIN: 2,
-                KIND.UNIQUE_RETAINS: 3, KIND.UNIQUE: 4}
     for etype, elabels, ekind, eres in existing:
         if etype == ctype and clabels <= elabels:
-            if strength[ckind] > strength[ekind]:
+            if KIND_STRENGTH[ckind] > KIND_STRENGTH[ekind]:
                 return True  # stronger kind for an existing combination
-            if cres and (not eres or (set(cres) < set(eres))):
-                return True  # smaller or new residence set
-            if cres and eres and not set(cres) <= set(eres) and set(cres) != set(eres):
-                return True  # a different residence set is new information
-            return False
+            return bool(cres) and cres != eres
     return True  # new type/label combination
 
 
@@ -598,7 +592,7 @@ class Planner:
             f = facts(a.spec)
             # Reuse a value the plan already creates.
             if merge and a.result is not None and f.result_type is not None and \
-                    self.index.is_subtype(f.result_type, obj.need_type) and \
+                    self.program.is_subtype(f.result_type, obj.need_type) and \
                     (atom is None or atom in f.result_atom_set):
                 found.append(("merge", "", aid))
             # In-plan actions adding the atom to this very object.
@@ -668,16 +662,17 @@ class Planner:
                 return []
             return [(s, "result") for s in index.producers.get(obj.need_type, ())
                     if self._useful_result(s)]
+        is_subtype = self.program.is_subtype
         ways: list[tuple[ActionSpec, str]] = []
         for spec, via in index.achievers.get(atom, ()):
             f = index.facts(spec)
             if via == "result":
-                ok = not obj.bound and index.is_subtype(f.result_type, obj.need_type) \
+                ok = not obj.bound and is_subtype(f.result_type, obj.need_type) \
                     and self._useful_result(spec)
             elif via == "this" or via in f.slots:
                 formal = spec.method.declared_in if via == "this" else \
                     spec.method.args[f.slots[via]].type
-                ok = index.is_subtype(obj.type, formal) or index.is_subtype(formal, obj.type)
+                ok = is_subtype(obj.type, formal) or is_subtype(formal, obj.type)
             else:
                 ok = False
             if ok:
@@ -830,7 +825,7 @@ class Planner:
             if not m.is_constructor and not m.is_static:
                 if cand.via == "this":
                     recv_obj = p.objects[cond.oid]
-                    if self.index.is_subtype(m.declared_in, recv_obj.need_type):
+                    if self.program.is_subtype(m.declared_in, recv_obj.need_type):
                         recv_obj = p.edit(cond.oid)
                         recv_obj.need_type = m.declared_in
                 else:
@@ -840,7 +835,7 @@ class Planner:
             for a in m.args:
                 if cand.via == a.name:
                     obj = p.objects[cond.oid]
-                    if self.index.is_subtype(a.type, obj.need_type):
+                    if self.program.is_subtype(a.type, obj.need_type):
                         obj = p.edit(cond.oid)
                         obj.need_type = a.type
                     arg_objs.append(obj)
@@ -937,7 +932,7 @@ class Planner:
             if t.root_kind == "any":
                 if holder.fresh or holder.kind.unshared:
                     continue
-                if not self.index.is_subtype(holder.type, t.root_name):
+                if not self.program.is_subtype(holder.type, t.root_name):
                     continue
             elif toid != cond.oid:
                 tobj = p.objects.get(toid)
@@ -945,8 +940,8 @@ class Planner:
                     continue
                 if tobj.fresh or tobj.kind.unshared or holder.fresh or holder.kind.unshared:
                     continue
-                if not (self.index.is_subtype(tobj.type, holder.type)
-                        or self.index.is_subtype(holder.type, tobj.type)):
+                if not (self.program.is_subtype(tobj.type, holder.type)
+                        or self.program.is_subtype(holder.type, tobj.type)):
                     continue
             for res in link.residence:
                 if paths_comparable(self.program, holder.type, t.path, res):

@@ -55,8 +55,12 @@ class Resolver:
         return prog
 
     def _check_supertypes(self, path: str, unit: ClassModel) -> None:
-        if unit.superclass and unit.superclass not in self.program.units:
-            self.error(path, unit.pos, f"unknown superclass '{unit.superclass}'")
+        if unit.superclass:
+            sup = self.program.units.get(unit.superclass)
+            if sup is None:
+                self.error(path, unit.pos, f"unknown superclass '{unit.superclass}'")
+            elif sup.is_interface:
+                self.error(path, unit.pos, f"'{unit.superclass}' is not a class")
         for i in unit.interfaces:
             u = self.program.units.get(i)
             if u is None:

@@ -1,14 +1,18 @@
 """Batch driver behavior: exit codes, flags, config files, output trees."""
 
 import ast
+import contextlib
 import hashlib
 import importlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import poplar
 from poplar.cli import main
@@ -18,7 +22,8 @@ from poplar.effects import check_program
 from poplar.model import this_target
 from poplar.resolver import load_program
 
-from conftest import CORPUS, inferred_summary
+from conftest import CORPUS, SWING_QUERY, TD14, TD15, inferred_summary
+from test_frontend import edited_corpus_file
 
 
 def run(argv, capsys):
@@ -260,6 +265,82 @@ class TestExplain:
                             "--explain", "nowhere.pop:99"], capsys)
         assert code == 2
         assert "no query matches" in err
+
+    @pytest.fixture
+    def two_clients(self, tmp_path):
+        """Two files whose names share a suffix, each with a query on line 3."""
+        for part in ("common", "timedate14"):
+            for f in (CORPUS / part).glob("*.pop"):
+                (tmp_path / "lib").mkdir(exist_ok=True)
+                (tmp_path / "lib" / f.name).write_text(f.read_text())
+        for d, name, query in (("c1", "timeutils", "int hour = #produce(int, nowHour);"),
+                               ("c2", "mytimeutils", "Date d = #produce(Date, currentTime);")):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / f"{name}.pop").write_text(
+                f"class {name.capitalize()} {{\n    void m() {{\n        {query}\n    }}\n}}\n")
+        return [str(tmp_path / d) for d in ("lib", "c1", "c2")]
+
+    def test_id_matches_whole_trailing_path_components(self, two_clients, capsys):
+        code, out, _ = run(["explain", *two_clients, "--explain", "timeutils.pop:3"],
+                           capsys)
+        assert (code, out.splitlines()[0]) == (0, "goal: TimeAndDate.nowHour")
+        code, out, _ = run(["explain", *two_clients, "--explain", "c2/mytimeutils.pop:3"],
+                           capsys)
+        assert (code, out.splitlines()[0]) == (0, "goal: Date.currentTime")
+
+    @pytest.mark.parametrize("wanted", ["3", ":3", ".:3", "utils.pop:3"])
+    def test_a_line_without_whole_path_components_matches_no_query(self, two_clients,
+                                                                  capsys, wanted):
+        code, _, err = run(["explain", *two_clients, "--explain", wanted], capsys)
+        assert code == 2
+        assert f"no query matches id '{wanted}'" in err
+
+    def test_an_id_that_matches_two_queries_names_both(self, two_clients, tmp_path,
+                                                       capsys):
+        (tmp_path / "c2" / "timeutils.pop").write_text(
+            (tmp_path / "c1" / "timeutils.pop").read_text().replace("Timeutils", "Other"))
+        code, _, err = run(["explain", *two_clients, "--explain", "timeutils.pop:3"],
+                           capsys)
+        assert code == 2
+        assert err.strip() == (
+            "query id 'timeutils.pop:3' matches 2 queries: "
+            f"{tmp_path / 'c2' / 'timeutils.pop'}:3, {tmp_path / 'c1' / 'timeutils.pop'}:3")
+
+
+class TestInputs:
+    @pytest.mark.parametrize("command", ["check", "synth"])
+    def test_a_directory_named_like_a_source_is_scanned_not_read(self, tmp_path, capsys,
+                                                                 command):
+        tree = tmp_path / "c1"
+        (tree / "odd.pop").mkdir(parents=True)
+        (tree / "odd.pop" / "inner.pop").write_text("class Inner { }\n")
+        (tree / "a.pop").write_text("class A { Inner i; }\n")
+        code, out, err = run([command, str(tree), "--out", str(tmp_path / "out")]
+                             if command == "synth" else [command, str(tree)], capsys)
+        assert (code, out, err) == (0, "", "")
+
+    def test_an_unreadable_source_is_a_usage_error_naming_it(self, tmp_path, capsys,
+                                                             monkeypatch):
+        src = tmp_path / "a.pop"
+        src.write_text("class A { }\n")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        code, out, err = run(["check", str(tmp_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {src}: cannot read: Permission denied\n"
+
+    @pytest.mark.parametrize("command", ["check", "synth"])
+    def test_a_class_cannot_extend_an_interface(self, tmp_path, capsys, command):
+        src = tmp_path / "a.pop"
+        src.write_text("interface I { }\n\nclass A extends I { }\n")
+        argv = [command, str(src)] + (["--out", str(tmp_path / "out")]
+                                      if command == "synth" else [])
+        code, out, _ = run(argv, capsys)
+        assert code == 1
+        assert out.splitlines() == [f"{src}:3:1: error: E-RES: 'I' is not a class"]
 
 
 class TestConfig:
@@ -917,3 +998,74 @@ class TestImportLayers:
         for f in sorted(out_dir.iterdir()):
             h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
         assert h.hexdigest() == SYNTH_GOLDEN[("witness",)]
+
+
+# Corpus trees that check clean and ask queries; a `query_sites` file is
+# a tree of its own.
+CLEAN_TREES = [TD14, TD15, SWING_QUERY] + [
+    sorted(str(f.relative_to(CORPUS)) for f in (CORPUS / d).glob("*.pop"))
+    for d in ("protocol_order", "recordset", "shapes", "socket", "threats",
+              "unique_local_transform", "witness")] + [
+    [f"query_sites/{n}.pop"] for n in ("managed_field_declared", "transform_local",
+                                       "unmanaged_field")]
+CLEAN_TREE_TEXTS = sorted({(n, (CORPUS / n).read_text()) for t in CLEAN_TREES for n in t})
+
+
+def edited_tree(name, text):
+    """The edited file `name` with the rest of the first clean tree that
+    holds it."""
+    tree = next(t for t in CLEAN_TREES if name in t)
+    return [(n, text if n == name else (CORPUS / n).read_text()) for n in tree]
+
+
+def cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def assert_clean_in_clean_out(sources):
+    """When the tree `sources` checks clean, `synth` solves it or reports
+    only planning failures, its output checks clean, and `verify-upgrade`
+    of the same tree against the assumptions it wrote finds every one of
+    them holding."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "src"), Path(tmp, "out")
+        for name, text in sources:
+            (src / name).parent.mkdir(parents=True, exist_ok=True)
+            (src / name).write_text(text)
+        if cli(["check", str(src)])[0] != 0:
+            return
+        code, printed = cli(["synth", str(src), "--out", str(out)])
+        if code == 1:
+            assert all(": error: E-PLAN: " in line for line in printed.splitlines()), printed
+            return
+        assert (code, printed) == (0, "")
+        if any(out.glob("*.pop")):  # a tree that declares no class has no output
+            assert cli(["check", str(out)]) == (0, "")
+        code, printed = cli(["verify-upgrade", "--assumptions", str(out), str(src)])
+        assert code == 0 and all(line.startswith("ok ") for line in printed.splitlines()), \
+            printed
+
+
+# Derandomized: a random draw may meet the defect pinned by the strict
+# xfail below, and tier-1 must not pass or fail by chance.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(edited_corpus_file(CLEAN_TREE_TEXTS))
+def test_an_edited_tree_that_checks_clean_synthesizes_output_that_checks_clean(edit):
+    """Check-clean in, check-clean out, for one-token edits of the corpus."""
+    assert_clean_in_clean_out(edited_tree(*edit))
+
+
+@pytest.mark.xfail(strict=True, reason="the resolver accepts two members of one "
+                   "signature; the planner may use the second, and verify-upgrade "
+                   "matches the first")
+def test_a_second_member_of_one_signature_keeps_synth_and_verify_upgrade_agreed():
+    """Found by the property test above: deleting `twin` from `Circle
+    twin()` declares a second `Circle()` constructor, the one that adds
+    `tagged`, and `verify-upgrade` of the unchanged tree reports the
+    first as incompatible."""
+    name = "shapes/shapes.pop"
+    text = (CORPUS / name).read_text().replace("Circle twin()", "Circle  ()")
+    assert_clean_in_clean_out(edited_tree(name, text))

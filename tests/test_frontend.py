@@ -526,10 +526,10 @@ def token_starts(text):
 
 
 @st.composite
-def edited_corpus_file(draw):
-    """A corpus file cut at a token boundary, or with one token deleted or
-    duplicated (with the space or comment after it)."""
-    name, text = draw(st.sampled_from(CORPUS_TEXTS))
+def edited_corpus_file(draw, texts=CORPUS_TEXTS):
+    """A corpus file of `texts` cut at a token boundary, or with one token
+    deleted or duplicated (with the space or comment after it)."""
+    name, text = draw(st.sampled_from(texts))
     starts = token_starts(text)
     i = draw(st.integers(0, len(starts) - 1))
     edit = draw(st.sampled_from(["cut", "delete", "duplicate"]))

@@ -21,7 +21,8 @@ def closure(prog, targets, this_type, var_types):
     out = set()
     for t in targets:
         root_type = prog.target_root_type(t, this_type, var_types)
-        out.update([t] if root_type is None else prog.target_ancestors(t, root_type))
+        out.update([t] if root_type is None else
+                   (t.with_path(p) for p in prog.path_ancestors(root_type, t.path)))
     return frozenset(out)
 
 
@@ -105,8 +106,7 @@ class TestOverrides:
 class TestTargets:
     def test_ancestors_walk_nested_resources(self):
         prog = load(SWING)
-        t = this_target(("frame", "appearance", "size"))
-        chain = [a.path for a in prog.target_ancestors(t, "SmartFrame")]
+        chain = list(prog.path_ancestors("SmartFrame", ("frame", "appearance", "size")))
         assert chain == [("frame", "appearance", "size"),
                          ("frame", "appearance"),
                          ("frame",),
@@ -115,8 +115,7 @@ class TestTargets:
 
     def test_managed_field_parent_is_its_owning_resource(self):
         prog = load(SWING)
-        t = this_target(("panel",))
-        chain = [a.path for a in prog.target_ancestors(t, "SmartFrame")]
+        chain = list(prog.path_ancestors("SmartFrame", ("panel",)))
         assert chain == [("panel",), ("appearance",), ()]
 
     def test_cover_by_ancestor(self):

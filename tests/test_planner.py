@@ -315,6 +315,23 @@ class TestVariableReuse:
         assert useful(("Socket", frozenset(), K.UNIQUE, frozenset()),
                       existing)
 
+    @pytest.mark.parametrize("cres,eres,expected", [
+        ((), (), False),                      # both empty
+        ((), (("a",),), False),               # no residence against one
+        ((("a",),), (), True),                # a first residence
+        ((("a",),), (("a",),), False),        # equal
+        ((("a",),), (("a",), ("b",)), True),  # subset
+        ((("a",), ("b",)), (("a",),), True),  # superset
+        ((("a",),), (("b",),), True),         # disjoint
+        ((("a",), ("b",)), (("b",), ("c",)), True),  # overlapping
+    ])
+    def test_useful_residence_relations(self, cres, eres, expected):
+        """With the type, labels and kind equal, a candidate is useful when
+        its residence set is non-empty and differs from the existing one."""
+        existing = [("Socket", frozenset(), K.UNIQUE, frozenset(eres))]
+        assert useful(("Socket", frozenset(), K.UNIQUE, frozenset(cres)),
+                      existing) is expected
+
 
 class TestThreats:
     def brute_force_orderable(self, orderings, threat, producer, consumer, nodes):
