@@ -653,13 +653,15 @@ class BodyAnalyzer:
         return st
 
     def _new(self, e: NewExpr, pos: Pos) -> Optional[ValueState]:
-        ctor = self.program.find_constructor(e.type, len(e.args))
-        if ctor is None and e.type in self.program.units:
-            ctor = self.program.find_constructor(e.type)
+        ctor = self.program.declared_method(e.type, e.type, len(e.args), constructor=True)
         st = ValueState("<new>", e.type, KIND.UNIQUE, fresh=True)
         if ctor is None:
-            if e.type not in self.program.units:
+            unit = self.program.units.get(e.type)
+            if unit is None:
                 self._violate(E_UNIQ, "IllegalFlow", f"unknown type '{e.type}'", pos)
+            elif any(m.is_constructor for m in unit.methods):
+                self._violate(E_UNIQ, "IllegalFlow",
+                              f"no constructor '{e.type}/{len(e.args)}'", pos)
             for a in e.args:
                 self._eval(a, pos)
             return st
@@ -903,8 +905,7 @@ def class_protocol_machine(program: Program, class_name: str,
         if u is None:
             continue
         for m in u.methods:
-            key = (m.name, len(m.args)) if not m.is_constructor else ("<init>", len(m.args))
-            slots.setdefault(key, m)
+            slots.setdefault(m.key, m)
     transitions: set[tuple[str, str]] = set()
     for m in slots.values():
         transitions.update(program._method_transitions(m, proto))

@@ -664,6 +664,13 @@ class MethodSpec:
         self.merged_externals = merged_externals
         self.pos = Pos() if pos is None else pos
 
+    @property
+    def key(self) -> tuple[str, int]:
+        """The member's identity in its class: constructor or not, name and
+        arity. A constructor bears its class's name, so `<init>` stands in
+        for it. A class declares each key once."""
+        return ("<init>" if self.is_constructor else self.name, len(self.args))
+
     def signature(self) -> str:
         params = ", ".join(a.type for a in self.args)
         ret = "" if self.is_constructor else f"{self.return_type} "
@@ -842,6 +849,20 @@ class Program:
                     return f
         return None
 
+    def declared_method(self, type_name: str, name: str, argc: int,
+                        constructor: bool = False) -> Optional[MethodSpec]:
+        """The method (or, with `constructor`, the constructor) that
+        `type_name` itself declares with `name` and `argc` parameters. The
+        resolver admits one member per identity (`MethodSpec.key`), so
+        there is at most one; calls, `new`, overrides, external overlays
+        and `verify-upgrade` all find their member here."""
+        u = self.units.get(type_name)
+        if u is not None:
+            for m in u.methods:
+                if m.name == name and len(m.args) == argc and m.is_constructor == constructor:
+                    return m
+        return None
+
     def find_method(self, type_name: str, method_name: str, argc: int) -> Optional[MethodSpec]:
         """The method a call of `method_name` with `argc` arguments on a
         `type_name` reaches: the most derived along the class chain, else
@@ -852,27 +873,15 @@ class Program:
         for t in self.lookup_order(type_name):
             u = self.units.get(t)
             if u is not None and u.is_interface:
-                for m in u.methods:
-                    if m.name == method_name and len(m.args) == argc:
-                        return m
+                m = self.declared_method(t, method_name, argc)
+                if m is not None:
+                    return m
         return None
 
     def _chain_method(self, type_name: str, method_name: str, argc: int) -> Optional[MethodSpec]:
         for t in self.supertype_chain(type_name):
-            u = self.units.get(t)
-            if u is None:
-                continue
-            for m in u.methods:
-                if m.name == method_name and not m.is_constructor and len(m.args) == argc:
-                    return m
-        return None
-
-    def find_constructor(self, type_name: str, argc: Optional[int] = None) -> Optional[MethodSpec]:
-        u = self.units.get(type_name)
-        if u is None:
-            return None
-        for m in u.methods:
-            if m.is_constructor and (argc is None or len(m.args) == argc):
+            m = self.declared_method(t, method_name, argc)
+            if m is not None:
                 return m
         return None
 

@@ -12,7 +12,6 @@ built once per Program.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterator, Optional
 
 from . import Frozen, setfield
@@ -57,9 +56,14 @@ class CyclicOrder(Exception):
 
 class ActionSpec(Frozen):
     """A corpus operation the planner may add: a constructor, a method call
-    or a static field read, with one choice of optional group."""
+    or a static field read, with one choice of optional group. It carries
+    everything the search reads about it, computed once when
+    `action_universe` builds it: the result type and atoms, the subject
+    effects and preconditions, the effective summary and its any(T)
+    targets, the owner's precedence, the names a with-clause may use to
+    select it, and its parameter slots."""
 
-    def __init__(self, kind: str,  # "ctor" | "invoke" | "fieldread"
+    def __init__(self, program: Program, kind: str,  # "ctor" | "invoke" | "fieldread"
                  owner: str, member: str, group: Optional[int],
                  method: Optional[MethodSpec] = None, fld: Optional[FieldDecl] = None):
         setfield(self, "kind", kind)
@@ -68,10 +72,34 @@ class ActionSpec(Frozen):
         setfield(self, "group", group)
         setfield(self, "method", method)
         setfield(self, "fld", fld)
-
-    @cached_property
-    def key(self) -> tuple:
-        return (self.owner, self.member, self.kind, -1 if self.group is None else self.group)
+        setfield(self, "key", (owner, member, kind, -1 if group is None else group))
+        if method is None:
+            result_type, atoms, effects = fld.type, [(a, ()) for a in fld.labels], []
+            preconditions, summary, slots = (), frozenset(), {}
+        else:
+            result_type = method.declared_in if method.is_constructor else \
+                None if method.return_type == "void" else method.return_type
+            atoms = result_atoms(method, group)
+            effects = subject_effects(method, group)
+            preconditions = tuple(subject_preconditions(method, group))
+            summary = program.effective_summary(method)
+            slots = {a.name: i for i, a in enumerate(method.args)}
+        setfield(self, "result_type", result_type)
+        setfield(self, "result_atoms", tuple(atoms))
+        setfield(self, "result_atom_set", frozenset(a for a, _ in atoms))
+        setfield(self, "effects", tuple(effects))  # (subject, added, residence, removed)
+        setfield(self, "preconditions", preconditions)  # (subject, atom)
+        setfield(self, "summary", summary)
+        # The summary targets rooted at any(T).
+        setfield(self, "any_targets", tuple(t for t in summary if t.root_kind == "any"))
+        unit = program.units.get(owner)
+        setfield(self, "precedence", unit.precedence if unit else 0)
+        # A with-clause selects an action by its owner, its member or a
+        # label it establishes.
+        labels = [a for a, _ in atoms] + [a for _, a, _, _ in effects]
+        setfield(self, "names", frozenset({owner, member} |
+                                          {a.name for a in labels if hasattr(a, "name")}))
+        setfield(self, "slots", slots)  # parameter name -> argument position
 
     def label(self) -> str:
         g = f" (option {self.group + 1})" if self.group is not None else ""
@@ -247,11 +275,10 @@ class Plan:
 class PlanResult:
     """A closed plan for one query, with its search counters."""
 
-    def __init__(self, plan: Plan, program: Program, ctx: QueryContext, goal: Atom,
+    def __init__(self, plan: Plan, ctx: QueryContext, goal: Atom,
                  explored: int, rejected_threats: int, chosen_groups: dict[int, int],
                  solution_targets: frozenset = frozenset()):
         self.plan = plan
-        self.program = program
         self.ctx = ctx
         self.goal = goal
         self.explored = explored
@@ -273,13 +300,12 @@ class Candidate(Frozen):
     def __init__(self, kind: str,  # "ctx" | "link" | "merge" | "new"
                  ctx_name: str = "", producer: int = -1, spec: Optional[ActionSpec] = None,
                  via: str = "result",  # how a new action achieves: "result" | "this" | arg name
-                 spec_key: tuple = (), sort_key: tuple = ()):
+                 sort_key: tuple = ()):
         setfield(self, "kind", kind)
         setfield(self, "ctx_name", ctx_name)
         setfield(self, "producer", producer)
         setfield(self, "spec", spec)
         setfield(self, "via", via)
-        setfield(self, "spec_key", spec_key)
         setfield(self, "sort_key", sort_key)
 
 
@@ -291,74 +317,26 @@ def action_universe(program: Program) -> list[ActionSpec]:
             for g in m.group_choices():
                 if m.is_constructor:
                     if not unit.is_abstract and not unit.is_interface:
-                        out.append(ActionSpec("ctor", cname, cname, g, method=m))
+                        out.append(ActionSpec(program, "ctor", cname, cname, g, method=m))
                 else:
                     # Abstract methods stay callable through a receiver.
-                    out.append(ActionSpec("invoke", cname, m.name, g, method=m))
+                    out.append(ActionSpec(program, "invoke", cname, m.name, g, method=m))
         for f in unit.fields:
             if f.is_static:
-                out.append(ActionSpec("fieldread", cname, f.name, None, fld=f))
+                out.append(ActionSpec(program, "fieldread", cname, f.name, None, fld=f))
     return out
 
 
-def spec_result_type(spec: ActionSpec) -> Optional[str]:
-    if spec.kind == "fieldread":
-        return spec.fld.type
-    if spec.method.is_constructor:
-        return spec.method.declared_in
-    rt = spec.method.return_type
-    return None if rt == "void" else rt
-
-
-def spec_result_atoms(spec: ActionSpec) -> list[tuple[Atom, tuple[ResourcePath, ...]]]:
-    if spec.kind == "fieldread":
-        return [(a, ()) for a in spec.fld.labels]
-    return result_atoms(spec.method, spec.group)
-
-
-def spec_subject_effects(spec: ActionSpec):
-    if spec.kind == "fieldread":
-        return []
-    return subject_effects(spec.method, spec.group)
-
-
-class SpecFacts(Frozen):
-    """What the search reads about one action of the universe."""
-
-    def __init__(self, result_type: Optional[str],
-                 result_atoms: tuple[tuple[Atom, tuple[ResourcePath, ...]], ...],
-                 result_atom_set: frozenset[Atom],
-                 effects: tuple,  # spec_subject_effects
-                 preconditions: tuple[tuple[str, Atom], ...],
-                 summary: frozenset[MutationTarget],
-                 any_targets: tuple[MutationTarget, ...],  # summary targets rooted at any(T)
-                 precedence: int,  # the owner's corpus precedence
-                 names: frozenset[str],  # what a with-clause may name to select the action
-                 slots: dict[str, int]):  # parameter name -> argument position
-        setfield(self, "result_type", result_type)
-        setfield(self, "result_atoms", result_atoms)
-        setfield(self, "result_atom_set", result_atom_set)
-        setfield(self, "effects", effects)
-        setfield(self, "preconditions", preconditions)
-        setfield(self, "summary", summary)
-        setfield(self, "any_targets", any_targets)
-        setfield(self, "precedence", precedence)
-        setfield(self, "names", names)
-        setfield(self, "slots", slots)
-
-
 class ActionIndex:
-    """The action universe of one Program with everything the search reads
-    about it, computed once: per-spec facts, atom -> achievers and need type
-    -> producers. Valid because a Program does not change once resolution
-    has ended. Type facts (supertypes, lookup order) live on the Program,
-    and the search asks `Program.is_subtype`."""
+    """The action universe of one Program and the search's two lookups
+    over it, computed once: atom -> achievers and need type -> producers.
+    Each action carries its own facts. Valid because a Program does not
+    change once resolution has ended. Type facts (supertypes, lookup
+    order) live on the Program, and the search asks `Program.is_subtype`."""
 
     def __init__(self, program: Program):
         self.program = program
         self.universe = action_universe(program)
-        self._facts: dict[ActionSpec, SpecFacts] = {}
-        self.facts = self._facts.__getitem__  # spec -> its SpecFacts
         # atom -> (spec, via) in universe order; per spec, "result" comes
         # before its subject effects, as in a scan of the universe.
         self.achievers: dict[Atom, list[tuple[ActionSpec, str]]] = {}
@@ -366,15 +344,13 @@ class ActionIndex:
         self.producers: dict[str, list[ActionSpec]] = {}
         self.names: set[str] = set(program.units)
         for spec in self.universe:
-            f = self._spec_facts(spec)
-            self._facts[spec] = f
-            self.names |= f.names
-            if f.result_type is not None:
-                for t in program.supertypes(f.result_type):
+            self.names |= spec.names
+            if spec.result_type is not None:
+                for t in program.supertypes(spec.result_type):
                     self.producers.setdefault(t, []).append(spec)
-                for atom in f.result_atom_set:
+                for atom in spec.result_atom_set:
                     self.achievers.setdefault(atom, []).append((spec, "result"))
-            for subject, atom, _, _ in f.effects:
+            for subject, atom, _, _ in spec.effects:
                 self.achievers.setdefault(atom, []).append((spec, subject))
 
     @classmethod
@@ -382,28 +358,6 @@ class ActionIndex:
         if program.action_index is None:
             program.action_index = cls(program)
         return program.action_index
-
-    def _spec_facts(self, spec: ActionSpec) -> SpecFacts:
-        m = spec.method
-        result_atoms = tuple(spec_result_atoms(spec))
-        effects = tuple(spec_subject_effects(spec))
-        summary = self.program.effective_summary(m) if m else frozenset()
-        unit = self.program.units.get(spec.owner)
-        # A with-clause selects an action by its owner, its member or a
-        # label it establishes.
-        labels = [a for a, _ in result_atoms] + [a for _, a, _, _ in effects]
-        return SpecFacts(
-            result_type=spec_result_type(spec),
-            result_atoms=result_atoms,
-            result_atom_set=frozenset(a for a, _ in result_atoms),
-            effects=effects,
-            preconditions=tuple(subject_preconditions(m, spec.group)) if m else (),
-            summary=summary,
-            any_targets=tuple(t for t in summary if t.root_kind == "any"),
-            precedence=unit.precedence if unit else 0,
-            names=frozenset({spec.owner, spec.member} |
-                            {a.name for a in labels if hasattr(a, "name")}),
-            slots={a.name: i for i, a in enumerate(m.args)} if m else {})
 
 
 def can_substitute(program: Program, value_type: str, value_labels: set,
@@ -503,7 +457,7 @@ class Planner:
                 f"(explored {self.explored} plans)", self.explored)
         groups = {a.aid: a.spec.group for a in plan.real_actions()
                   if a.spec and a.spec.group is not None}
-        return PlanResult(plan, self.program, self.ctx, self.goal,
+        return PlanResult(plan, self.ctx, self.goal,
                           self.explored, self.rejected_threats, groups,
                           frozenset(self.visible_targets(plan)))
 
@@ -567,14 +521,13 @@ class Planner:
         obj = plan.objects[cond.oid]
         context: list[Candidate] = []
         found: list[tuple[str, str, int]] = []
-        facts = self.index.facts
 
         if obj.ctx_name is not None:
             st = self.ctx.values.get(obj.ctx_name)
             if cond.atom is None or (st is not None and cond.atom in st.labels):
                 found.append(("ctx", obj.ctx_name, -1))
         elif obj.producer is not None:
-            atoms = facts(plan.actions[obj.producer].spec).result_atom_set
+            atoms = plan.actions[obj.producer].spec.result_atom_set
             if cond.atom is None or cond.atom in atoms:
                 found.append(("link", "", obj.producer))
         else:
@@ -587,17 +540,17 @@ class Planner:
         # Merges and links rank apart, so one pass in aid order (the order
         # actions are added in) finds both in their ranked order.
         for aid, a in plan.actions.items():
-            if a.spec is None:
+            spec = a.spec
+            if spec is None:
                 continue
-            f = facts(a.spec)
             # Reuse a value the plan already creates.
-            if merge and a.result is not None and f.result_type is not None and \
-                    self.program.is_subtype(f.result_type, obj.need_type) and \
-                    (atom is None or atom in f.result_atom_set):
+            if merge and a.result is not None and spec.result_type is not None and \
+                    self.program.is_subtype(spec.result_type, obj.need_type) and \
+                    (atom is None or atom in spec.result_atom_set):
                 found.append(("merge", "", aid))
             # In-plan actions adding the atom to this very object.
             if atom is not None:
-                for subject, added, _, _ in f.effects:
+                for subject, added, _, _ in spec.effects:
                     if added == atom and cond.oid == (
                             a.receiver if subject == "this" else self._arg_oid(a, subject)):
                         found.append(("link", "", aid))
@@ -642,13 +595,13 @@ class Planner:
         hit = self._fresh.get(key)
         if hit is None:
             hit = self._fresh[key] = self._filter_precedence(
-                [self._mk(Candidate("new", spec=spec, via=via, spec_key=spec.key))
+                [self._mk(Candidate("new", spec=spec, via=via))
                  for spec, via in self._achievers(obj, atom)
                  if self._span_admits(spec) and self._policy_admits(spec)])
         return hit
 
     def _arg_oid(self, action: PlanAction, subject: str) -> Optional[int]:
-        i = self.index.facts(action.spec).slots.get(subject)
+        i = action.spec.slots.get(subject)
         return action.args[i] if i is not None and i < len(action.args) else None
 
     def _achievers(self, obj: PlanObject, atom: Optional[Atom]) -> list[tuple[ActionSpec, str]]:
@@ -665,13 +618,12 @@ class Planner:
         is_subtype = self.program.is_subtype
         ways: list[tuple[ActionSpec, str]] = []
         for spec, via in index.achievers.get(atom, ()):
-            f = index.facts(spec)
             if via == "result":
-                ok = not obj.bound and is_subtype(f.result_type, obj.need_type) \
+                ok = not obj.bound and is_subtype(spec.result_type, obj.need_type) \
                     and self._useful_result(spec)
-            elif via == "this" or via in f.slots:
+            elif via == "this" or via in spec.slots:
                 formal = spec.method.declared_in if via == "this" else \
-                    spec.method.args[f.slots[via]].type
+                    spec.method.args[spec.slots[via]].type
                 ok = is_subtype(obj.type, formal) or is_subtype(formal, obj.type)
             else:
                 ok = False
@@ -680,17 +632,16 @@ class Planner:
         return ways
 
     def _useful_result(self, spec: ActionSpec) -> bool:
-        f = self.index.facts(spec)
         residence: list[ResourcePath] = []
-        for _, res in f.result_atoms:
+        for _, res in spec.result_atoms:
             residence.extend(res)
-        return useful((f.result_type, f.result_atom_set, KIND.UNIQUE,
+        return useful((spec.result_type, spec.result_atom_set, KIND.UNIQUE,
                        frozenset(residence)), self._existing)
 
     def _filter_precedence(self, cands: list[Candidate]) -> list[Candidate]:
         """Keep the fresh actions of the highest precedence tier."""
         def prec(c: Candidate) -> int:
-            return max(self.index.facts(c.spec).precedence,
+            return max(c.spec.precedence,
                        self.cfg.api_precedence.get(c.spec.owner, 0))
 
         if not cands:
@@ -703,8 +654,7 @@ class Planner:
         mentions = 1
         if with_names and c.spec is not None:
             names = {c.spec.owner, c.spec.member}
-            names.update(a.name for a in self.index.facts(c.spec).result_atom_set
-                         if hasattr(a, "name"))
+            names.update(a.name for a in c.spec.result_atom_set if hasattr(a, "name"))
             if any(n in names for n in with_names):
                 mentions = 0
         kind_rank = {"ctx": 0, "link": 0, "merge": 1, "new": 2}[c.kind]
@@ -716,7 +666,7 @@ class Planner:
             detail = (st.declared_order if st else 0, c.ctx_name, "")
         else:
             detail = (c.producer, "", "")
-        return Candidate(c.kind, c.ctx_name, c.producer, c.spec, c.via, c.spec_key,
+        return Candidate(c.kind, c.ctx_name, c.producer, c.spec, c.via,
                          (mentions, kind_rank, detail))
 
     def _locality(self, spec: ActionSpec) -> int:
@@ -732,12 +682,12 @@ class Planner:
         if not self.spans:
             return True
         return not any(self._target_hits_span(t)
-                       for t in self.index.facts(spec).any_targets)
+                       for t in spec.any_targets)
 
     def _policy_admits(self, spec: ActionSpec) -> bool:
         if self.cfg.summary_rewrite_policy == "rewrite":
             return True
-        for t in self.index.facts(spec).any_targets:
+        for t in spec.any_targets:
             if not any(self.program.target_covers(d, t, self.ctx.unit,
                                                   self.enclosing_var_types)
                        for d in self.enclosing_summary):
@@ -776,11 +726,10 @@ class Planner:
                           atom: Optional[Atom]) -> tuple[ResourcePath, ...]:
         if spec is None or atom is None:
             return ()
-        f = self.index.facts(spec)
-        for a, res in f.result_atoms:
+        for a, res in spec.result_atoms:
             if a == atom:
                 return tuple(res)
-        for _, a, res, _ in f.effects:
+        for _, a, res, _ in spec.effects:
             if a == atom:
                 return tuple(res)
         return ()
@@ -842,8 +791,7 @@ class Planner:
                 else:
                     arg_objs.append(p.new_object(a.type))
             action.args = tuple(o.oid for o in arg_objs)
-            f = self.index.facts(spec)
-            rt = f.result_type
+            rt = spec.result_type
             if rt is not None:
                 if cand.via == "result":
                     result_obj = p.edit(cond.oid)
@@ -862,11 +810,11 @@ class Planner:
                 p.open_conds.append((PCond(recv_obj.oid, None), aid))
             for obj in arg_objs:
                 p.open_conds.append((PCond(obj.oid, None), aid))
-            for subject, atom in f.preconditions:
+            for subject, atom in spec.preconditions:
                 if subject == "this" and recv_obj is not None:
                     p.open_conds.append((PCond(recv_obj.oid, atom), aid))
-                elif subject in f.slots:
-                    p.open_conds.append((PCond(arg_objs[f.slots[subject]].oid, atom), aid))
+                elif subject in spec.slots:
+                    p.open_conds.append((PCond(arg_objs[spec.slots[subject]].oid, atom), aid))
 
         if not p.add_ordering(aid, consumer):
             return None
@@ -904,12 +852,12 @@ class Planner:
             p.add_ordering(link.consumer, b.aid)
 
     def _threatens(self, p: Plan, b: PlanAction, link: CausalLink) -> bool:
-        f = self.index.facts(b.spec)
+        spec = b.spec
         cond = link.cond
         # State removal: a transition out of the condition's state on the
         # same object.
         if isinstance(cond.atom, StateAtom):
-            for subject, _, _, removed in f.effects:
+            for subject, _, _, removed in spec.effects:
                 if removed != cond.atom:
                     continue
                 soid = b.receiver if subject == "this" else self._arg_oid(b, subject)
@@ -921,7 +869,7 @@ class Planner:
         holder = p.objects.get(cond.oid)
         if holder is None:
             return False
-        for t in f.summary:
+        for t in spec.summary:
             toid: Optional[int] = None
             if t.root_kind == "this":
                 toid = b.receiver
@@ -976,7 +924,7 @@ class Planner:
     def _with_satisfied(self, plan: Plan) -> bool:
         wanted = set(self.ctx.query.with_names)
         return not wanted or wanted <= set().union(
-            *(self.index.facts(a.spec).names for a in plan.real_actions()))
+            *(a.spec.names for a in plan.real_actions()))
 
     def visible_targets(self, plan: Plan) -> set[MutationTarget]:
         out: set[MutationTarget] = set()
@@ -992,15 +940,14 @@ class Planner:
         they are left out; a context value is named from its state at the
         query site."""
         out: set[MutationTarget] = set()
-        m = action.spec.method
-        f = self.index.facts(action.spec)
-        for t in f.summary:
+        spec = action.spec
+        for t in spec.summary:
             if t.root_kind == "this":
                 oid, formal_type = action.receiver, None
-            elif t.root_kind == "var" and t.root_name in f.slots:
-                idx = f.slots[t.root_name]
+            elif t.root_kind == "var" and t.root_name in spec.slots:
+                idx = spec.slots[t.root_name]
                 oid = action.args[idx] if idx < len(action.args) else None
-                formal_type = m.args[idx].type
+                formal_type = spec.method.args[idx].type
             else:
                 out.add(t)
                 continue

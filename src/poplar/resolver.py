@@ -105,14 +105,24 @@ class Resolver:
     # -- pass 2: annotations ----------------------------------------------------
 
     def _resolve_class(self, path: str, model: ClassModel) -> None:
+        names: set[str] = set()
         for f in model.fields:
+            if f.name in names:
+                self.error(path, f.pos, f"duplicate field '{f.name}' in '{model.name}'")
+            names.add(f.name)
             if f.managed and f.managed_resource is not None:
                 if not self.program.resolve_resource_path(model.name, f.managed_resource):
                     self.error(path, f.pos,
                                f"managed field '{f.name}' names unknown resource "
                                f"'{'.'.join(f.managed_resource)}'")
             f.labels = self._resolve_labels(path, f.pos, f.labels, model.name, f.type)
+        keys: set[tuple[str, int]] = set()
         for m in model.methods:
+            if m.key in keys:
+                what = "constructor" if m.is_constructor else "method"
+                self.error(path, m.pos,
+                           f"duplicate {what} '{m.name}/{len(m.args)}' in '{model.name}'")
+            keys.add(m.key)
             self._resolve_method(path, m, model.name, model.name)
         for ex in model.externals:
             self._resolve_method(path, ex.method, model.name, ex.target_type)
@@ -299,8 +309,10 @@ def overlay_externals(program: Program) -> Program:
                 sink.error(path, ex.pos.line, ex.pos.col, E_RES,
                            f"external names unknown type '{ex.target_type}'")
                 continue
-            target = _find_target_method(program, ex)
-            if target is None:
+            target = program.declared_method(ex.target_type, ex.method.name,
+                                             len(ex.method.args), ex.method.is_constructor)
+            if target is None or [a.type for a in target.args] != \
+                    [a.type for a in ex.method.args]:
                 sink.error(path, ex.pos.line, ex.pos.col, E_RES,
                            f"dangling external: no method matches "
                            f"'{ex.target_type}.{ex.method.name}"
@@ -314,18 +326,6 @@ def overlay_externals(program: Program) -> Program:
     _collect_protocol_states(program)
     _validate_queries(program)
     return program
-
-
-def _find_target_method(program: Program, ex: ExternalDecl) -> Optional[MethodSpec]:
-    unit = program.units[ex.target_type]
-    want = [a.type for a in ex.method.args]
-    pool = [m for m in unit.methods
-            if m.is_constructor == ex.method.is_constructor
-            and (m.is_constructor or m.name == ex.method.name)]
-    for m in pool:
-        if [a.type for a in m.args] == want:
-            return m
-    return None
 
 
 def _overlay_conflict(program: Program, ex: ExternalDecl) -> Optional[str]:

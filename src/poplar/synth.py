@@ -509,8 +509,12 @@ def check_compat(assumed: IntegrationAssumptions,
                 bad(label, "postcondition-weakened",
                     "field lost labels the solution relied on")
             continue
-        member = _find_member(program, rec)
-        if member is None:
+        # The arity is the count of the parameter types the signature names.
+        params = rec.signature.partition("(")[2].partition(")")[0]
+        member = program.declared_method(rec.type, rec.member,
+                                         params.count(",") + 1 if params else 0,
+                                         constructor=rec.kind == "ctor")
+        if member is None or member.signature() != rec.signature:
             bad(label, "member-missing", "no method matches the assumed signature")
             continue
         if not _conditions_compatible(member, rec):
@@ -541,20 +545,6 @@ def check_compat(assumed: IntegrationAssumptions,
                 f"return kind {member.return_uniqueness.keyword} may not stand "
                 f"in for {rec.return_uniqueness}")
     return out
-
-
-def _find_member(program: Program, rec: AssumptionRecord) -> Optional[MethodSpec]:
-    unit = program.units.get(rec.type)
-    if unit is None:
-        return None
-    for m in unit.methods:
-        if rec.kind == "ctor" and not m.is_constructor:
-            continue
-        if rec.kind == "invoke" and (m.is_constructor or m.name != rec.member):
-            continue
-        if m.signature() == rec.signature:
-            return m
-    return None
 
 
 def _conditions_compatible(member: MethodSpec, rec: AssumptionRecord) -> bool:

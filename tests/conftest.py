@@ -1,3 +1,4 @@
+import functools
 import sys
 from pathlib import Path
 
@@ -80,6 +81,21 @@ def all_query_contexts(program):
                 continue
             out.extend(query_contexts(program, unit, m))
     return out
+
+
+def query_id(ctx):
+    return f"{ctx.unit}.{ctx.method.name}:{ctx.pos.line}:{ctx.pos.col}"
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_answers(files):
+    """The oracle's answer (`oracle.solve` with `max_len=6`) to each query
+    of the corpus tree `files`, a tuple, by `query_id`. The oracle runs
+    once per tree in a session, whichever test asks first."""
+    import oracle
+    program = load(list(files))
+    return {query_id(ctx): oracle.solve(program, ctx, max_len=6)
+            for ctx in all_query_contexts(program)}
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
-"""The per-call walks that `Program`'s type lookups replaced, kept as the
-reference for the equivalence test. Each reads only `program.units` and
-walks the hierarchy again on every call; they must not be used outside
-the tests."""
+"""The per-call walks that `Program`'s type lookups replaced, the member
+scans that `Program.declared_method` replaced, and the derivation of the
+facts an `ActionSpec` now carries, kept as the reference for the
+equivalence tests. Each reads only `program.units` (and the action) and
+walks again on every call; they must not be used outside the tests."""
 
+from poplar.effects import result_atoms, subject_effects, subject_preconditions
 from poplar.model import OBJECT, PRIMITIVES, this_target
 
 
@@ -172,3 +174,79 @@ def path_ancestors(program, root_type, path):
         out.append(cur.path)
         cur = target_parent(program, cur, root_type)
     return out
+
+
+def find_member(program, rec):
+    """The method `verify-upgrade` checked an assumption record against:
+    the first of the record's kind whose signature text is the record's."""
+    unit = program.units.get(rec.type)
+    if unit is None:
+        return None
+    for m in unit.methods:
+        if rec.kind == "ctor" and not m.is_constructor:
+            continue
+        if rec.kind == "invoke" and (m.is_constructor or m.name != rec.member):
+            continue
+        if m.signature() == rec.signature:
+            return m
+    return None
+
+
+def find_target_method(program, ex):
+    """The method an external overlays: the first of its kind and name
+    with exactly its parameter types."""
+    unit = program.units[ex.target_type]
+    want = [a.type for a in ex.method.args]
+    pool = [m for m in unit.methods
+            if m.is_constructor == ex.method.is_constructor
+            and (m.is_constructor or m.name == ex.method.name)]
+    for m in pool:
+        if [a.type for a in m.args] == want:
+            return m
+    return None
+
+
+def spec_result_type(spec):
+    if spec.kind == "fieldread":
+        return spec.fld.type
+    if spec.method.is_constructor:
+        return spec.method.declared_in
+    rt = spec.method.return_type
+    return None if rt == "void" else rt
+
+
+def spec_result_atoms(spec):
+    if spec.kind == "fieldread":
+        return [(a, ()) for a in spec.fld.labels]
+    return result_atoms(spec.method, spec.group)
+
+
+def spec_subject_effects(spec):
+    if spec.kind == "fieldread":
+        return []
+    return subject_effects(spec.method, spec.group)
+
+
+def spec_facts(program, spec):
+    """What the search reads about one action, by field name, derived as
+    the planner derived it before an action carried its own facts."""
+    m = spec.method
+    atoms = tuple(spec_result_atoms(spec))
+    effects = tuple(spec_subject_effects(spec))
+    summary = program.effective_summary(m) if m else frozenset()
+    unit = program.units.get(spec.owner)
+    labels = [a for a, _ in atoms] + [a for _, a, _, _ in effects]
+    return {
+        "key": (spec.owner, spec.member, spec.kind, -1 if spec.group is None else spec.group),
+        "result_type": spec_result_type(spec),
+        "result_atoms": atoms,
+        "result_atom_set": frozenset(a for a, _ in atoms),
+        "effects": effects,
+        "preconditions": tuple(subject_preconditions(m, spec.group)) if m else (),
+        "summary": summary,
+        "any_targets": tuple(t for t in summary if t.root_kind == "any"),
+        "precedence": unit.precedence if unit else 0,
+        "names": frozenset({spec.owner, spec.member} |
+                           {a.name for a in labels if hasattr(a, "name")}),
+        "slots": {a.name: i for i, a in enumerate(m.args)} if m else {},
+    }

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import oracle
 from poplar import synth
 from poplar.cli import main as cli_main
 from poplar.config import SearchConfig
@@ -19,15 +18,14 @@ from poplar.effects import (
     check_class_conformance, check_program, query_contexts,
 )
 from poplar.model import StateAtom
-from poplar.planner import (
-    NoSolution, plan_query, spec_result_atoms, spec_subject_effects,
-)
+from poplar.planner import NoSolution, plan_query
 from poplar.printer import _render_stmt
 from poplar.resolver import load_program
 
 from conftest import (
     CORPUS, RECORDSET, SOCKET, SWING, SWING_QUERY, TD14, TD15,
-    all_query_contexts, corpus_sources, load, load_raw, query_in, walk_violations,
+    all_query_contexts, corpus_sources, load, load_raw, oracle_answers, query_id, query_in,
+    walk_violations,
 )
 
 
@@ -108,7 +106,7 @@ def _replay_all_linearizations(prog, res, ctx):
             if m is None:
                 continue
             by_name = {arg.name: i for i, arg in enumerate(m.args)}
-            for subject, atom, _, removed in spec_subject_effects(a.spec):
+            for subject, atom, _, removed in a.spec.effects:
                 oid = a.receiver if subject == "this" else (
                     a.args[by_name[subject]] if subject in by_name else None)
                 if oid is None or not isinstance(atom, StateAtom):
@@ -118,7 +116,7 @@ def _replay_all_linearizations(prog, res, ctx):
                     assert states.get(key) == removed.state, \
                         f"{a.spec.label()} fired from state {states.get(key)}"
                 states[key] = atom.state
-            for atom, _ in spec_result_atoms(a.spec):
+            for atom, _ in a.spec.result_atoms:
                 if isinstance(atom, StateAtom) and a.result is not None:
                     states[(a.result, (atom.owner, atom.protocol))] = atom.state
     assert admissible >= 1
@@ -259,7 +257,7 @@ def test_criterion_6_oracle_equivalence():
     for files in cases:
         prog = load(files)
         for ctx in all_query_contexts(prog):
-            expected = oracle.solve(prog, ctx, max_len=6)
+            expected = oracle_answers(tuple(files))[query_id(ctx)]
             try:
                 got = plan_query(prog, ctx, cfg).action_count()
             except NoSolution:

@@ -115,6 +115,6 @@ def tree_index(tree):
 def test_index_producers_are_the_specs_of_a_subtype_in_universe_order(tree):
     program, index, names = tree_index(tree)
     for need in names:
-        want = [s for s in index.universe if index.facts(s).result_type is not None
-                and program.is_subtype(index.facts(s).result_type, need)]
+        want = [s for s in index.universe if s.result_type is not None
+                and program.is_subtype(s.result_type, need)]
         assert index.producers.get(need, []) == want, need

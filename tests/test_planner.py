@@ -17,7 +17,7 @@ from poplar.planner import (
 
 from conftest import (
     RECORDSET, SOCKET, SWING_QUERY, TD14, TD15, TD_BOTH, all_query_contexts,
-    load, query_in, walk_violations,
+    load, oracle_answers, query_id, query_in, walk_violations,
 )
 
 K = UniquenessKind
@@ -131,12 +131,11 @@ class TestSoundness:
                             states[(oid, (atom.owner, atom.protocol))] = atom.state
             for aid in perm:
                 a = plan.actions[aid]
-                from poplar.planner import spec_subject_effects, spec_result_atoms
                 m = a.spec.method
                 if m is None:
                     continue
                 by_name = {arg.name: i for i, arg in enumerate(m.args)}
-                for subject, atom, _, removed in spec_subject_effects(a.spec):
+                for subject, atom, _, removed in a.spec.effects:
                     oid = a.receiver if subject == "this" else (
                         a.args[by_name[subject]] if subject in by_name else None)
                     if oid is None or not isinstance(atom, StateAtom):
@@ -146,7 +145,7 @@ class TestSoundness:
                         assert states.get(key) == removed.state, \
                             f"protocol violated at {a.spec.label()}"
                     states[key] = atom.state
-                for atom, _ in spec_result_atoms(a.spec):
+                for atom, _ in a.spec.result_atoms:
                     if isinstance(atom, StateAtom) and a.result is not None:
                         states[(a.result, (atom.owner, atom.protocol))] = atom.state
         assert count >= 1
@@ -176,7 +175,7 @@ class TestOracleEquivalence:
         prog = load(files)
         cfg = SearchConfig(max_plan_length=6)
         for ctx in all_query_contexts(prog):
-            expected = oracle.solve(prog, ctx, max_len=6)
+            expected = oracle_answers(tuple(files))[query_id(ctx)]
             try:
                 res = plan_query(prog, ctx, cfg)
                 got = res.action_count()

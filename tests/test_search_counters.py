@@ -7,10 +7,7 @@ import pytest
 
 import poplar.planner as planner_module
 from poplar.config import SearchConfig
-from poplar.planner import (
-    Candidate, PlanFailure, PlanObject, Planner, spec_result_atoms,
-    spec_result_type, spec_subject_effects,
-)
+from poplar.planner import Candidate, PlanFailure, PlanObject, Planner
 
 from conftest import (
     RECORDSET, SOCKET, SWING_QUERY, TD14, TD15, TD_BOTH, all_query_contexts,
@@ -98,13 +95,13 @@ def scan_achievers(planner, obj, atom):
     out = []
     for spec in planner.index.universe:
         ways = []
-        rt = spec_result_type(spec)
+        rt = spec.result_type
         if not obj.bound and rt is not None and program.is_subtype(rt, obj.need_type):
-            if atom is None or atom in {a for a, _ in spec_result_atoms(spec)}:
+            if atom is None or atom in {a for a, _ in spec.result_atoms}:
                 if planner._useful_result(spec):
                     ways.append("result")
         if atom is not None and spec.method is not None:
-            for subject, added, _, _ in spec_subject_effects(spec):
+            for subject, added, _, _ in spec.effects:
                 if added != atom:
                     continue
                 formal = spec.method.declared_in if subject == "this" else \
@@ -112,7 +109,7 @@ def scan_achievers(planner, obj, atom):
                 if formal is not None and (program.is_subtype(obj.type, formal)
                                            or program.is_subtype(formal, obj.type)):
                     ways.append(subject)
-        out.extend(planner._mk(Candidate("new", spec=spec, via=via, spec_key=spec.key))
+        out.extend(planner._mk(Candidate("new", spec=spec, via=via))
                    for via in ways
                    if planner._span_admits(spec) and planner._policy_admits(spec))
     return planner._filter_precedence(out)

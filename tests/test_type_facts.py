@@ -1,13 +1,16 @@
 """Every hierarchy, member and resource-path question a `Program` answers
-from its per-type lookups agrees with the per-call walks it replaced
-(`reference_model`), on every corpus tree and on two generated trees."""
+from its per-type lookups, and every fact a planner action carries,
+agrees with the walks and derivations it replaced (`reference_model`),
+on every corpus tree and on two generated trees."""
 
 import sys
 from pathlib import Path
 
 import pytest
 
+from poplar.planner import action_universe
 from poplar.resolver import load_program
+from poplar.synth import AssumptionRecord
 
 import reference_model as ref
 from conftest import CORPUS
@@ -38,7 +41,10 @@ def declared_paths(program, name):
     return sorted(paths)
 
 
-@pytest.mark.parametrize("tree", CORPUS_TREES + ["wide_tree", "deep_queries"])
+TREES = CORPUS_TREES + ["wide_tree", "deep_queries"]
+
+
+@pytest.mark.parametrize("tree", TREES)
 def test_type_lookups_agree_with_the_reference_walks(tree):
     """Over every type name and the names of no declared type, each pair
     of them, every declared field and method name, and every declared
@@ -70,3 +76,47 @@ def test_type_lookups_agree_with_the_reference_walks(tree):
         for m in u.methods:
             assert program.overridden_method(m) is ref.overridden_method(program, m), \
                 (u.name, m.name)
+
+
+def record(unit, name, member, signature):
+    """An assumption record naming `member` of `unit` by `name` and
+    `signature`, as `synth` writes one."""
+    return AssumptionRecord(unit.name, name, "ctor" if member.is_constructor else "invoke",
+                            signature)
+
+
+@pytest.mark.parametrize("tree", TREES)
+def test_declared_member_lookup_agrees_with_the_scans_it_replaced(tree):
+    """For every declared member, for an undeclared name and for a wrong
+    arity, `declared_method` finds what `verify-upgrade`'s signature scan
+    found; every external overlays the method the overlay's scan found."""
+    program = load_program(tree_sources(tree))
+    for u in (program.units[n] for n in sorted(program.units)):
+        for m in u.methods:
+            argc = len(m.args)
+            found = program.declared_method(u.name, m.name, argc, m.is_constructor)
+            assert found is ref.find_member(program, record(u, m.name, m, m.signature())) \
+                is m, (u.name, m.name, argc)
+            assert program.declared_method(u.name, "undeclared", argc) is None is \
+                ref.find_member(program, record(u, "undeclared", m, "undeclared()"))
+            wrong = 1 + max(len(x.args) for x in u.methods if x.key[0] == m.key[0])
+            params = ", ".join([a.type for a in m.args] + ["int"] * (wrong - argc))
+            sig = m.signature().replace(f"({', '.join(a.type for a in m.args)})",
+                                        f"({params})")
+            assert program.declared_method(u.name, m.name, wrong, m.is_constructor) is \
+                None is ref.find_member(program, record(u, m.name, m, sig))
+        for ex in u.externals:
+            if program.diagnostics.has_errors:
+                continue  # the overlay pass did not run
+            target = ref.find_target_method(program, ex)
+            assert target is program.declared_method(
+                ex.target_type, ex.method.name, len(ex.method.args), ex.method.is_constructor)
+            assert target is not None and u.name in target.merged_externals
+
+
+@pytest.mark.parametrize("tree", TREES)
+def test_every_action_carries_the_facts_the_planner_derived(tree):
+    program = load_program(tree_sources(tree))
+    for spec in action_universe(program):
+        want = ref.spec_facts(program, spec)
+        assert {name: getattr(spec, name) for name in want} == want, spec.label()
