@@ -236,6 +236,9 @@ def cmd_explain(args) -> int:
         path = program.unit_paths.get(target.unit, "<unknown>")
         print(Diagnostic(path, target.pos.line, target.pos.col, "error",
                          E_PLAN, f"{type(e).__name__}: {e.message}").render())
+        if e.bound is not None:
+            print(f"lower bound: {e.bound}")
+        print(f"explored plans: {e.explored}\nrejected threats: {e.rejected_threats}")
         return 1
     print(render_plan(result))
     if args.dot:

@@ -641,13 +641,13 @@ class Parser:
     def parse_postfix(self, expr: Expr) -> Expr:
         while self.at("."):
             self.next()
-            name = self.expect_ident().text
+            name = self.expect_ident()
             if self.accept("("):
                 args = self.parse_args()
                 self.expect(")")
-                expr = CallExpr(expr, name, args, self.peek().pos)
+                expr = CallExpr(expr, name.text, args, name.pos)
             else:
-                expr = FieldAccessExpr(expr, name, self.peek().pos)
+                expr = FieldAccessExpr(expr, name.text, name.pos)
         return expr
 
     def parse_args(self) -> list[Expr]:

@@ -32,10 +32,15 @@ FINISH = 1
 
 
 class PlanFailure(Exception):
-    def __init__(self, message: str, explored: int = 0):
+    """A query without a plan, with the search's counters and lower bound."""
+
+    def __init__(self, message: str, explored: int = 0, rejected_threats: int = 0,
+                 bound: Optional[int] = None):
         super().__init__(message)
         self.message = message
         self.explored = explored
+        self.rejected_threats = rejected_threats
+        self.bound = bound
 
 
 class NoSolution(PlanFailure):
@@ -275,12 +280,13 @@ class Plan:
 class PlanResult:
     """A closed plan for one query, with its search counters."""
 
-    def __init__(self, plan: Plan, ctx: QueryContext, goal: Atom,
+    def __init__(self, plan: Plan, ctx: QueryContext, goal: Atom, bound: int,
                  explored: int, rejected_threats: int, chosen_groups: dict[int, int],
                  solution_targets: frozenset = frozenset()):
         self.plan = plan
         self.ctx = ctx
         self.goal = goal
+        self.bound = bound
         self.explored = explored
         self.rejected_threats = rejected_threats
         self.chosen_groups = chosen_groups
@@ -352,6 +358,37 @@ class ActionIndex:
                     self.achievers.setdefault(atom, []).append((spec, "result"))
             for subject, atom, _, _ in spec.effects:
                 self.achievers.setdefault(atom, []).append((spec, subject))
+        self._cones: dict[Atom, list] = {}
+
+    def cone(self, goal: Atom) -> list[tuple[object, list]]:
+        """The backward cone of `goal` in the delete relaxation, breadth
+        first from the goal at 0: (fact, [(spec, the positions of the facts
+        it needs)]). A fact is a type name for `exists T` or an atom for
+        `holds a`, on whichever object. An action needs the conditions
+        `_add_action` opens, but for those on the object it achieves on."""
+        cone = self._cones.get(goal)
+        if cone is None:
+            cone = self._cones[goal] = []
+            where = {goal: 0}
+            facts: list = [goal]
+            for fact in facts:  # grows while it is read
+                pairs = [(s, "result") for s in self.producers.get(fact, ())] \
+                    if isinstance(fact, str) else self.achievers.get(fact, ())
+                ways = []
+                for spec, via in pairs:
+                    m = spec.method
+                    recv = m is not None and not m.is_constructor and not m.is_static
+                    needs = [m.declared_in] if recv and via != "this" else []
+                    needs += [a.type for a in m.args if a.name != via] if m else []
+                    needs += [atom for subject, atom in spec.preconditions
+                              if subject == "this" and recv or subject in spec.slots]
+                    for n in needs:
+                        if n not in where:
+                            where[n] = len(facts)
+                            facts.append(n)
+                    ways.append((spec, tuple(where[n] for n in needs)))
+                cone.append((fact, ways))
+        return cone
 
     @classmethod
     def of(cls, program: Program) -> "ActionIndex":
@@ -401,6 +438,7 @@ class Planner:
         self.index = ActionIndex.of(program)
         self.explored = 0
         self.rejected_threats = 0
+        self.bound: Optional[int] = None  # set by `_solve`
         self.enclosing_summary = program.effective_summary(ctx.method)
         self.enclosing_var_types = {a.name: a.type for a in ctx.method.args}
         self.spans = [s for s in ctx.spans if s.protected_resource]
@@ -451,22 +489,76 @@ class Planner:
 
     def plan(self) -> PlanResult:
         plan = self._solve()
-        if plan is None:
-            raise NoSolution(
-                f"no solution within length {self.cfg.max_plan_length} "
-                f"(explored {self.explored} plans)", self.explored)
         groups = {a.aid: a.spec.group for a in plan.real_actions()
                   if a.spec and a.spec.group is not None}
-        return PlanResult(plan, self.ctx, self.goal,
+        return PlanResult(plan, self.ctx, self.goal, self.bound,
                           self.explored, self.rejected_threats, groups,
                           frozenset(self.visible_targets(plan)))
 
-    def _solve(self) -> Optional[Plan]:
-        """The first solution of the shallowest depth that has one."""
-        for depth in range(0, self.cfg.max_plan_length + 1):
-            for solution in self._dfs(self.initial_plan(), depth, frozenset()):
-                return solution
-        return None
+    def _solve(self) -> Plan:
+        """The first solution of the shallowest depth that has one. No
+        solution is shorter than the lower bound, so deepening starts
+        there; each depth's search does not depend on the ones before."""
+        limit = self.cfg.max_plan_length
+        self.bound = self.lower_bound()
+        if self.bound is None:
+            reason = f"no solution: '{self.goal.text()}' is unreachable"
+        elif self.bound > limit:
+            reason = f"no solution within length {limit}: needs at least {self.bound} new actions"
+        else:
+            for depth in range(self.bound, limit + 1):
+                for solution in self._dfs(self.initial_plan(), depth, frozenset()):
+                    return solution
+            reason = f"no solution within length {limit}"
+        raise NoSolution(f"{reason} (explored {self.explored} plans)",
+                         self.explored, self.rejected_threats, self.bound)
+
+    def lower_bound(self) -> Optional[int]:
+        """At least how many new actions any solution needs, or None when
+        the goal is unreachable, over `ActionIndex.cone` with the in-scope
+        values' supertypes and labels at cost 0. It is the larger of `h_max`
+        (Bonet and Geffner, 2001), the costliest chain of achievers, and the
+        number of landmarks with pairwise disjoint achievers, each of which
+        needs an action of its own. The relaxation leaves out only what can
+        stop the search, so neither exceeds a solution's length."""
+        zero: set = set()
+        for st in self.ctx.values.values():
+            zero |= self.program.supertypes(st.type)
+            zero |= st.labels
+        cone = self.index.cone(self.goal)
+        inf = float("inf")
+        cost = [0 if fact in zero else inf for fact, _ in cone]
+        changed = True
+        while changed:  # a fixpoint, so that a cycle cannot fix a cost too high
+            changed = False
+            for i in reversed(range(len(cone))):  # the goal's needs first
+                if cost[i]:
+                    best = min((1 + max(map(cost.__getitem__, needs), default=0)
+                                for _, needs in cone[i][1]), default=inf)
+                    if best < cost[i]:
+                        cost[i], changed = best, True
+        if cost[0] == inf:
+            return None
+        # A fact that no in-scope value gives, and that the goal needs through
+        # every achiever it may have, is a landmark: some action achieves it.
+        landmarks: dict[int, frozenset] = {}
+        work = [0]
+        while work:
+            i = work.pop()
+            if i in landmarks or cost[i] == 0:
+                continue
+            live = [(s, needs) for s, needs in cone[i][1]
+                    if all(cost[n] < inf for n in needs)]
+            landmarks[i] = frozenset(s for s, _ in live)
+            work.extend(set(live[0][1]).intersection(*(needs for _, needs in live)))
+        taken: set = set()
+        count = 0
+        # Fewest achievers first, ties by the fact's text: never set order.
+        for i in sorted(landmarks, key=lambda i: (len(landmarks[i]), repr(cone[i][0]))):
+            if taken.isdisjoint(landmarks[i]):
+                taken |= landmarks[i]
+                count += 1
+        return max(cost[0], count)
 
     # -- search ------------------------------------------------------------------
 
@@ -497,7 +589,7 @@ class Planner:
             if self.explored >= self.cfg.plan_budget:
                 raise BudgetExhausted(
                     f"budget of {self.cfg.plan_budget} explored plans exhausted",
-                    self.explored)
+                    self.explored, self.rejected_threats, self.bound)
             successor = self._apply(plan, idx, cond, consumer, cand)
             if successor is None:
                 continue
@@ -1018,6 +1110,7 @@ def render_plan(result: PlanResult) -> str:
     lines.append("orderings:")
     for a, b in sorted(plan.orderings):
         lines.append(f"  {action_title(result, a)} < {action_title(result, b)}")
+    lines.append(f"lower bound: {result.bound}")
     lines.append(f"explored plans: {result.explored}")
     lines.append(f"rejected threats: {result.rejected_threats}")
     return "\n".join(lines)

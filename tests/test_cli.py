@@ -248,7 +248,7 @@ class TestExplain:
         assert "new Date()" in out
         assert "causal links:" in out
         assert "orderings:" in out
-        assert "rejected threats:" in out
+        assert "lower bound: 2\nexplored plans: 3\nrejected threats: 0" in out
 
     def test_dot_output(self, tmp_path, capsys):
         dot = tmp_path / "plan.dot"
@@ -447,7 +447,26 @@ class Lonely {
 """)
         code, out, _ = run(["explain", str(src), "--explain", "a.pop:5"], capsys)
         assert code == 1
-        assert "NoSolution" in out and "explored" in out
+        assert out == (f"{src / 'a.pop'}:5:9: error: E-PLAN: NoSolution: no solution: "
+                       "'Lonely.unreachable' is unreachable (explored 0 plans)\n"
+                       "explored plans: 0\nrejected threats: 0\n")
+
+    def test_a_query_longer_than_max_len_fails_before_any_search(self, capsys):
+        code, out, _ = run(["explain", c("swing", "toolkit.pop"), c("swing", "widgets.pop"),
+                            c("swing_query", "frames.pop"), "--max-len", "4",
+                            "--explain", "frames.pop:69"], capsys)
+        assert code == 1
+        assert out.endswith("E-PLAN: NoSolution: no solution within length 4: needs at "
+                            "least 6 new actions (explored 0 plans)\n"
+                            "lower bound: 6\nexplored plans: 0\nrejected threats: 0\n")
+
+    def test_a_failed_search_reports_its_counters_and_bound(self, capsys):
+        code, out, _ = run(["explain", c("threats"), "--max-len", "4",
+                            "--explain", "twin.pop:27"], capsys)
+        assert code == 1
+        assert out.endswith("E-PLAN: NoSolution: no solution within length 4 "
+                            "(explored 6 plans)\n"
+                            "lower bound: 4\nexplored plans: 6\nrejected threats: 1\n")
 
 
 class TestAssignmentQuerySite:

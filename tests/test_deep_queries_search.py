@@ -18,26 +18,26 @@ import gen  # noqa: E402
 
 # "dir/clients.pop:line" -> (explored, rejected threats, outcome), seed 1
 GOLDEN = {
-    "ok/clients.pop:3": (13, 0, 4),
-    "ok/clients.pop:9": (199, 0, 9),
-    "ok/clients.pop:15": (20, 0, 5),
-    "ok/clients.pop:21": (93, 0, 7),
-    "ok/clients.pop:27": (49, 0, 5),
-    "ok/clients.pop:33": (223, 0, 11),
-    "ok/clients.pop:40": (33, 0, 5),
-    "ok/clients.pop:47": (29, 0, 6),
-    "ok/clients.pop:53": (151, 0, 9),
-    "ok/clients.pop:59": (63, 0, 7),
-    "ok/clients.pop:65": (7, 0, 3),
-    "ok/clients.pop:72": (33, 0, 5),
-    "ok/clients.pop:79": (8, 0, 3),
-    "ok/clients.pop:85": (81, 0, 5),
-    "none/clients.pop:3": (42, 9, "NoSolution"),
-    "none/clients.pop:10": (4, 0, 2),
+    "ok/clients.pop:3": (7, 0, 4),
+    "ok/clients.pop:9": (37, 0, 9),
+    "ok/clients.pop:15": (9, 0, 5),
+    "ok/clients.pop:21": (22, 0, 7),
+    "ok/clients.pop:27": (15, 0, 5),
+    "ok/clients.pop:33": (36, 0, 11),
+    "ok/clients.pop:40": (30, 0, 5),
+    "ok/clients.pop:47": (11, 0, 6),
+    "ok/clients.pop:53": (29, 0, 9),
+    "ok/clients.pop:59": (16, 0, 7),
+    "ok/clients.pop:65": (4, 0, 3),
+    "ok/clients.pop:72": (30, 0, 5),
+    "ok/clients.pop:79": (5, 0, 3),
+    "ok/clients.pop:85": (23, 0, 5),
+    "none/clients.pop:3": (36, 9, "NoSolution"),
+    "none/clients.pop:10": (3, 0, 2),
     "none/clients.pop:12": (0, 0, "NoSolution"),
-    "none/clients.pop:19": (182, 0, "NoSolution"),
-    "none/clients.pop:25": (42, 9, "NoSolution"),
-    "none/clients.pop:32": (4, 0, 2),
+    "none/clients.pop:19": (0, 0, "NoSolution"),
+    "none/clients.pop:25": (36, 9, "NoSolution"),
+    "none/clients.pop:32": (3, 0, 2),
     "none/clients.pop:34": (0, 0, "NoSolution"),
 }
 
@@ -72,7 +72,7 @@ def totals(got):
 def test_deep_queries_search_is_golden():
     got = search(1)
     assert got == GOLDEN
-    assert totals(got) == (1276, 0)
+    assert totals(got) == (352, 0)
     passes = gen.deep_queries(1).passes
     assert {q: n for q, (_, _, n) in got.items() if q.startswith("ok/")} == passes[0].plans
     assert {f"{path}:{line}" for path, line, _, _ in passes[1].diagnostics} == \
@@ -80,4 +80,4 @@ def test_deep_queries_search_is_golden():
 
 
 def test_deep_queries_totals_do_not_depend_on_the_seed():
-    assert totals(search(2)) == (1276, 0)
+    assert totals(search(2)) == (352, 0)

@@ -490,7 +490,11 @@ class Lonely {
         with pytest.raises(NoSolution) as info:
             plan_query(prog, query_in(prog, "Lonely", "want"),
                        SearchConfig())
-        assert info.value.explored >= 0
+        # Nothing achieves the label: the lower bound refuses the query
+        # before any search.
+        assert (info.value.explored, info.value.bound) == (0, None)
+        assert info.value.message == \
+            "no solution: 'Lonely.unreachable' is unreachable (explored 0 plans)"
 
     def test_ambiguous_solution_when_uniqueness_demanded(self):
         prog = load([], [("a.pop", """
@@ -543,10 +547,17 @@ class Client {
         cfg = SearchConfig()
         with pytest.raises(NoSolution) as info:
             plan_query(prog, query_in(prog, "Client", "go"), cfg)
-        # assemble is tried once per deepening round and its impossible
-        # precondition fails fast: the glossy producers are never expanded,
-        # so the count stays at one successor per round.
-        assert info.value.explored <= cfg.max_plan_length + 1
+        # assemble is the only achiever of done, and nothing achieves its
+        # impossible precondition: the goal is unreachable, so the lower
+        # bound refuses the query before the glossy producers are expanded.
+        assert info.value.explored == 0
+        # Deepening from 0, assemble is tried once per round and its
+        # impossible precondition fails fast: one successor per round.
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(Planner, "lower_bound", lambda self: 0)
+            with pytest.raises(NoSolution) as info:
+                plan_query(prog, query_in(prog, "Client", "go"), cfg)
+        assert info.value.explored == cfg.max_plan_length
 
 
 class TestUnresolvableThreats:
