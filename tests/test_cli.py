@@ -145,6 +145,40 @@ class TestCheck:
         assert err.startswith(f"error: {bad}: not UTF-8: byte 0xe9 at offset 18")
 
 
+B1_TREE = """class Base {{
+    labels polished, shiny;
+
+    Base();
+    void buff({sup_args})
+        {sup_groups};
+}}
+
+class Sub extends Base {{
+    void buff({sub_args})
+        {sub_groups};
+}}
+"""
+
+
+# B1 for optional groups: each group declared above needs a group below that
+# requires no more and establishes no less, with the parameters renamed.
+@pytest.mark.parametrize("sup_args, sup_groups, sub_args, sub_groups, want", [
+    ("", "(this: +polished)?", "", "(this: +shiny)?",
+     (1, "p.pop:10:5: error: E-OVR: B1: Sub.buff vs Base.buff: "
+         "optional group 1 has no conforming counterpart\n")),
+    ("", "(this: +polished)?", "", "(this: +polished)?,\n        (this: +shiny)?",
+     (0, "")),
+    ("Base b", "(b: +shiny)?", "Base c", "(c: +shiny)?", (0, "")),
+], ids=["no-counterpart", "counterpart-among-two", "renamed-parameter"])
+def test_an_override_needs_a_conforming_counterpart_for_each_optional_group(
+        sup_args, sup_groups, sub_args, sub_groups, want, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("p.pop").write_text(B1_TREE.format(sup_args=sup_args, sup_groups=sup_groups,
+                                            sub_args=sub_args, sub_groups=sub_groups))
+    code, out, err = run(["check", "p.pop"], capsys)
+    assert (code, out, err) == (*want, "")
+
+
 class TestSynth:
     def test_full_tree(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

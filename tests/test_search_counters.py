@@ -3,11 +3,16 @@ explored plans, the number of rejected threats and the outcome (plan length
 or failure class) are pinned. A change to how candidates are found or
 ordered must leave the search itself unchanged."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 import poplar.planner as planner_module
+from poplar.cli import main
 from poplar.config import SearchConfig
 from poplar.planner import Candidate, PlanFailure, PlanObject, Planner
+from poplar.resolver import load_program
 
 from conftest import (
     RECORDSET, SOCKET, SWING_QUERY, TD14, TD15, TD_BOTH, all_query_contexts,
@@ -170,3 +175,104 @@ def test_index_candidates_match_a_universe_scan_for_every_object_shape(tree):
                 if program.is_subtype(actual, need):
                     obj = PlanObject(0, need, producer=2, actual_type=actual)
                     planner._fresh_candidates(obj, atom)
+
+
+# Trees whose effects fall on an argument, not on `this`: the planner links
+# an argument to the object the effect names (`Planner._arg_oid`). DRIVER is
+# the `threats` tree with the four steps moved to a class of their own.
+DRIVER = """class Twin {
+    protocols p, q;
+    resources rp, rq;
+    labels ready, sealed;
+
+    Twin()
+        result: +p@1, +q@1;
+
+    void seal()
+        this: p@2, q@2, +sealed;
+}
+
+class Driver {
+    Driver();
+
+    void goP(Twin t) mutates t.rq:
+        t: p@1->2 [*rp];
+
+    void goQ(Twin t) mutates t.rp:
+        t: q@1->2 [*rq];
+
+    void prime(Twin t)
+        t: +ready;
+
+    void goQSafely(Twin t)
+        t: ready, q@1->2 [*rq];
+}
+
+class Sealer {
+    void run() {
+        Twin t = #produce(Twin, sealed);
+    }
+}
+"""
+
+FILLER = """class Box {
+    labels full;
+
+    Box();
+}
+
+class Filler {
+    Filler();
+
+    void fill(Box b)
+        b: +full;
+}
+
+class User {
+    void run() {
+        Box x = #produce(Box, full);
+    }
+}
+"""
+
+# tree -> ((bound, explored, rejected threats, calls of `_arg_oid`), the
+# linearized plan as (spec key, receiver, args, result), sha256 of what
+# `synth` writes)
+ARG_GOLDEN = {
+    "driver": ((5, 20, 2, 6), [
+        (("Twin", "Twin", "ctor", -1), None, (), 0),
+        (("Driver", "Driver", "ctor", -1), None, (), 1),
+        (("Driver", "goP", "invoke", -1), 1, (0,), None),
+        (("Driver", "prime", "invoke", -1), 1, (0,), None),
+        (("Driver", "goQSafely", "invoke", -1), 1, (0,), None),
+        (("Twin", "seal", "invoke", -1), 0, (), None),
+    ], "7853c4d98bb89246c9dfa48b82bdc5e4c23f18579426c840da6fddc7e9185d11"),
+    "filler": ((2, 5, 0, 0), [
+        (("Box", "Box", "ctor", -1), None, (), 0),
+        (("Filler", "Filler", "ctor", -1), None, (), 1),
+        (("Filler", "fill", "invoke", -1), 1, (0,), None),
+    ], "e42a15cbcacbd50d0eb1b64dd3e517897d95a470cfe5eaa0dce7592f3812e261"),
+}
+
+
+@pytest.mark.parametrize("tree", sorted(ARG_GOLDEN))
+def test_argument_subject_plans_are_golden(tree, tmp_path, monkeypatch):
+    text = {"driver": DRIVER, "filler": FILLER}[tree]
+    counters, steps, digest = ARG_GOLDEN[tree]
+    links = []
+    real = Planner._arg_oid
+    monkeypatch.setattr(Planner, "_arg_oid",
+                        lambda self, *args: links.append(args) or real(self, *args))
+    program = load_program([(f"{tree}.pop", text)])
+    [ctx] = all_query_contexts(program)
+    planner = Planner(program, ctx, SearchConfig())
+    plan = planner.plan().plan
+    assert (planner.bound, planner.explored, planner.rejected_threats, len(links)) == counters
+    assert [(a.spec.key, a.receiver, a.args, a.result) for a in plan.linearize()] == steps
+    monkeypatch.chdir(tmp_path)
+    Path(f"{tree}.pop").write_text(text)
+    assert main(["synth", f"{tree}.pop", "--out", "out"]) == 0
+    h = hashlib.sha256()
+    for f in sorted(Path("out").iterdir()):
+        h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
+    assert h.hexdigest() == digest
