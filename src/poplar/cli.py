@@ -9,18 +9,34 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .config import SearchConfig, config_from_tree, parse_precedence
 from .diagnostics import Diagnostic, DiagnosticSink, E_PLAN
-from .effects import QueryContext, check_program, query_contexts
-from .model import Program
+from .model import ClassModel, MethodSpec, Program
 from .resolver import load_program
 
-# `check` imports only the modules above. `synth` and `verify-upgrade` import
-# `synth` when they run, only `synth` renders through `printer`, and only the
-# commands that plan import `planner`: each cold process pays for the layers
-# it runs.
+if TYPE_CHECKING:
+    from .effects import QueryContext
+
+# Every command imports the modules above, and the other layers only where
+# it runs them: `effects` for the commands that walk bodies (all but
+# `verify-upgrade`), `synth` for `synth` and `verify-upgrade`, `printer` for
+# `synth` alone and `planner` for the commands that plan. Each cold process
+# pays for the layers it runs. The wrappers below keep each entry point at
+# one name here, where `bench/tracing.py` wraps it.
+
+
+def check_program(program: Program):
+    """`effects.check_program`, with the checker imported on the first call."""
+    from .effects import check_program
+    return check_program(program)
+
+
+def query_contexts(program: Program, unit: ClassModel, method: MethodSpec):
+    """`effects.query_contexts`, with the checker imported on the first call."""
+    from .effects import query_contexts
+    return query_contexts(program, unit, method)
 
 
 def plan_query(program: Program, ctx: QueryContext, cfg: SearchConfig):
@@ -166,7 +182,10 @@ def cmd_synth(args) -> int:
     spliced = synth.splice_program(program, solutions)
     plain = synth.render_plain(spliced)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as e:  # a file is in the way
+        raise ValueError(f"{out_dir}: cannot make the output directory: {e.strerror}") from None
     corpus = synth.fingerprint_sources(sources)
     for path, text in sorted(plain.items()):
         (out_dir / (Path(path).stem + ".pop")).write_text(text)
@@ -191,9 +210,9 @@ def cmd_verify_upgrade(args) -> int:
     if program.diagnostics.has_errors:
         print(program.diagnostics.render())
         return 1
+    texts = [_read_source(f) for f in sorted(assume_dir.glob("*.assume")) if f.is_file()]
     try:
-        files = [synth.parse_assumptions(f.read_text(), str(f))
-                 for f in sorted(assume_dir.glob("*.assume"))]
+        files = [synth.parse_assumptions(text, path) for path, text in texts]
     except synth.MalformedAssumptions as e:
         print(e.diagnostic.render())
         return 1

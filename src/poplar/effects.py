@@ -13,8 +13,8 @@ from typing import Iterator, Optional
 from . import Frozen, setfield
 from .diagnostics import E_SPAN, E_SUM, E_UNIQ, E_OVR
 from .model import (
-    AssignStmt, Atom, BlockStmt, CallExpr, ClassModel, Condition, Conjunct,
-    Expr, ExprStmt, FieldAccessExpr, FieldDecl, LiteralExpr, MethodSpec,
+    AssignStmt, Atom, BlockStmt, CallExpr, ClassModel, Expr, ExprStmt,
+    FieldAccessExpr, FieldDecl, LiteralExpr, MethodSpec,
     MutationTarget, NameExpr, NewExpr, Pos, PRIMITIVES, Program, ProtectStmt,
     ProtocolDecl, Query, QueryStmt, ResourcePath, ReturnStmt, StateAtom, Stmt,
     SuperExpr, ThisExpr, UniquenessKind, VarDeclStmt, any_target, can_flow,
@@ -108,78 +108,8 @@ class MissingCalleeSummary(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Label bookkeeping helpers
+# Resource overlap and protection spans
 # ---------------------------------------------------------------------------
-
-def result_atoms(method: MethodSpec, group: Optional[int] = None) -> list[tuple[Atom, tuple[ResourcePath, ...]]]:
-    """Atoms the method establishes on its returned value. Invariants on
-    `result` count as carried labels."""
-    return [(atom, ()) for atom in method.result_labels] + [
-        (cond.after, cond.residence)
-        for cj in method.all_conjuncts(group) if cj.subject == "result"
-        for cond in cj.conditions]
-
-
-def subject_preconditions(method: MethodSpec, group: Optional[int] = None) -> list[tuple[str, Atom]]:
-    """(subject, atom) pairs that must hold before invocation."""
-    return _requirements(method.all_conjuncts(group))
-
-
-def subject_effects(method: MethodSpec, group: Optional[int] = None) -> list[tuple[str, Atom, tuple[ResourcePath, ...], Optional[Atom]]]:
-    """(subject, atom-added, residence, atom-removed) for non-result subjects."""
-    return [(cj.subject, cond.after, cond.residence, cond.removed)
-            for cj in method.all_conjuncts(group) if cj.subject != "result"
-            for cond in cj.conditions if _is_effect(cond)]
-
-
-def postconditions(method: MethodSpec, group: Optional[int] = None) -> list[tuple[str, Atom, tuple[ResourcePath, ...]]]:
-    """(subject, atom, residence) for every fact that holds after
-    invocation, `result` included."""
-    return [("result", atom, ()) for atom in method.result_labels] + [
-        (cj.subject, cond.after, cond.residence)
-        for cj in method.all_conjuncts(group) for cond in cj.conditions]
-
-
-def _requirements(conjuncts: tuple[Conjunct, ...]) -> list[tuple[str, Atom]]:
-    """(subject, atom) for each condition that needs an atom before the call."""
-    return [(cj.subject, cond.before) for cj in conjuncts if cj.subject != "result"
-            for cond in cj.conditions if cond.before is not None]
-
-
-def _is_effect(cond: Condition) -> bool:
-    """Whether a condition changes its subject: it adds an atom without
-    needing one, or it removes one. Only an invariant does neither."""
-    return cond.before is None or cond.removed is not None
-
-
-def goal_residence(program: Program, goal: Atom) -> tuple[ResourcePath, ...]:
-    """Residence of a goal established by unknown means: the union of the
-    residences declared on corpus effects that achieve the goal."""
-    if program.goal_residences is None:
-        program.goal_residences = _goal_residence_table(program)
-    return program.goal_residences.get(goal, ())
-
-
-def _goal_residence_table(program: Program) -> dict[Atom, tuple[ResourcePath, ...]]:
-    """Atom -> residence paths in first-seen order, over every method of the
-    program in unit order; one walk stands for a scan per goal."""
-    # dict keys keep insertion order, so each bucket is an ordered set.
-    table: dict[Atom, dict[ResourcePath, None]] = {}
-
-    def note(atom: Atom, residence: tuple[ResourcePath, ...]) -> None:
-        paths = table.setdefault(atom, {})
-        for p in residence:
-            paths[p] = None
-
-    for cname in sorted(program.units):
-        for m in program.units[cname].methods:
-            for g in m.group_choices():
-                for atom, residence in result_atoms(m, g):
-                    note(atom, residence)
-                for _, atom, residence, _ in subject_effects(m, g):
-                    note(atom, residence)
-    return {atom: tuple(paths) for atom, paths in table.items()}
-
 
 def paths_comparable(program: Program, root_type: str, a: ResourcePath, b: ResourcePath) -> bool:
     """Whether two resource paths on the same object overlap (one is an
@@ -321,7 +251,7 @@ class BodyAnalyzer:
         for a in m.args:
             self.values[a.name] = ValueState(a.name, a.type, a.uniqueness,
                                              declared_order=self._next_order())
-        for subject, atom in subject_preconditions(m):
+        for subject, atom in m.subject_preconditions():
             if subject in self.values:
                 self.values[subject].labels.add(atom)
         for fname, fld in sorted(self.program.managed_fields(self.unit.name).items()):
@@ -510,7 +440,7 @@ class BodyAnalyzer:
         goal = query.goal
         residence: tuple[ResourcePath, ...] = ()
         if goal is not None:
-            residence = goal_residence(self.program, goal)
+            residence = self.program.goal_residence(goal)
         local = self.values.get(s.var) if s.var is not None else None
         if query.kind == "produce" and s.type is None and s.var is not None \
                 and (local is None or local.is_field):
@@ -666,7 +596,7 @@ class BodyAnalyzer:
                 self._eval(a, pos)
             return st
         self._invoke(ctor, None, e.args, pos, fresh_receiver=True)
-        for atom, residence in result_atoms(ctor):
+        for atom, residence in ctor.result_atoms():
             st.labels.add(atom)
             st.residence[atom] = residence
         return st
@@ -717,7 +647,7 @@ class BodyAnalyzer:
         self._map_callee_summary(callee, recv, arg_states, pos, fresh_receiver)
         self._apply_callee_effects(callee, recv, arg_states)
         result = ValueState("<call>", callee.return_type, callee.return_uniqueness)
-        for atom, residence in result_atoms(callee):
+        for atom, residence in callee.result_atoms():
             result.labels.add(atom)
             result.residence[atom] = residence
         return result
@@ -788,7 +718,7 @@ class BodyAnalyzer:
     def _apply_callee_effects(self, callee: MethodSpec, recv: Optional[ValueState],
                               arg_states: list[Optional[ValueState]]) -> None:
         by_name = {a.name: i for i, a in enumerate(callee.args)}
-        for subject, atom, residence, removed in subject_effects(callee):
+        for subject, atom, residence, removed in callee.subject_effects():
             st: Optional[ValueState] = None
             if subject == "this":
                 st = recv
@@ -928,19 +858,22 @@ def check_override(program: Program, sub: MethodSpec, sup: MethodSpec) -> list[V
         return {(rename.get(s, s), a) for s, a in pairs}
 
     # B1: weaker-or-equal preconditions, stronger-or-equal postconditions.
-    sub_pre = norm(subject_preconditions(sub))
-    sup_pre = norm(subject_preconditions(sup))
-    extra_pre = sub_pre - sup_pre
+    extra_pre = norm(sub.subject_preconditions()) - norm(sup.subject_preconditions())
     if extra_pre:
         names = ", ".join(sorted(f"{s}: {a.text()}" for s, a in extra_pre))
         violate("B1", f"override strengthens preconditions ({names})")
-    sub_post = _postconditions(sub, rename)
-    sup_post = _postconditions(sup, rename)
-    lost_post = sup_post - sub_post
+    lost_post = norm((s, a) for s, a, _ in sup.postconditions()) - \
+        norm((s, a) for s, a, _ in sub.postconditions())
     if lost_post:
         names = ", ".join(sorted(f"{s}: {a.text()}" for s, a in lost_post))
         violate("B1", f"override weakens postconditions ({names})")
-    _check_groups(program, sub, sup, rename, violate)
+    # Each optional group declared above needs a conforming counterpart below.
+    sub_groups = [tuple(map(norm, sub.group_contract(g)))
+                  for g in range(len(sub.optional_groups))]
+    for gi in range(len(sup.optional_groups)):
+        sup_pre, sup_post = map(norm, sup.group_contract(gi))
+        if not any(pre <= sup_pre and post >= sup_post for pre, post in sub_groups):
+            violate("B1", f"optional group {gi + 1} has no conforming counterpart")
 
     # B2: mutation summary containment. Mutations routed through fields the
     # subclass itself introduces are acceptable only when those fields are
@@ -964,8 +897,8 @@ def check_override(program: Program, sub: MethodSpec, sup: MethodSpec) -> list[V
 
     # B2 (residence): effects declared above must reside in the same or
     # smaller/fewer resources below.
-    sup_effects = {(rename.get(s, s), a): r for s, a, r, _ in subject_effects(sup)}
-    sub_effects = {(rename.get(s, s), a): r for s, a, r, _ in subject_effects(sub)}
+    sup_effects = {(rename.get(s, s), a): r for s, a, r, _ in sup.subject_effects()}
+    sub_effects = {(rename.get(s, s), a): r for s, a, r, _ in sub.subject_effects()}
     for key, sup_res in sorted(sup_effects.items(), key=lambda kv: str(kv[0])):
         if key not in sub_effects:
             continue  # reported as B1 if genuinely lost
@@ -1001,37 +934,6 @@ def check_override(program: Program, sub: MethodSpec, sup: MethodSpec) -> list[V
             violate("B6", f"override adds local mutation [!{'.'.join(p)}] on a "
                           f"resource inherited from '{owner}'")
     return out
-
-
-def _postconditions(m: MethodSpec, rename: dict[str, str]) -> set[tuple[str, Atom]]:
-    return {(rename.get(s, s), atom) for s, atom, _ in postconditions(m)}
-
-
-def _check_groups(program: Program, sub: MethodSpec, sup: MethodSpec,
-                  rename: dict[str, str], violate) -> None:
-    """Each optional group declared above needs a counterpart below."""
-    for gi, group in enumerate(sup.optional_groups):
-        sup_pre = {(rename.get(s, s), a) for s, a in _group_pre(sup, gi)}
-        sup_post = {(rename.get(s, s), a) for s, a in _group_post(sup, gi)}
-        ok = False
-        for gj in range(len(sub.optional_groups)):
-            sub_pre = {(rename.get(s, s), a) for s, a in _group_pre(sub, gj)}
-            sub_post = {(rename.get(s, s), a) for s, a in _group_post(sub, gj)}
-            if sub_pre <= sup_pre and sub_post >= sup_post:
-                ok = True
-                break
-        if not ok:
-            violate("B1", f"optional group {gi + 1} has no conforming counterpart")
-
-
-def _group_pre(m: MethodSpec, group: int) -> set[tuple[str, Atom]]:
-    return set(_requirements(m.optional_groups[group]))
-
-
-def _group_post(m: MethodSpec, group: int) -> set[tuple[str, Atom]]:
-    """What an optional group adds, with the invariants it keeps on `result`."""
-    return {(cj.subject, cond.after) for cj in m.optional_groups[group]
-            for cond in cj.conditions if _is_effect(cond) or cj.subject == "result"}
 
 
 def _rename_target(t: MutationTarget, rename: dict[str, str]) -> MutationTarget:

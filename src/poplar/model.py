@@ -2,8 +2,8 @@
 
 Everything the later phases consume lives here: declarations (classes,
 fields, methods, labels, protocols, resources, externals), the condition
-vocabulary shared with the planner, mutation targets with their upward
-closure, and the uniqueness lattices. The source printer, used for
+vocabulary that every layer reads on `MethodSpec`, mutation targets with
+their upward closure, and the uniqueness lattices. The source printer, used for
 round-tripping and for emitting annotation-stripped output, lives in
 `printer.py`.
 
@@ -689,6 +689,38 @@ class MethodSpec:
             out.extend(self.optional_groups[group])
         return tuple(out)
 
+    # -- the condition vocabulary: what the member requires and establishes --
+
+    def result_atoms(self, group: Optional[int] = None) -> list[tuple[Atom, tuple[ResourcePath, ...]]]:
+        """Atoms the method establishes on its returned value. Invariants on
+        `result` count as carried labels."""
+        return [(atom, ()) for atom in self.result_labels] + \
+            _results(self.all_conjuncts(group))
+
+    def subject_preconditions(self, group: Optional[int] = None) -> list[tuple[str, Atom]]:
+        """(subject, atom) pairs that must hold before invocation."""
+        return _requirements(self.all_conjuncts(group))
+
+    def subject_effects(self, group: Optional[int] = None) -> list[tuple[str, Atom, tuple[ResourcePath, ...], Optional[Atom]]]:
+        """(subject, atom-added, residence, atom-removed) for non-result subjects."""
+        return _effects(self.all_conjuncts(group))
+
+    def postconditions(self, group: Optional[int] = None) -> list[tuple[str, Atom, tuple[ResourcePath, ...]]]:
+        """(subject, atom, residence) for every fact that holds after
+        invocation, `result` included."""
+        return [("result", atom, ()) for atom in self.result_labels] + [
+            (cj.subject, cond.after, cond.residence)
+            for cj in self.all_conjuncts(group) for cond in cj.conditions]
+
+    def group_contract(self, group: int) -> tuple[set[tuple[str, Atom]], set[tuple[str, Atom]]]:
+        """One optional group on its own, as override conformance (B1) reads
+        it: the (subject, atom) pairs it requires, and those it adds with
+        the invariants it keeps on `result`."""
+        conjuncts = self.optional_groups[group]
+        return set(_requirements(conjuncts)), \
+            {(s, atom) for s, atom, _, _ in _effects(conjuncts)} | \
+            {("result", atom) for atom, _ in _results(conjuncts)}
+
     def group_choices(self) -> list[Optional[int]]:
         """No optional group, then each group by index."""
         return [None, *range(len(self.optional_groups))]
@@ -702,6 +734,32 @@ class MethodSpec:
         targets = set(self.mutates)
         targets.update(this_target(p) for p in self.local_mutations)
         return frozenset(targets)
+
+
+def _requirements(conjuncts: tuple[Conjunct, ...]) -> list[tuple[str, Atom]]:
+    """(subject, atom) for each condition that needs an atom before the call."""
+    return [(cj.subject, cond.before) for cj in conjuncts if cj.subject != "result"
+            for cond in cj.conditions if cond.before is not None]
+
+
+def _effects(conjuncts: tuple[Conjunct, ...]) -> list[tuple[str, Atom, tuple[ResourcePath, ...], Optional[Atom]]]:
+    """(subject, atom-added, residence, atom-removed) for each condition
+    that changes a subject other than `result`."""
+    return [(cj.subject, cond.after, cond.residence, cond.removed)
+            for cj in conjuncts if cj.subject != "result"
+            for cond in cj.conditions if _is_effect(cond)]
+
+
+def _results(conjuncts: tuple[Conjunct, ...]) -> list[tuple[Atom, tuple[ResourcePath, ...]]]:
+    """(atom, residence) for each condition on `result`."""
+    return [(cond.after, cond.residence) for cj in conjuncts if cj.subject == "result"
+            for cond in cj.conditions]
+
+
+def _is_effect(cond: Condition) -> bool:
+    """Whether a condition changes its subject: it adds an atom without
+    needing one, or it removes one. Only an invariant does neither."""
+    return cond.before is None or cond.removed is not None
 
 
 class ExternalDecl:
@@ -768,7 +826,7 @@ class Program:
         # ended (`planner.ActionIndex.of`).
         self.action_index: object = None
         # Atom -> residence of the corpus effects that achieve it, built on the
-        # first query once resolution has ended (`effects.goal_residence`).
+        # first query once resolution has ended (`goal_residence`).
         self.goal_residences: Optional[dict] = None
         # Label name -> the units that declare it, in unit order, built on
         # first use once every unit is registered (`label_decl_sites`).
@@ -1006,6 +1064,22 @@ class Program:
                         table[n] = table.get(n, ()) + (tname,)
             self.label_sites = table
         return [LabelAtom(owner, name) for owner in self.label_sites.get(name, ())]
+
+    def goal_residence(self, goal: Atom) -> tuple[ResourcePath, ...]:
+        """Residence of a goal established by unknown means: the union of the
+        residences declared on corpus effects that achieve the goal, in
+        first-seen order over every method in unit order."""
+        if self.goal_residences is None:
+            # dict keys keep insertion order, so each bucket is an ordered set.
+            table: dict[Atom, dict[ResourcePath, None]] = {}
+            for cname in sorted(self.units):
+                for m in self.units[cname].methods:
+                    for g in m.group_choices():
+                        for atom, residence in m.result_atoms(g) + \
+                                [(a, r) for _, a, r, _ in m.subject_effects(g)]:
+                            table.setdefault(atom, {}).update(dict.fromkeys(residence))
+            self.goal_residences = {atom: tuple(paths) for atom, paths in table.items()}
+        return self.goal_residences.get(goal, ())
 
     def resolve_label(self, name: str, scope_type: Optional[str]) -> list[LabelAtom]:
         """Label candidates for `name`, preferring the scope's own

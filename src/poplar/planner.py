@@ -16,10 +16,7 @@ from typing import Iterator, Optional
 
 from . import Frozen, setfield
 from .config import SearchConfig
-from .effects import (
-    QueryContext, name_mutation, paths_comparable, result_atoms, span_hits,
-    subject_effects, subject_preconditions,
-)
+from .effects import QueryContext, name_mutation, paths_comparable, span_hits
 from .model import (
     Atom, FieldDecl, MethodSpec, MutationTarget, Program,
     ResourcePath, StateAtom, UniquenessKind,
@@ -84,9 +81,9 @@ class ActionSpec(Frozen):
         else:
             result_type = method.declared_in if method.is_constructor else \
                 None if method.return_type == "void" else method.return_type
-            atoms = result_atoms(method, group)
-            effects = subject_effects(method, group)
-            preconditions = tuple(subject_preconditions(method, group))
+            atoms = method.result_atoms(group)
+            effects = method.subject_effects(group)
+            preconditions = tuple(method.subject_preconditions(group))
             summary = program.effective_summary(method)
             slots = {a.name: i for i, a in enumerate(method.args)}
         setfield(self, "result_type", result_type)

@@ -9,7 +9,6 @@ from typing import TYPE_CHECKING, Optional
 
 from . import Frozen, setfield
 from .diagnostics import Diagnostic, E_SYN
-from .effects import postconditions, subject_preconditions
 from .model import (
     AssignStmt, BlockStmt, CallExpr, ClassModel, Expr, ExprStmt,
     FieldAccessExpr, MethodSpec, MutationTarget, NameExpr, NewExpr, Program,
@@ -283,13 +282,13 @@ def _residence_suffix(residence) -> str:
 
 
 def method_pre_entries(m: MethodSpec, group: Optional[int]) -> tuple[str, ...]:
-    entries = [f"{s} {a.text()}" for s, a in subject_preconditions(m, group)]
+    entries = [f"{s} {a.text()}" for s, a in m.subject_preconditions(group)]
     return tuple(sorted(set(entries)))
 
 
 def method_post_entries(m: MethodSpec, group: Optional[int]) -> tuple[str, ...]:
     entries = {f"{s} {atom.text()}{_residence_suffix(residence)}"
-               for s, atom, residence in postconditions(m, group)}
+               for s, atom, residence in m.postconditions(group)}
     return tuple(sorted(entries))
 
 

@@ -13,10 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from poplar.effects import (
-    QueryContext, SpanObligation, paths_comparable, result_atoms,
-    subject_effects, subject_preconditions,
-)
+from poplar.effects import QueryContext, SpanObligation, paths_comparable
 from poplar.model import (
     Atom, ClassModel, FieldDecl, MethodSpec, PRIMITIVES, Program,
     UniquenessKind,
@@ -112,7 +109,7 @@ def _relevant_actions(program: Program, universe: list[OAction],
             changed = True
             m = a.method
             if m is not None:
-                for s, atom in subject_preconditions(m, a.group):
+                for s, atom in m.subject_preconditions(a.group):
                     needed_atoms.add(atom)
                 if not m.is_constructor and not m.is_static:
                     needed_types.add(m.declared_in)
@@ -125,8 +122,8 @@ def _produced_atoms(program: Program, a: OAction) -> list[Atom]:
     if a.kind == "fieldread":
         return list(a.field.labels)
     m = a.method
-    atoms = [atom for atom, _ in result_atoms(m, a.group)]
-    atoms.extend(atom for _, atom, _, _ in subject_effects(m, a.group))
+    atoms = [atom for atom, _ in m.result_atoms(a.group)]
+    atoms.extend(atom for _, atom, _, _ in m.subject_effects(a.group))
     return atoms
 
 
@@ -158,7 +155,7 @@ def _bindings(program: Program, state: State, a: OAction):
         yield (None, ())
         return
     m = a.method
-    pre = subject_preconditions(m, a.group)
+    pre = m.subject_preconditions(a.group)
 
     def ok(subject: str, idx: int) -> bool:
         v = state[idx]
@@ -257,14 +254,14 @@ def _apply(program: Program, state: State, a: OAction, recv: Optional[int],
         values[idx] = OValue(v.name, v.type, frozenset(labels), v.kind, v.fresh)
 
     by_name = {arg.name: i for i, arg in enumerate(m.args)}
-    for subject, atom, _, removed in subject_effects(m, a.group):
+    for subject, atom, _, removed in m.subject_effects(a.group):
         if subject == "this" and recv is not None:
             update(recv, atom, removed)
         elif subject in by_name and by_name[subject] < len(args):
             update(args[by_name[subject]], atom, removed)
     rt = _result_type(program, a)
     if rt is not None:
-        labels = frozenset(atom for atom, _ in result_atoms(m, a.group))
+        labels = frozenset(atom for atom, _ in m.result_atoms(a.group))
         values.append(OValue(None, rt, labels, KIND.UNIQUE, True))
     return _canon(values)
 

@@ -4,7 +4,6 @@ facts an `ActionSpec` now carries, kept as the reference for the
 equivalence tests. Each reads only `program.units` (and the action) and
 walks again on every call; they must not be used outside the tests."""
 
-from poplar.effects import result_atoms, subject_effects, subject_preconditions
 from poplar.model import OBJECT, PRIMITIVES, this_target
 
 
@@ -218,13 +217,13 @@ def spec_result_type(spec):
 def spec_result_atoms(spec):
     if spec.kind == "fieldread":
         return [(a, ()) for a in spec.fld.labels]
-    return result_atoms(spec.method, spec.group)
+    return spec.method.result_atoms(spec.group)
 
 
 def spec_subject_effects(spec):
     if spec.kind == "fieldread":
         return []
-    return subject_effects(spec.method, spec.group)
+    return spec.method.subject_effects(spec.group)
 
 
 def spec_facts(program, spec):
@@ -242,7 +241,7 @@ def spec_facts(program, spec):
         "result_atoms": atoms,
         "result_atom_set": frozenset(a for a, _ in atoms),
         "effects": effects,
-        "preconditions": tuple(subject_preconditions(m, spec.group)) if m else (),
+        "preconditions": tuple(m.subject_preconditions(spec.group)) if m else (),
         "summary": summary,
         "any_targets": tuple(t for t in summary if t.root_kind == "any"),
         "precedence": unit.precedence if unit else 0,

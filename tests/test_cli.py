@@ -169,7 +169,10 @@ class Sub extends Base {{
     ("", "(this: +polished)?", "", "(this: +polished)?,\n        (this: +shiny)?",
      (0, "")),
     ("Base b", "(b: +shiny)?", "Base c", "(c: +shiny)?", (0, "")),
-], ids=["no-counterpart", "counterpart-among-two", "renamed-parameter"])
+    ("", "(this: polished, +shiny)?", "", "(this: +shiny)?", (0, "")),
+    ("", "(this: +polished)?", "", "(this: +polished, +shiny)?", (0, "")),
+], ids=["no-counterpart", "counterpart-among-two", "renamed-parameter",
+        "weaker-precondition", "stronger-postcondition"])
 def test_an_override_needs_a_conforming_counterpart_for_each_optional_group(
         sup_args, sup_groups, sub_args, sub_groups, want, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -232,6 +235,17 @@ class Asker implements TimeAndDate {
         assert code == 1
         assert "WithUnsatisfiable" in out
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_out_that_a_file_is_in_the_way_of_is_a_usage_error(self, tmp_path, capsys,
+                                                               below):
+        (tmp_path / "taken").write_text("kept\n")
+        out_dir = tmp_path / "taken" / "sub" if below else tmp_path / "taken"
+        code, out, err = run(["synth", c("witness"), "--out", str(out_dir)], capsys)
+        assert (code, out) == (2, "")
+        reason = "Not a directory" if below else "File exists"
+        assert err == f"error: {out_dir}: cannot make the output directory: {reason}\n"
+        assert [(f.name, f.read_text()) for f in tmp_path.iterdir()] == [("taken", "kept\n")]
+
     def test_byte_identical_across_runs(self, tmp_path, capsys):
         trees = []
         for which in ("one", "two"):
@@ -271,6 +285,20 @@ class TestVerifyUpgrade:
         code, out, _ = run(["verify-upgrade", "--assumptions", str(stored),
                             c("common"), c("upgrade_stronger")], capsys)
         assert code == 0
+
+    def test_a_directory_named_like_an_assumption_file_is_skipped(self, stored, capsys):
+        (stored / "x.assume").mkdir()
+        code, out, err = run(["verify-upgrade", "--assumptions", str(stored),
+                              c("common"), c("upgrade_stronger")], capsys)
+        assert (code, err) == (0, "") and out.startswith("ok ")
+
+    def test_a_non_utf8_assumption_file_is_a_usage_error_naming_it(self, stored, capsys):
+        bad = stored / "bad.assume"
+        bad.write_bytes(b"\xffquery=")
+        code, out, err = run(["verify-upgrade", "--assumptions", str(stored),
+                              c("common"), c("upgrade_stronger")], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: not UTF-8: byte 0xff at offset 0 (invalid start byte)\n"
 
 
 class TestExplain:
@@ -1039,7 +1067,7 @@ class TestImportLayers:
                                      c("common"), c("upgrade_stronger")])
         assert code == 0
         assert "poplar.synth" in modules
-        assert "poplar.planner" not in modules and "poplar.printer" not in modules
+        assert not modules & {"poplar.planner", "poplar.printer", "poplar.effects"}
         assert not modules & UNWANTED
 
     def test_synth_output_is_unchanged(self, tmp_path):

@@ -6,8 +6,7 @@ import pytest
 
 from poplar.effects import (
     ValueState, analyze_method, check_class_conformance, check_program,
-    goal_residence, is_subprotocol, class_protocol_machine, name_mutation,
-    postconditions, result_atoms, subject_effects, subject_preconditions,
+    is_subprotocol, class_protocol_machine, name_mutation,
 )
 from poplar.model import (
     AddLabel, ArgDecl, Conjunct, Invariant, LabelAtom, MethodSpec, StateAtom,
@@ -672,13 +671,13 @@ RESIDENCE_TREES = [
 
 
 def scanned_residence(program, goal):
-    """goal_residence as a scan of every method for the one goal."""
+    """`Program.goal_residence` as a scan of every method for the one goal."""
     paths = []
     for cname in sorted(program.units):
         for m in program.units[cname].methods:
             for g in [None, *range(len(m.optional_groups))]:
-                found = [r for atom, r in result_atoms(m, g) if atom == goal]
-                found += [r for _, atom, r, _ in subject_effects(m, g) if atom == goal]
+                found = [r for atom, r in m.result_atoms(g) if atom == goal]
+                found += [r for _, atom, r, _ in m.subject_effects(g) if atom == goal]
                 for residence in found:
                     for p in residence:
                         if p not in paths:
@@ -695,14 +694,14 @@ def test_goal_residence_table_agrees_with_a_scan(files):
     for unit in prog.units.values():
         for m in unit.methods:
             for g in [None, *range(len(m.optional_groups))]:
-                goals.update(atom for _, atom, _ in postconditions(m, g))
-                goals.update(atom for _, atom in subject_preconditions(m, g))
+                goals.update(atom for _, atom, _ in m.postconditions(g))
+                goals.update(atom for _, atom in m.subject_preconditions(g))
     for ctx in all_query_contexts(prog):
         subject = ctx.query.produce_type or ctx.values[ctx.query.target_var].type
         goals.add(prog.normalize_goal(ctx.query.goal_text, subject, ctx.unit))
     assert goals
     for goal in sorted(goals, key=repr):
-        assert goal_residence(prog, goal) == scanned_residence(prog, goal), goal
+        assert prog.goal_residence(goal) == scanned_residence(prog, goal), goal
     assert prog.goal_residences is not None and set(prog.goal_residences) <= goals
 
 
@@ -710,7 +709,7 @@ def test_goal_residence_follows_unit_name_order():
     """Alarm.force and Lock.turn both establish Door.life@wide; Alarm comes
     first by name although Lock comes first in the file."""
     prog = load(["protocol_order/order.pop"])
-    assert goal_residence(prog, StateAtom("Door", "life", "wide")) == \
+    assert prog.goal_residence(StateAtom("Door", "life", "wide")) == \
         (("frame",), ("hinge",))
 
 
@@ -736,7 +735,10 @@ def test_each_condition_reads_one_way_for_a_call(cond, before, after, removed,
         (before, after, removed, residence)
     m = MethodSpec("m", "Door", "void", (),
                    conjuncts=(Conjunct("this", (cond,)), Conjunct("result", (cond,))))
-    assert subject_preconditions(m) == ([("this", before)] if before else [])
-    assert subject_effects(m) == ([("this", after, residence, removed)] if effect else [])
-    assert postconditions(m) == [("this", after, residence), ("result", after, residence)]
-    assert result_atoms(m) == [(after, residence)]
+    assert m.subject_preconditions() == ([("this", before)] if before else [])
+    assert m.subject_effects() == ([("this", after, residence, removed)] if effect else [])
+    assert m.postconditions() == [("this", after, residence), ("result", after, residence)]
+    assert m.result_atoms() == [(after, residence)]
+    g = MethodSpec("m", "Door", "void", (), optional_groups=(m.conjuncts,))
+    assert g.group_contract(0) == ({("this", before)} if before else set(),
+                                   ({("this", after)} if effect else set()) | {("result", after)})
