@@ -8,6 +8,14 @@ __version__ = "0.1.0"
 setfield = object.__setattr__
 
 
+def replace(record, **changes):
+    """A copy of `record`, a plain class instance, that holds `changes` in
+    place of those fields and shares every other field's value."""
+    new = object.__new__(record.__class__)
+    vars(new).update(vars(record), **changes)
+    return new
+
+
 class Frozen:
     """A record whose fields are fixed once `__init__` has stored them."""
 

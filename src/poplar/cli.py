@@ -1,7 +1,7 @@
 """Batch driver: check, synthesize, verify upgrades, explain plans.
 
 Exit codes: 0 clean, 1 violations or planning failures, 2 usage errors.
-Diagnostics print one per line as `path:line:col: severity: code: message`.
+Diagnostics print one per line as `path:line:col: error: code: message`.
 """
 
 from __future__ import annotations
@@ -148,14 +148,12 @@ def _solve_tree(program: Program, cfg: SearchConfig):
             path = program.unit_paths.get(ctx.unit, "<unknown>")
             if ctx.error is not None:
                 v = ctx.error
-                failures.append(Diagnostic(path, v.pos.line, v.pos.col, "error", v.code,
-                                           v.text()))
+                failures.append(Diagnostic(path, v.pos.line, v.pos.col, v.code, v.text()))
                 continue
             try:
                 result = plan_query(program, ctx, cfg)
             except PlanFailure as e:
-                failures.append(Diagnostic(path, ctx.pos.line, ctx.pos.col,
-                                           "error", E_PLAN,
+                failures.append(Diagnostic(path, ctx.pos.line, ctx.pos.col, E_PLAN,
                                            f"{type(e).__name__}: {e.message}"))
                 continue
             stmts = synth.emit_statements(result, pool, ctx.stmt.var, ctx.stmt.type)
@@ -253,8 +251,8 @@ def cmd_explain(args) -> int:
         result = plan_query(program, target, cfg)
     except PlanFailure as e:
         path = program.unit_paths.get(target.unit, "<unknown>")
-        print(Diagnostic(path, target.pos.line, target.pos.col, "error",
-                         E_PLAN, f"{type(e).__name__}: {e.message}").render())
+        print(Diagnostic(path, target.pos.line, target.pos.col, E_PLAN,
+                         f"{type(e).__name__}: {e.message}").render())
         if e.bound is not None:
             print(f"lower bound: {e.bound}")
         print(f"explored plans: {e.explored}\nrejected threats: {e.rejected_threats}")

@@ -1,6 +1,6 @@
 """Diagnostic records and the sink they are collected in.
 
-One diagnostic per line, formatted ``path:line:col: severity: code: message``.
+One diagnostic per line, formatted ``path:line:col: error: code: message``.
 """
 
 from __future__ import annotations
@@ -21,18 +21,15 @@ E_PLAN = "E-PLAN"
 class Diagnostic(Frozen):
     """One positioned message."""
 
-    def __init__(self, path: str, line: int, col: int,
-                 severity: str,  # "error" | "warning"
-                 code: str, message: str):
+    def __init__(self, path: str, line: int, col: int, code: str, message: str):
         setfield(self, "path", path)
         setfield(self, "line", line)
         setfield(self, "col", col)
-        setfield(self, "severity", severity)
         setfield(self, "code", code)
         setfield(self, "message", message)
 
     def render(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.severity}: {self.code}: {self.message}"
+        return f"{self.path}:{self.line}:{self.col}: error: {self.code}: {self.message}"
 
 
 class DiagnosticSink:
@@ -42,11 +39,11 @@ class DiagnosticSink:
         self.items = [] if items is None else items
 
     def error(self, path: str, line: int, col: int, code: str, message: str) -> None:
-        self.items.append(Diagnostic(path, line, col, "error", code, message))
+        self.items.append(Diagnostic(path, line, col, code, message))
 
     @property
     def has_errors(self) -> bool:
-        return any(d.severity == "error" for d in self.items)
+        return bool(self.items)
 
     def render(self) -> str:
         # Stable output: file, then position, then code.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from . import Frozen, setfield
+from . import Frozen, replace, setfield
 from .diagnostics import E_SPAN, E_SUM, E_UNIQ, E_OVR
 from .model import (
     AssignStmt, Atom, BlockStmt, CallExpr, ClassModel, Expr, ExprStmt,
@@ -744,9 +744,7 @@ def _alias_root(values: dict[str, ValueState], name: str) -> str:
 
 
 def _copy_state(v: ValueState) -> ValueState:
-    return ValueState(v.variable, v.type, v.kind, v.fresh, v.is_field, v.field_path,
-                      set(v.labels), dict(v.residence), v.consumed, v.declared_order,
-                      v.alias_of)
+    return replace(v, labels=set(v.labels), residence=dict(v.residence))
 
 
 def _is_null(e: Optional[Expr]) -> bool:
@@ -852,17 +850,19 @@ def check_override(program: Program, sub: MethodSpec, sup: MethodSpec) -> list[V
                              f"{unit}.{sub.name} vs {sup.declared_in}.{sup.name}: "
                              f"{message}", sub.pos, unit))
 
+    # The override's subjects are compared under the overridden method's
+    # parameter names, taken by position.
     rename = {sa.name: pa.name for sa, pa in zip(sub.args, sup.args)}
 
     def norm(pairs):
         return {(rename.get(s, s), a) for s, a in pairs}
 
     # B1: weaker-or-equal preconditions, stronger-or-equal postconditions.
-    extra_pre = norm(sub.subject_preconditions()) - norm(sup.subject_preconditions())
+    extra_pre = norm(sub.subject_preconditions()) - set(sup.subject_preconditions())
     if extra_pre:
         names = ", ".join(sorted(f"{s}: {a.text()}" for s, a in extra_pre))
         violate("B1", f"override strengthens preconditions ({names})")
-    lost_post = norm((s, a) for s, a, _ in sup.postconditions()) - \
+    lost_post = {(s, a) for s, a, _ in sup.postconditions()} - \
         norm((s, a) for s, a, _ in sub.postconditions())
     if lost_post:
         names = ", ".join(sorted(f"{s}: {a.text()}" for s, a in lost_post))
@@ -871,7 +871,7 @@ def check_override(program: Program, sub: MethodSpec, sup: MethodSpec) -> list[V
     sub_groups = [tuple(map(norm, sub.group_contract(g)))
                   for g in range(len(sub.optional_groups))]
     for gi in range(len(sup.optional_groups)):
-        sup_pre, sup_post = map(norm, sup.group_contract(gi))
+        sup_pre, sup_post = sup.group_contract(gi)
         if not any(pre <= sup_pre and post >= sup_post for pre, post in sub_groups):
             violate("B1", f"optional group {gi + 1} has no conforming counterpart")
 
@@ -897,7 +897,7 @@ def check_override(program: Program, sub: MethodSpec, sup: MethodSpec) -> list[V
 
     # B2 (residence): effects declared above must reside in the same or
     # smaller/fewer resources below.
-    sup_effects = {(rename.get(s, s), a): r for s, a, r, _ in sup.subject_effects()}
+    sup_effects = {(s, a): r for s, a, r, _ in sup.subject_effects()}
     sub_effects = {(rename.get(s, s), a): r for s, a, r, _ in sub.subject_effects()}
     for key, sup_res in sorted(sup_effects.items(), key=lambda kv: str(kv[0])):
         if key not in sub_effects:

@@ -140,29 +140,41 @@ def can_override_return(sup: UniquenessKind, sub: UniquenessKind) -> bool:
 # Condition vocabulary
 # ---------------------------------------------------------------------------
 
-class LabelAtom(Frozen):
+class Value(Frozen):
+    """A value of the condition vocabulary: equal to another of its class
+    when their keys are, and hashed as its key. `__init__` stores each
+    field, then `_key`, the tuple of its arguments in order."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        code = self.__init__.__code__
+        fields = ", ".join(f"{name}={value!r}" for name, value in
+                           zip(code.co_varnames[1:code.co_argcount], self._key))
+        return f"{self.__class__.__name__}({fields})"
+
+
+class LabelAtom(Value):
     """A label, identified by its declaring type plus its name."""
 
     def __init__(self, owner: str, name: str):
         setfield(self, "owner", owner)
         setfield(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.owner, self.name) == (other.owner, other.name)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.owner, self.name))
-
-    def __repr__(self):
-        return f"LabelAtom(owner={self.owner!r}, name={self.name!r})"
+        setfield(self, "_key", (owner, name))
 
     def text(self) -> str:
         return f"{self.owner}.{self.name}"
 
 
-class StateAtom(Frozen):
+class StateAtom(Value):
     """A protocol state, written ``p@s``. States behave like labels that a
     transition leaving ``s`` removes."""
 
@@ -170,19 +182,7 @@ class StateAtom(Frozen):
         setfield(self, "owner", owner)
         setfield(self, "protocol", protocol)
         setfield(self, "state", state)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.owner, self.protocol, self.state) == \
-                (other.owner, other.protocol, other.state)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.owner, self.protocol, self.state))
-
-    def __repr__(self):
-        return (f"StateAtom(owner={self.owner!r}, protocol={self.protocol!r}, "
-                f"state={self.state!r})")
+        setfield(self, "_key", (owner, protocol, state))
 
     def text(self) -> str:
         return f"{self.protocol}@{self.state}"
@@ -198,7 +198,7 @@ ResourcePath = tuple[str, ...]
 # for none) and the `residence` of what it establishes. Only the printer
 # looks at a condition's class.
 
-class Invariant(Frozen):
+class Invariant(Value):
     """Holds before the call and still holds after it."""
 
     residence = ()
@@ -206,14 +206,7 @@ class Invariant(Frozen):
 
     def __init__(self, atom: Atom):
         setfield(self, "atom", atom)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.atom,) == (other.atom,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.atom,))
+        setfield(self, "_key", (atom,))
 
     @property
     def before(self) -> Atom:
@@ -224,7 +217,7 @@ class Invariant(Frozen):
         return self.atom
 
 
-class AddLabel(Frozen):
+class AddLabel(Value):
     """Holds after the call, whatever held before."""
 
     before = None
@@ -233,21 +226,14 @@ class AddLabel(Frozen):
     def __init__(self, atom: LabelAtom, residence: tuple[ResourcePath, ...] = ()):
         setfield(self, "atom", atom)
         setfield(self, "residence", residence)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.atom, self.residence) == (other.atom, other.residence)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.atom, self.residence))
+        setfield(self, "_key", (atom, residence))
 
     @property
     def after(self) -> Atom:
         return self.atom
 
 
-class Transition(Frozen):
+class Transition(Value):
     """Goes from the source state to the target state, removing the source
     (a self-transition removes and re-establishes it)."""
 
@@ -258,15 +244,7 @@ class Transition(Frozen):
         setfield(self, "source", source)
         setfield(self, "target", target)
         setfield(self, "residence", residence)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.owner, self.protocol, self.source, self.target, self.residence) == \
-                (other.owner, other.protocol, other.source, other.target, other.residence)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.owner, self.protocol, self.source, self.target, self.residence))
+        setfield(self, "_key", (owner, protocol, source, target, residence))
 
     # Cached on the instance: the checkers read them for every call.
     @cached_property
@@ -285,21 +263,14 @@ class Transition(Frozen):
 Condition = Union[Invariant, AddLabel, Transition]
 
 
-class Conjunct(Frozen):
+class Conjunct(Value):
     """Conditions attached to one subject: ``this``, ``result`` or an
     argument name."""
 
     def __init__(self, subject: str, conditions: tuple[Condition, ...]):
         setfield(self, "subject", subject)
         setfield(self, "conditions", conditions)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.subject, self.conditions) == (other.subject, other.conditions)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.subject, self.conditions))
+        setfield(self, "_key", (subject, conditions))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +282,7 @@ ROOT_VAR = "var"
 ROOT_ANY = "any"
 
 
-class MutationTarget(Frozen):
+class MutationTarget(Value):
     """A qualified resource rooted at ``this``, a named variable/field, or
     an arbitrary object of a type (``any(T)``).
 
@@ -324,15 +295,7 @@ class MutationTarget(Frozen):
         setfield(self, "root_kind", root_kind)
         setfield(self, "root_name", root_name)
         setfield(self, "path", path)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.root_kind, self.root_name, self.path) == \
-                (other.root_kind, other.root_name, other.path)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.root_kind, self.root_name, self.path))
+        setfield(self, "_key", (root_kind, root_name, path))
 
     def text(self) -> str:
         if self.root_kind == ROOT_THIS:

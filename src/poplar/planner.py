@@ -599,10 +599,6 @@ class Planner:
 
     # -- candidate enumeration ---------------------------------------------------
 
-    def _candidates(self, plan: Plan, cond: PCond, consumer: int,
-                    depth_left: int) -> list[Candidate]:
-        return self._ranked(*self._ways(plan, cond, depth_left))
-
     def _ways(self, plan: Plan, cond: PCond, depth_left: int) -> tuple:
         """The achievers of `cond`, unranked: the memoised context
         candidates, (kind, ctx_name, producer) of those found in the plan,
@@ -1004,10 +1000,6 @@ class Planner:
             for t in self._action_targets(plan, action, for_span=True):
                 if self._target_hits_span(t):
                     return False
-        try:
-            plan.linearize()
-        except CyclicOrder:
-            return False
         return True
 
     def _with_satisfied(self, plan: Plan) -> bool:

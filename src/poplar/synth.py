@@ -7,12 +7,12 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Optional
 
-from . import Frozen, setfield
+from . import Frozen, replace, setfield
 from .diagnostics import Diagnostic, E_SYN
 from .model import (
     AssignStmt, BlockStmt, CallExpr, ClassModel, Expr, ExprStmt,
-    FieldAccessExpr, MethodSpec, MutationTarget, NameExpr, NewExpr, Program,
-    ProtectStmt, QueryStmt, Stmt, UniquenessKind, VarDeclStmt,
+    FieldAccessExpr, FieldDecl, MethodSpec, MutationTarget, NameExpr, NewExpr,
+    Program, ProtectStmt, QueryStmt, Stmt, UniquenessKind, VarDeclStmt,
     can_override_arg, can_override_return,
 )
 
@@ -153,22 +153,11 @@ def splice_program(program: Program, solutions: dict[int, Solution]) -> Program:
     spliced = Program(diagnostics=program.diagnostics)
     spliced.unit_paths = dict(program.unit_paths)
     for cname, unit in program.units.items():
-        methods = []
-        for m in unit.methods:
-            if m.body is None:
-                methods.append(m)
-                continue
-            new_body = _splice_stmts(m.body, solutions)
-            widened = _widen_summary(program, m, solutions)
-            methods.append(MethodSpec(
-                m.name, m.declared_in, m.return_type, m.args, m.is_constructor,
-                m.is_abstract, m.is_static, m.return_uniqueness, m.result_labels,
-                m.local_mutations, widened, m.conjuncts, m.optional_groups, new_body,
-                m.merged_externals, m.pos))
-        spliced.units[cname] = ClassModel(
-            unit.name, unit.superclass, unit.interfaces, unit.is_interface,
-            unit.is_abstract, unit.fields, methods, unit.labels, unit.protocols,
-            unit.resources, unit.externals, unit.precedence, unit.pos)
+        methods = [m if m.body is None else
+                   replace(m, body=_splice_stmts(m.body, solutions),
+                           mutates=_widen_summary(program, m, solutions))
+                   for m in unit.methods]
+        spliced.units[cname] = replace(unit, methods=methods)
     return spliced
 
 
@@ -292,19 +281,21 @@ def method_post_entries(m: MethodSpec, group: Optional[int]) -> tuple[str, ...]:
     return tuple(sorted(entries))
 
 
+def field_read_entries(fld: FieldDecl) -> tuple[str, tuple[str, ...]]:
+    """The `signature` and `post` entries of a read of `fld`."""
+    return f"{fld.type} {fld.name}", tuple(sorted(f"result {x.text()}" for x in fld.labels))
+
+
 def emit_assumptions(result: PlanResult, query_id: str, corpus: str,
                      program: Program) -> IntegrationAssumptions:
     assumptions = IntegrationAssumptions(query_id, result.goal.text(), corpus)
     for a in result.plan.linearize():
         spec = a.spec
         if spec.kind == "fieldread":
-            fld = spec.fld
-            labels = ", ".join(x.text() for x in fld.labels)
-            rec = AssumptionRecord(
+            signature, post = field_read_entries(spec.fld)
+            assumptions.records.append(AssumptionRecord(
                 type=spec.owner, member=spec.member, kind="fieldread",
-                signature=f"{fld.type} {fld.name}",
-                post=tuple(sorted(f"result {x.text()}" for x in fld.labels)))
-            assumptions.records.append(rec)
+                signature=signature, post=post))
             continue
         m = spec.method
         rec = AssumptionRecord(
@@ -331,16 +322,9 @@ def serialize_assumptions(items: list[IntegrationAssumptions]) -> str:
         lines = [f"query={a.query_id}", f"goal={a.goal}", f"corpus={a.corpus}"]
         for rec in a.records:
             lines.append("")
-            lines.append(f"type={rec.type}")
-            lines.append(f"member={rec.member}")
-            lines.append(f"kind={rec.kind}")
-            lines.append(f"signature={rec.signature}")
-            lines.append(f"group={rec.group}")
-            lines.append(f"return-uniqueness={rec.return_uniqueness}")
-            lines.append(f"arg-kinds={'; '.join(rec.arg_kinds)}")
-            lines.append(f"mutates={'; '.join(rec.mutates)}")
-            lines.append(f"pre={'; '.join(rec.pre)}")
-            lines.append(f"post={'; '.join(rec.post)}")
+            for key in _RECORD_KEYS:
+                value = getattr(rec, key.replace("-", "_"))
+                lines.append(f"{key}={'; '.join(value) if isinstance(value, tuple) else value}")
         blocks.append("\n".join(lines))
     return "\n\n\n".join(blocks) + "\n"
 
@@ -358,6 +342,8 @@ class _BadField(Exception):
 
 
 _HEADER_KEYS = ("query", "goal", "corpus")
+# A record's keys in file order; each names the `AssumptionRecord` field
+# spelled with `_` for `-`.
 _RECORD_KEYS = ("type", "member", "kind", "signature", "group", "return-uniqueness",
                 "arg-kinds", "mutates", "pre", "post")
 
@@ -395,7 +381,7 @@ def parse_assumptions(text: str, path: str) -> list[IntegrationAssumptions]:
                 index, col, message = e.args
                 line = _first_line(text, blocks[:b], sections[:s]) + index
                 raise MalformedAssumptions(
-                    Diagnostic(path, line, col, "error", E_SYN, message)) from None
+                    Diagnostic(path, line, col, E_SYN, message)) from None
         out.append(a)
     return out
 
@@ -500,10 +486,10 @@ def check_compat(assumed: IntegrationAssumptions,
             continue
         if rec.kind == "fieldread":
             fld = program.find_field(rec.type, rec.member)
-            if fld is None or f"{fld.type} {fld.name}" != rec.signature:
+            signature, post = field_read_entries(fld) if fld is not None else (None, ())
+            if signature != rec.signature:
                 bad(label, "member-missing", "field missing or signature changed")
                 continue
-            post = tuple(sorted(f"result {x.text()}" for x in fld.labels))
             if not set(rec.post) <= set(post):
                 bad(label, "postcondition-weakened",
                     "field lost labels the solution relied on")

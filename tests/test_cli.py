@@ -146,7 +146,7 @@ class TestCheck:
 
 
 B1_TREE = """class Base {{
-    labels polished, shiny;
+    labels polished, shiny; resources r;
 
     Base();
     void buff({sup_args})
@@ -160,8 +160,11 @@ class Sub extends Base {{
 """
 
 
-# B1 for optional groups: each group declared above needs a group below that
-# requires no more and establishes no less, with the parameters renamed.
+# B1, B1 for optional groups and B2 for residence: each group declared above
+# needs a group below that requires no more and establishes no less, and an
+# effect keeps its residence. The override's parameters are renamed by
+# position to the overridden method's; the overridden method's are not
+# renamed, even when the override reuses their names at other positions.
 @pytest.mark.parametrize("sup_args, sup_groups, sub_args, sub_groups, want", [
     ("", "(this: +polished)?", "", "(this: +shiny)?",
      (1, "p.pop:10:5: error: E-OVR: B1: Sub.buff vs Base.buff: "
@@ -171,8 +174,32 @@ class Sub extends Base {{
     ("Base b", "(b: +shiny)?", "Base c", "(c: +shiny)?", (0, "")),
     ("", "(this: polished, +shiny)?", "", "(this: +shiny)?", (0, "")),
     ("", "(this: +polished)?", "", "(this: +polished, +shiny)?", (0, "")),
+    ("Base a, Base b", "a: shiny", "Base b, Base a", "b: shiny", (0, "")),
+    ("Base a, Base b", "a: shiny", "Base b, Base a", "a: shiny",
+     (1, "p.pop:10:5: error: E-OVR: B1: Sub.buff vs Base.buff: "
+         "override strengthens preconditions (b: Base.shiny)\n"
+         "p.pop:10:5: error: E-OVR: B1: Sub.buff vs Base.buff: "
+         "override weakens postconditions (a: Base.shiny)\n")),
+    ("Base a, Base b", "a: +shiny", "Base b, Base a", "b: +shiny", (0, "")),
+    ("Base a, Base b", "a: +shiny", "Base b, Base a", "a: +shiny",
+     (1, "p.pop:10:5: error: E-OVR: B1: Sub.buff vs Base.buff: "
+         "override weakens postconditions (a: Base.shiny)\n")),
+    ("Base a, Base b", "(a: +shiny)?", "Base b, Base a", "(b: +shiny)?", (0, "")),
+    ("Base a, Base b", "(a: +shiny)?", "Base b, Base a", "(a: +shiny)?",
+     (1, "p.pop:10:5: error: E-OVR: B1: Sub.buff vs Base.buff: "
+         "optional group 1 has no conforming counterpart\n")),
+    ("Base a, Base b", "a: +shiny [*r], b: +shiny", "Base b, Base a",
+     "b: +shiny [*r], a: +shiny", (0, "")),
+    ("Base a, Base b", "a: +shiny [*r], b: +shiny", "Base b, Base a",
+     "b: +shiny, a: +shiny [*r]",
+     (1, "p.pop:10:5: error: E-OVR: B2: Sub.buff vs Base.buff: effect 'Base.shiny' "
+         "gained a residence restriction it did not have above\n")),
 ], ids=["no-counterpart", "counterpart-among-two", "renamed-parameter",
-        "weaker-precondition", "stronger-postcondition"])
+        "weaker-precondition", "stronger-postcondition", "swapped-names-same-invariant",
+        "swapped-names-other-invariant", "swapped-names-same-position",
+        "swapped-names-other-position", "swapped-names-same-position-group",
+        "swapped-names-other-position-group", "swapped-names-same-residence",
+        "swapped-names-other-residence"])
 def test_an_override_needs_a_conforming_counterpart_for_each_optional_group(
         sup_args, sup_groups, sub_args, sub_groups, want, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -990,14 +1017,15 @@ def test_assumption_file_that_loses_records_is_a_positioned_syntax_error(
 # Runs `poplar.cli.main` on the arguments, then prints the poplar modules the
 # process imported as its last line.
 # What poplar must not load: `dataclasses`, and `inspect` with it, cost each
-# cold process more than writing the classes out does.
-UNWANTED = {"dataclasses", "inspect"}
+# cold process more than writing the classes out does; records are copied
+# by `poplar.replace`, not by `copy`.
+UNWANTED = {"dataclasses", "inspect", "copy"}
 
 LOADED = """import sys
 from poplar.cli import _collect_sources, _solve_tree, main
 code = main(sys.argv[1:])
 print(" ".join(sorted(m for m in sys.modules
-                      if m.startswith("poplar.") or m in ("dataclasses", "inspect"))))
+                      if m.startswith("poplar.") or m in ("dataclasses", "inspect", "copy"))))
 sys.exit(code)
 """
 

@@ -742,3 +742,35 @@ def test_each_condition_reads_one_way_for_a_call(cond, before, after, removed,
     g = MethodSpec("m", "Door", "void", (), optional_groups=(m.conjuncts,))
     assert g.group_contract(0) == ({("this", before)} if before else set(),
                                    ({("this", after)} if effect else set()) | {("result", after)})
+
+
+SNAPSHOT_TREE = """class Box {
+    labels full;
+    resources r, q;
+
+    Box();
+    void fillR()
+        mutates this.r:
+        this: +full [*r];
+    void fillQ()
+        mutates this.q:
+        this: +full [*q];
+}
+
+class User {
+    void run(Box b)
+        mutates b.r, b.q: {
+        b.fillR();
+        Box x = #produce(Box, full);
+        b.fillQ();
+    }
+}
+"""
+
+
+def test_a_query_sees_each_value_as_it_was_at_the_query():
+    """The walk goes on after a query, so the query keeps a copy of each
+    value's labels and residence: `fillQ` after it does not move `full`."""
+    [ctx] = all_query_contexts(load([], [("t.pop", SNAPSHOT_TREE)]))
+    full = LabelAtom("Box", "full")
+    assert (ctx.values["b"].labels, ctx.values["b"].residence) == ({full}, {full: (("r",),)})

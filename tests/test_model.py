@@ -209,7 +209,8 @@ class TestValueSemantics:
     positions, and have no hash."""
 
     def test_atom_repr_is_pinned(self):
-        # `effects.check_override` orders its diagnostics by this text.
+        # `effects.check_override` orders its diagnostics by this text, and
+        # `Planner.lower_bound` breaks ties between landmarks by it.
         assert repr(LabelAtom("T", "x")) == "LabelAtom(owner='T', name='x')"
         assert repr(StateAtom("T", "p", "s")) == \
             "StateAtom(owner='T', protocol='p', state='s')"
@@ -239,6 +240,22 @@ class TestValueSemantics:
         with pytest.raises(AttributeError):
             delattr(a, name)
         assert getattr(a, name) == fields[name]
+        with pytest.raises(AttributeError):
+            setattr(a, "_key", ())
+        assert {k: getattr(a, k) for k in fields} == fields
+        assert repr(a) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+
+    def test_a_default_field_is_part_of_the_value(self):
+        atom = LabelAtom("T", "x")
+        assert AddLabel(atom) == AddLabel(atom, ())
+        assert hash(AddLabel(atom)) == hash((atom, ()))
+        assert hash(Transition("T", "p", "a", "b")) == hash(("T", "p", "a", "b", ()))
+
+    def test_values_of_two_classes_with_equal_fields_differ(self):
+        atom = LabelAtom("T", "x")
+        assert Invariant(atom) != AddLabel(atom)
+        assert Invariant(atom).__eq__(AddLabel(atom)) is NotImplemented
+        assert len({Invariant(atom), AddLabel(atom)}) == 2
 
     def test_syntax_record_compares_fields_not_positions(self):
         assert NameExpr("x", Pos(1, 2)) == NameExpr("x", Pos(3, 4))

@@ -203,8 +203,8 @@ def candidate_actions(program, ctx, cfg):
     """Ranked achievers for a query's goal condition against a fresh plan."""
     planner = Planner(program, ctx, cfg)
     plan = planner.initial_plan()
-    cond, consumer = plan.open_conds[0]
-    return planner._candidates(plan, cond, consumer, cfg.max_plan_length)
+    cond, _ = plan.open_conds[0]
+    return planner._ranked(*planner._ways(plan, cond, cfg.max_plan_length))
 
 
 class TestHeuristics:
@@ -243,8 +243,8 @@ class Lonely {
         cond, consumer = plan.open_conds[idx]
         successor = planner._apply(plan, idx, cond, consumer, cands[0])
         assert successor is not None
-        counts = [len(planner._candidates(successor, c, cons, 5))
-                  for (c, cons) in successor.open_conds]
+        counts = [len(planner._ranked(*planner._ways(successor, c, 5)))
+                  for c, _ in successor.open_conds]
         idx2, cands2 = planner.choose_precondition(successor, 5)
         if 0 in counts:
             assert len(cands2) == 0

@@ -7,14 +7,14 @@ import pytest
 from poplar import printer, synth
 from poplar.config import SearchConfig
 from poplar.effects import check_program, query_contexts
-from poplar.model import VarDeclStmt
+from poplar.model import FieldDecl, LabelAtom, VarDeclStmt
 from poplar.parser import parse_unit
 from poplar.planner import plan_query
 from poplar.resolver import load_program
 
 from conftest import (
     RECORDSET, SOCKET, SWING_QUERY, TD14, TD15, TD_BOTH, corpus_sources,
-    inferred_summary, load, query_in,
+    inferred_summary, load, query_in, stored,
 )
 
 
@@ -153,6 +153,32 @@ class TimeUtils implements TimeAndDate {
             joined = printer.render_unit
             assert decls  # parses
             assert "#" not in text and "labels" not in text.split("{")[0]
+
+    def test_splice_copies_only_what_it_changes(self):
+        """A spliced method differs from its original in `body` and
+        `mutates` alone, and its class in `methods` alone; the original
+        program stays as it was."""
+        prog = load(TD14)
+        before = {c: (stored(u), [stored(m) for m in u.methods]) for c, u in prog.units.items()}
+        cfg = SearchConfig(summary_rewrite_policy="rewrite")
+        spliced = synth.splice_program(prog, solve_queries(prog, cfg))
+
+        def changed(record, fields):
+            assert stored(record).keys() == fields.keys()
+            return {k for k, v in stored(record).items() if v is not fields[k]}
+
+        for cname, (unit, methods) in before.items():
+            assert changed(prog.units[cname], unit) == set()
+            assert changed(spliced.units[cname], unit) == {"methods"}
+            for m, kept, copy in zip(methods, prog.units[cname].methods,
+                                     spliced.units[cname].methods):
+                assert changed(kept, m) == set()
+                spliced_fields = {"body", "mutates"} if m["body"] is not None else set()
+                assert changed(copy, m) <= spliced_fields
+
+    def test_a_field_read_records_its_labels_sorted(self):
+        fld = FieldDecl("f", "int", "T", labels=(LabelAtom("T", "z"), LabelAtom("T", "a")))
+        assert synth.field_read_entries(fld) == ("int f", ("result T.a", "result T.z"))
 
     def test_unsolved_query_raises(self, cfg):
         prog = load(TD14)
