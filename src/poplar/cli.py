@@ -55,6 +55,13 @@ def _read_source(path: Path) -> tuple[str, str]:
         raise ValueError(f"{path}: cannot read: {e.strerror}") from None
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as e:
+        raise ValueError(f"{path}: cannot write: {e.strerror}") from None
+
+
 def _collect_sources(paths: list[str]) -> list[tuple[str, str]]:
     sources = []
     for raw in paths:
@@ -185,15 +192,18 @@ def cmd_synth(args) -> int:
     except (FileExistsError, NotADirectoryError) as e:  # a file is in the way
         raise ValueError(f"{out_dir}: cannot make the output directory: {e.strerror}") from None
     corpus = synth.fingerprint_sources(sources)
-    for path, text in sorted(plain.items()):
-        (out_dir / (Path(path).stem + ".pop")).write_text(text)
+    outputs = [(out_dir / (Path(path).stem + ".pop"), text)
+               for path, text in sorted(plain.items())]
     for path in sorted(per_path):
-        items = []
-        for ctx, result in per_path[path]:
-            items.append(synth.emit_assumptions(result, _query_id(program, ctx),
-                                                corpus, program))
-        name = Path(path).stem + ".assume"
-        (out_dir / name).write_text(synth.serialize_assumptions(items))
+        items = [synth.emit_assumptions(result, _query_id(program, ctx), corpus, program)
+                 for ctx, result in per_path[path]]
+        outputs.append((out_dir / (Path(path).stem + ".assume"),
+                        synth.serialize_assumptions(items)))
+    for target, _ in outputs:  # nothing is written when one cannot be
+        if target.is_dir():
+            raise ValueError(f"{target}: cannot write: Is a directory")
+    for target, text in outputs:
+        _write(target, text)
     return 0
 
 
@@ -259,7 +269,7 @@ def cmd_explain(args) -> int:
         return 1
     print(render_plan(result))
     if args.dot:
-        Path(args.dot).write_text(render_dot(result))
+        _write(Path(args.dot), render_dot(result))
     return 0
 
 

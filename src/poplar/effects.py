@@ -1,9 +1,12 @@
 """Static disciplines over resolved programs.
 
-Four checkers share one forward body walk: mutation-summary soundness,
-uniqueness flow (including destructive reads), protection spans, and
-override conformance. The walk also produces the planning context that the
-planner seeds itself with at each query site.
+Three checkers share one forward body walk: mutation-summary soundness,
+uniqueness flow (including destructive reads) and protection spans. The
+walk also produces the planning context that the planner seeds itself with
+at each query site. Override conformance is not part of the walk: it
+compares declarations (`check_class_conformance`, `check_override`), and
+reads an override under the overridden method's parameter names
+(`MethodSpec.renamed`).
 """
 
 from __future__ import annotations
@@ -850,26 +853,21 @@ def check_override(program: Program, sub: MethodSpec, sup: MethodSpec) -> list[V
                              f"{unit}.{sub.name} vs {sup.declared_in}.{sup.name}: "
                              f"{message}", sub.pos, unit))
 
-    # The override's subjects are compared under the overridden method's
-    # parameter names, taken by position.
-    rename = {sa.name: pa.name for sa, pa in zip(sub.args, sup.args)}
-
-    def norm(pairs):
-        return {(rename.get(s, s), a) for s, a in pairs}
+    # The override is read under the overridden method's parameter names.
+    sub = sub.renamed([a.name for a in sup.args])
 
     # B1: weaker-or-equal preconditions, stronger-or-equal postconditions.
-    extra_pre = norm(sub.subject_preconditions()) - set(sup.subject_preconditions())
+    extra_pre = set(sub.subject_preconditions()) - set(sup.subject_preconditions())
     if extra_pre:
         names = ", ".join(sorted(f"{s}: {a.text()}" for s, a in extra_pre))
         violate("B1", f"override strengthens preconditions ({names})")
     lost_post = {(s, a) for s, a, _ in sup.postconditions()} - \
-        norm((s, a) for s, a, _ in sub.postconditions())
+        {(s, a) for s, a, _ in sub.postconditions()}
     if lost_post:
         names = ", ".join(sorted(f"{s}: {a.text()}" for s, a in lost_post))
         violate("B1", f"override weakens postconditions ({names})")
     # Each optional group declared above needs a conforming counterpart below.
-    sub_groups = [tuple(map(norm, sub.group_contract(g)))
-                  for g in range(len(sub.optional_groups))]
+    sub_groups = [sub.group_contract(g) for g in range(len(sub.optional_groups))]
     for gi in range(len(sup.optional_groups)):
         sup_pre, sup_post = sup.group_contract(gi)
         if not any(pre <= sup_pre and post >= sup_post for pre, post in sub_groups):
@@ -882,9 +880,8 @@ def check_override(program: Program, sub: MethodSpec, sup: MethodSpec) -> list[V
     sub_summary = program.effective_summary(sub)
     sup_summary = program.effective_summary(sup)
     sub_unit = program.units.get(sub.declared_in)
-    var_types = {rename.get(a.name, a.name): a.type for a in sub.args}
-    renamed_summary = {_rename_target(t, rename) for t in sub_summary}
-    for t in sorted(renamed_summary, key=lambda x: x.text()):
+    var_types = {a.name: a.type for a in sub.args}
+    for t in sorted(sub_summary, key=lambda x: x.text()):
         own_field = _own_field_head(sub_unit, t)
         if own_field is not None:
             if not own_field.uniqueness.unshared:
@@ -898,13 +895,12 @@ def check_override(program: Program, sub: MethodSpec, sup: MethodSpec) -> list[V
     # B2 (residence): effects declared above must reside in the same or
     # smaller/fewer resources below.
     sup_effects = {(s, a): r for s, a, r, _ in sup.subject_effects()}
-    sub_effects = {(rename.get(s, s), a): r for s, a, r, _ in sub.subject_effects()}
-    for key, sup_res in sorted(sup_effects.items(), key=lambda kv: str(kv[0])):
-        if key not in sub_effects:
+    sub_effects = {(s, a): r for s, a, r, _ in sub.subject_effects()}
+    for (subject, atom), sup_res in sorted(sup_effects.items(), key=lambda kv: str(kv[0])):
+        sub_res = sub_effects.get((subject, atom))
+        if sub_res is None:
             continue  # reported as B1 if genuinely lost
-        sub_res = sub_effects[key]
-        subject, atom = key
-        subject_ty = _subject_type(program, sub, rename, subject)
+        subject_ty = sub.subject_type(subject, sub.declared_in)
         if not sup_res:
             if sub_res:
                 violate("B2", f"effect '{atom.text()}' gained a residence "
@@ -936,12 +932,6 @@ def check_override(program: Program, sub: MethodSpec, sup: MethodSpec) -> list[V
     return out
 
 
-def _rename_target(t: MutationTarget, rename: dict[str, str]) -> MutationTarget:
-    if t.root_kind == "var" and t.root_name in rename:
-        return MutationTarget("var", rename[t.root_name], t.path)
-    return t
-
-
 def _own_field_head(unit: Optional[ClassModel],
                     t: MutationTarget) -> Optional[FieldDecl]:
     """The field a this-rooted target runs through, when that field is
@@ -952,18 +942,6 @@ def _own_field_head(unit: Optional[ClassModel],
         if f.name == t.path[0]:
             return f
     return None
-
-
-def _subject_type(program: Program, m: MethodSpec, rename: dict[str, str],
-                  subject: str) -> str:
-    if subject == "this":
-        return m.declared_in
-    if subject == "result":
-        return m.return_type
-    inverse = {v: k for k, v in rename.items()}
-    name = inverse.get(subject, subject)
-    arg = m.arg_named(name)
-    return arg.type if arg else m.declared_in
 
 
 def _resource_owner(program: Program, class_name: str, path: ResourcePath) -> Optional[str]:

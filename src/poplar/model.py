@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from functools import cached_property
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
-from . import Frozen, setfield
+from . import Frozen, replace, setfield
 from .diagnostics import DiagnosticSink
 
 # Built-in reference types; every declared type is a subtype of Object.
@@ -645,6 +645,40 @@ class MethodSpec:
                 return a
         return None
 
+    def subject_type(self, subject: str, this_type: str) -> Optional[str]:
+        """The type a condition subject names: `this_type` for `this`, the
+        return type for `result`, else the type of the first parameter of
+        that name, or None when there is none."""
+        if subject == "this":
+            return this_type
+        if subject == "result":
+            return self.return_type
+        arg = self.arg_named(subject)
+        return None if arg is None else arg.type
+
+    def renamed(self, names: Sequence[str]) -> MethodSpec:
+        """This member with its parameters called `names`, by position, as
+        calls pass arguments. The subjects and `var` targets that named them
+        are renamed at once, so a swap works; the rest, the body included,
+        is shared. When the names agree, this is the member itself."""
+        rename = {a.name: n for a, n in zip(self.args, names) if a.name != n}
+        if not rename:
+            return self
+
+        def conjuncts(cjs: tuple[Conjunct, ...]) -> tuple[Conjunct, ...]:
+            return tuple(Conjunct(rename[cj.subject], cj.conditions)
+                         if cj.subject in rename else cj for cj in cjs)
+
+        return replace(
+            self,
+            args=tuple(replace(a, name=rename[a.name]) if a.name in rename else a
+                       for a in self.args),
+            mutates=tuple(var_target(rename[t.root_name], t.path)
+                          if t.root_kind == ROOT_VAR and t.root_name in rename else t
+                          for t in self.mutates),
+            conjuncts=conjuncts(self.conjuncts),
+            optional_groups=tuple(map(conjuncts, self.optional_groups)))
+
     def all_conjuncts(self, group: Optional[int] = None) -> tuple[Conjunct, ...]:
         """Mandatory conjuncts plus at most one optional group."""
         out = list(self.conjuncts)
@@ -915,13 +949,14 @@ class Program:
 
     def effective_summary(self, method: MethodSpec) -> frozenset[MutationTarget]:
         """Declared summary, joined with the summaries of everything this
-        method overrides (an override may rely on what was promised above)."""
+        method overrides (an override may rely on what was promised above),
+        each read under this method's parameter names (`MethodSpec.renamed`)."""
         targets = set(method.declared_summary())
         seen = {id(method)}
         cur = self.overridden_method(method)
         while cur is not None and id(cur) not in seen:
             seen.add(id(cur))
-            targets.update(cur.declared_summary())
+            targets.update(cur.renamed([a.name for a in method.args]).declared_summary())
             cur = self.overridden_method(cur)
         return frozenset(targets)
 

@@ -140,20 +140,11 @@ class Resolver:
             if a.type not in PRIMITIVES and a.type not in self.program.units \
                     and not a.type.endswith("[]"):
                 self.error(path, a.pos, f"unknown type '{a.type}' in parameter '{a.name}'")
-        arg_types = {a.name: a.type for a in m.args}
         m.result_labels = self._resolve_labels(path, m.pos, m.result_labels, scope,
                                                m.return_type)
-
-        def subject_type(subject: str) -> Optional[str]:
-            if subject == "this":
-                return this_type
-            if subject == "result":
-                return m.return_type
-            return arg_types.get(subject)
-
-        m.conjuncts = tuple(self._resolve_conjunct(path, cj, scope, subject_type)
+        m.conjuncts = tuple(self._resolve_conjunct(path, cj, scope, m, this_type)
                             for cj in m.conjuncts)
-        m.optional_groups = tuple(tuple(self._resolve_conjunct(path, cj, scope, subject_type)
+        m.optional_groups = tuple(tuple(self._resolve_conjunct(path, cj, scope, m, this_type)
                                         for cj in group)
                                   for group in m.optional_groups)
         for p, pos in m.local_mutations:
@@ -161,7 +152,7 @@ class Resolver:
                 self.error(path, pos, f"unknown resource '{'.'.join(p)}' in [!] list")
         m.local_mutations = tuple(p for p, _ in m.local_mutations)
         m.mutates = tuple(t for t in
-                          (self._resolve_target(path, rt, this_type, arg_types)
+                          (self._resolve_target(path, rt, this_type, m)
                            for rt in m.mutates)
                           if t is not None)
 
@@ -171,8 +162,8 @@ class Resolver:
         return tuple(a for a in atoms if a is not None)
 
     def _resolve_conjunct(self, path: str, cj: P.RawConjunct, scope: str,
-                          subject_type) -> Conjunct:
-        sub_type = subject_type(cj.subject)
+                          m: MethodSpec, this_type: str) -> Conjunct:
+        sub_type = m.subject_type(cj.subject, this_type)
         if sub_type is None and cj.subject not in ("this", "result"):
             self.error(path, cj.pos, f"unknown condition subject '{cj.subject}'")
         conditions = []
@@ -260,7 +251,7 @@ class Resolver:
         return candidates[0]
 
     def _resolve_target(self, path: str, rt: P.RawTarget, this_type: str,
-                        arg_types: dict[str, str]) -> Optional[MutationTarget]:
+                        m: MethodSpec) -> Optional[MutationTarget]:
         if rt.root == "this":
             t = this_target(tuple(rt.path))
             if not self.program.resolve_resource_path(this_type, t.path):
@@ -275,9 +266,10 @@ class Resolver:
             if not self.program.resolve_resource_path(rt.name, t.path):
                 self.error(path, rt.pos, f"unknown resource '{t.text()}'")
             return t
-        if rt.name in arg_types:
+        arg = m.arg_named(rt.name)
+        if arg is not None:
             t = var_target(rt.name, tuple(rt.path))
-            if not self.program.resolve_resource_path(arg_types[rt.name], t.path):
+            if not self.program.resolve_resource_path(arg.type, t.path):
                 self.error(path, rt.pos, f"unknown resource '{t.text()}'")
             return t
         fld = self.program.find_field(this_type, rt.name)
@@ -330,14 +322,8 @@ def overlay_externals(program: Program) -> Program:
 
 def _overlay_conflict(program: Program, ex: ExternalDecl) -> Optional[str]:
     """A transition on a protocol whose carriers exclude the subject type."""
-    arg_types = {a.name: a.type for a in ex.method.args}
     for cj in ex.method.every_conjunct():
-        if cj.subject == "this":
-            sub_type: Optional[str] = ex.target_type
-        elif cj.subject == "result":
-            sub_type = ex.method.return_type
-        else:
-            sub_type = arg_types.get(cj.subject)
+        sub_type = ex.method.subject_type(cj.subject, ex.target_type)
         for cond in cj.conditions:
             proto: Optional[tuple[str, str]] = None
             if isinstance(cond.after, StateAtom):
@@ -357,17 +343,11 @@ def _overlay_conflict(program: Program, ex: ExternalDecl) -> Optional[str]:
 
 
 def _merge_external(target: MethodSpec, ex: ExternalDecl) -> None:
-    rename = {ea.name: ta.name for ea, ta in zip(ex.method.args, target.args)}
-
-    def rn(cj: Conjunct) -> Conjunct:
-        return Conjunct(rename.get(cj.subject, cj.subject), cj.conditions)
-
-    merged = [rn(cj) for cj in ex.method.conjuncts
-              if rn(cj) not in target.conjuncts]
-    target.conjuncts = target.conjuncts + tuple(merged)
-    target.optional_groups = target.optional_groups + tuple(
-        tuple(rn(cj) for cj in g) for g in ex.method.optional_groups)
-    target.merged_externals = target.merged_externals + (ex.declared_in,)
+    overlay = ex.method.renamed([a.name for a in target.args])
+    target.conjuncts += tuple(cj for cj in overlay.conjuncts
+                              if cj not in target.conjuncts)
+    target.optional_groups += overlay.optional_groups
+    target.merged_externals += (ex.declared_in,)
 
 
 def _collect_protocol_states(program: Program) -> None:

@@ -472,7 +472,9 @@ class Incompatibility(Frozen):
 def check_compat(assumed: IntegrationAssumptions,
                  program: Program) -> list[Incompatibility]:
     """Each assumed member must still exist with conditions acceptable under
-    the subclassing rules, without re-planning."""
+    the subclassing rules, without re-planning. A parameter is matched by
+    position (`MethodSpec.renamed`), so one the new version renames keeps
+    its conditions, mutations and kind."""
     out: list[Incompatibility] = []
 
     def bad(member: str, rule: str, message: str) -> None:
@@ -502,24 +504,18 @@ def check_compat(assumed: IntegrationAssumptions,
         if member is None or member.signature() != rec.signature:
             bad(label, "member-missing", "no method matches the assumed signature")
             continue
+        # The record names the parameters as the planned version did.
+        member = member.renamed([entry.partition("=")[0] for entry in rec.arg_kinds])
         if not _conditions_compatible(member, rec):
             bad(label, "conditions",
                 "no variant offers weaker-or-equal preconditions and "
                 "stronger-or-equal postconditions")
-        current_mutates = {t.text() for t in program.effective_summary(member)}
-        assumed_mutates = set(rec.mutates)
-        extra = current_mutates - assumed_mutates
+        extra = {t.text() for t in program.effective_summary(member)} - set(rec.mutates)
         if extra:
             bad(label, "mutations-grew",
                 f"new mutations beyond the assumptions: {', '.join(sorted(extra))}")
-        for entry in rec.arg_kinds:
+        for entry, current in zip(rec.arg_kinds, member.args):
             name, _, kindword = entry.partition("=")
-            current = next((a for a in member.args if a.name == name), None)
-            if current is None:
-                idx = [x.partition("=")[0] for x in rec.arg_kinds].index(name)
-                current = member.args[idx] if idx < len(member.args) else None
-            if current is None:
-                continue
             if not can_override_arg(_KIND_ORDER[kindword], current.uniqueness):
                 bad(label, "kind-lattice",
                     f"argument '{name}' kind {current.uniqueness.keyword} may "

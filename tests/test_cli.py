@@ -79,6 +79,18 @@ class TestCheck:
         assert out.splitlines() == [
             f"{path}:6:26: error: E-RES: duplicate parameter 'a' in 'fill'"]
 
+    def test_a_duplicate_parameter_is_read_as_the_first_of_its_name(self, tmp_path,
+                                                                     capsys):
+        # Conditions and `mutates` targets resolve against `Box a`, as every
+        # later phase reads a parameter (`MethodSpec.arg_named`), so the
+        # duplicate is the only error.
+        src = tmp_path / "d.pop"
+        src.write_text("class Box {\n    labels full;\n    resources r;\n}\n\n"
+                       "class Bag {\n}\n\nclass F {\n"
+                       "    void f(Box a, Bag a) mutates a.r:\n        a: +full;\n}\n")
+        assert run(["check", str(src)], capsys) == (
+            1, f"{src}:10:23: error: E-RES: duplicate parameter 'a' in 'f'\n", "")
+
     def test_every_resolution_error_is_pinned(self, capsys):
         path = c("resolve_errors", "errors.pop")
         code, out, _ = run(["check", path], capsys)
@@ -209,6 +221,115 @@ def test_an_override_needs_a_conforming_counterpart_for_each_optional_group(
     assert (code, out, err) == (*want, "")
 
 
+# Another version of a member names the same parameter at the same
+# position, because calls pass arguments by position: `check` reads an
+# override and its inherited summaries so, and `verify-upgrade` the member a
+# stored plan assumed.
+FILL_TREE = """class Box {
+    labels full;
+    resources r;
+
+    Box();
+}
+
+class Filler {
+    Filler();
+
+    void fill(Box b) mutates b.r:
+        b: +full;
+}
+
+class User {
+    void run() {
+        Box x = #produce(Box, full);
+    }
+}
+"""
+
+OVERRIDE_TREE = """class Box {{
+    labels full;
+    resources r;
+
+    Box();
+    void poke() mutates r:;
+}}
+
+class Base {{
+    Base();
+    {sup}
+}}
+
+class Sub extends Base {{
+    Sub();
+    {sub}
+}}
+"""
+
+
+def upgrade(v1, v2, capsys):
+    """`verify-upgrade` of tree `v2` against what `synth` stored for `v1`,
+    in the current directory."""
+    for tree, text in (("v1", v1), ("v2", v2)):
+        Path(tree).mkdir()
+        Path(tree, "f.pop").write_text(text)
+    assert run(["synth", "v1", "--out", "out"], capsys) == (0, "", "")
+    return run(["verify-upgrade", "--assumptions", "out", "v2"], capsys)
+
+
+@pytest.mark.parametrize("mutates", ["mutates b.r:", ""],
+                         ids=["with-mutates", "conditions-only"])
+def test_an_upgrade_that_only_renames_a_parameter_is_ok(mutates, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    v1 = FILL_TREE.replace("mutates b.r:", mutates)
+    v2 = v1.replace("fill(Box b)", "fill(Box c)").replace("b.r", "c.r") \
+        .replace("b: +full", "c: +full")
+    assert upgrade(v1, v2, capsys) == (0, "ok v1/f.pop:17\n", "")
+
+
+def test_an_upgrade_that_swaps_parameter_names_is_refused_as_the_override_is(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    v1 = FILL_TREE.replace("void fill(Box b) mutates b.r:\n        b: +full;",
+                           "void put(maintain Box a, Box b)\n        a: +full;")
+    v2 = v1.replace("put(maintain Box a, Box b)", "put(Box b, maintain Box a)")
+    assert upgrade(v1, v2, capsys) == (
+        1, "incompatible v1/f.pop:17: Filler.put: conditions: no variant offers "
+           "weaker-or-equal preconditions and stronger-or-equal postconditions\n"
+           "incompatible v1/f.pop:17: Filler.put: kind-lattice: argument 'a' kind "
+           "normal may not stand in for maintain\n", "")
+    Path("o.pop").write_text(OVERRIDE_TREE.format(
+        sup="void put(maintain Box a, Box b) a: +full;",
+        sub="void put(Box b, maintain Box a) a: +full;"))
+    assert run(["check", "o.pop"], capsys) == (
+        1, "o.pop:16:5: error: E-OVR: B1: Sub.put vs Base.put: override weakens "
+           "postconditions (a: Box.full)\n"
+           "o.pop:16:5: error: E-OVR: B4: Sub.put vs Base.put: argument 'a': normal "
+           "may not override maintain\n", "")
+
+
+@pytest.mark.parametrize("sup, sub", [
+    ("void put(maintain Box a) mutates a.r:;", "void put(maintain Box x) { x.poke(); }"),
+    ("void put(Box a, Box b) mutates b.r:;", "void put(Box b, Box a) mutates a.r:;"),
+], ids=["inherited-summary-renamed", "summary-at-the-same-position"])
+def test_an_override_reads_the_summary_above_by_position(sup, sub, tmp_path, capsys):
+    src = tmp_path / "o.pop"
+    src.write_text(OVERRIDE_TREE.format(sup=sup, sub=sub))
+    assert run(["check", str(src)], capsys) == (0, "", "")
+
+
+def test_an_overlay_names_the_parameters_of_its_target_by_position(tmp_path,
+                                                                   monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("f.pop").write_text(FILL_TREE.replace(
+        "void fill(Box b) mutates b.r:\n        b: +full;",
+        "void fill(Box b);\n}\n\nclass Overlay {\n    external Filler.fill(Box c)\n"
+        "        c: +full;"))
+    assert run(["synth", "f.pop", "--out", "out"], capsys) == (0, "", "")
+    assert "        Filler v1 = new Filler();\n        v1.fill(x);\n" in \
+        Path("out", "f.pop").read_text()
+
+
 class TestSynth:
     def test_full_tree(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -272,6 +393,17 @@ class Asker implements TimeAndDate {
         reason = "Not a directory" if below else "File exists"
         assert err == f"error: {out_dir}: cannot make the output directory: {reason}\n"
         assert [(f.name, f.read_text()) for f in tmp_path.iterdir()] == [("taken", "kept\n")]
+
+    @pytest.mark.parametrize("name", ["timeutils.pop", "timeutils.assume"])
+    def test_an_output_that_cannot_be_written_is_a_usage_error_and_writes_nothing(
+            self, tmp_path, capsys, name):
+        out_dir = tmp_path / "out"
+        (out_dir / name).mkdir(parents=True)
+        code, out, err = run(["synth", c("common"), c("timedate14"), c("client"),
+                              "--out", str(out_dir)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {out_dir / name}: cannot write: Is a directory\n"
+        assert [f.name for f in out_dir.iterdir()] == [name]
 
     def test_byte_identical_across_runs(self, tmp_path, capsys):
         trees = []
@@ -349,6 +481,19 @@ class TestExplain:
         assert text.startswith("digraph")
         assert "shape=box" in text and "style=rounded" in text
         assert "style=dashed" in text
+
+    @pytest.mark.parametrize("dot, reason", [
+        ("plan.dot", "Is a directory"), ("nodir/plan.dot", "No such file or directory"),
+    ], ids=["directory", "missing-directory"])
+    def test_a_dot_file_that_cannot_be_written_is_a_usage_error(self, dot, reason,
+                                                               tmp_path, capsys):
+        dot = tmp_path / dot
+        if reason == "Is a directory":
+            dot.mkdir()
+        code, out, err = run(["explain", c("common"), c("timedate14"), c("client"),
+                              "--explain", "timeutils.pop:3", "--dot", str(dot)], capsys)
+        assert code == 2 and "actions (2):" in out
+        assert err == f"error: {dot}: cannot write: {reason}\n"
 
     def test_unknown_query_id(self, capsys):
         code, _, err = run(["explain", c("common"), c("timedate14"), c("client"),

@@ -156,6 +156,72 @@ class TestTargets:
         assert once == closure(prog, once, "Socket", {})
 
 
+PUT_TREE = """
+class Box { labels full; resources r; Box(); }
+class Bag { labels packed; resources r; Bag(); }
+class Filler {
+    labels ready;
+    resources own;
+    Filler();
+    Box put(maintain Box a, Bag b) mutates a.r, b.r, own, any(Box).r:
+        this: ready, result: +full, a: +full, b: packed,
+        (b: +packed)?;
+}
+"""
+
+
+class TestRenamed:
+    """`MethodSpec.renamed` reads a member under another version's parameter
+    names, by position."""
+
+    @pytest.fixture
+    def put(self):
+        [m] = [m for m in load([], [("put.pop", PUT_TREE)]).units["Filler"].methods
+               if m.name == "put"]
+        return m
+
+    def test_agreeing_names_give_the_member_itself(self, put):
+        assert put.renamed(["a", "b"]) is put
+        assert put.renamed([]) is put
+
+    def test_a_swap_renames_parameters_subjects_and_var_targets_at_once(self, put):
+        r = put.renamed(["b", "a"])
+        assert [(a.uniqueness, a.type, a.name) for a in r.args] == \
+            [(K.MAINTAIN, "Box", "b"), (K.NORMAL, "Bag", "a")]
+        assert [cj.subject for cj in r.conjuncts] == ["this", "result", "b", "a"]
+        assert [cj.conditions for cj in r.conjuncts] == \
+            [cj.conditions for cj in put.conjuncts]
+        assert [[cj.subject for cj in g] for g in r.optional_groups] == [["a"]]
+        assert r.mutates == (var_target("b", ("r",)), var_target("a", ("r",)),
+                             this_target(("own",)), any_target("Box", ("r",)))
+        assert (r.name, r.declared_in, r.pos, r.body) == \
+            (put.name, put.declared_in, put.pos, put.body)
+
+    def test_this_result_any_and_this_rooted_targets_are_kept(self, put):
+        r = put.renamed(["x", "y"])
+        assert [cj.subject for cj in r.conjuncts] == ["this", "result", "x", "y"]
+        assert r.conjuncts[0] is put.conjuncts[0] and r.conjuncts[1] is put.conjuncts[1]
+        assert r.mutates[2] is put.mutates[2] and r.mutates[3] is put.mutates[3]
+        assert (r.local_mutations, r.result_labels) == \
+            (put.local_mutations, put.result_labels)
+
+    def test_the_original_member_is_unchanged(self, put):
+        before = ([(a.name, a.type) for a in put.args], put.conjuncts,
+                  put.optional_groups, put.mutates)
+        put.renamed(["x", "y"])
+        put.renamed(["b", "a"])
+        assert ([(a.name, a.type) for a in put.args], put.conjuncts,
+                put.optional_groups, put.mutates) == before
+
+    def test_subject_type(self, put):
+        assert put.subject_type("this", "Other") == "Other"
+        assert put.subject_type("result", "Other") == "Box"
+        assert (put.subject_type("a", "Other"), put.subject_type("b", "Other")) == \
+            ("Box", "Bag")
+        assert put.subject_type("nobody", "Other") is None
+        assert put.renamed(["b", "a"]).subject_type("a", "Other") == "Bag"
+
+
 class TestGoals:
     def test_state_goal_dotted(self):
         prog = load(SOCKET)
