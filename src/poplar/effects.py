@@ -453,8 +453,7 @@ class BodyAnalyzer:
             # be in the summary, and the site is refused where it is not.
             fld = self.program.find_field(self.unit.name, s.var)
             narrow = [] if fld is None or not fld.managed else _summary_too_narrow(
-                self.program, self.unit.name, self.method,
-                frozenset({this_target((fld.name,))}), pos)
+                self.program, self.method, frozenset({this_target((fld.name,))}), pos)
             if fld is None:
                 self._violate(E_UNIQ, "IllegalFlow",
                               "assignment target is neither a local nor a field", pos)
@@ -638,17 +637,17 @@ class BodyAnalyzer:
     def _invoke(self, callee: MethodSpec, recv: Optional[ValueState],
                 args: list[Expr], pos: Pos,
                 fresh_receiver: bool = False) -> Optional[ValueState]:
-        arg_states: list[Optional[ValueState]] = []
+        # The state of each actual, keyed by the parameter it binds.
+        actuals: dict[str, Optional[ValueState]] = {}
         for formal, actual in zip(callee.args, args):
-            st = self._eval(actual, pos)
-            arg_states.append(st)
+            st = actuals[formal.name] = self._eval(actual, pos)
             if st is None:
                 continue
             self._flow_check(st, actual, formal.uniqueness, formal.name, pos)
         if recv is not None and not fresh_receiver:
             self._check_use(recv, pos)
-        self._map_callee_summary(callee, recv, arg_states, pos, fresh_receiver)
-        self._apply_callee_effects(callee, recv, arg_states)
+        self._map_callee_summary(callee, recv, actuals, pos, fresh_receiver)
+        self._apply_callee_effects(callee, recv, actuals)
         result = ValueState("<call>", callee.return_type, callee.return_uniqueness)
         for atom, residence in callee.result_atoms():
             result.labels.add(atom)
@@ -677,12 +676,11 @@ class BodyAnalyzer:
             self._consume(st, pos)
 
     def _map_callee_summary(self, callee: MethodSpec, recv: Optional[ValueState],
-                            arg_states: list[Optional[ValueState]],
+                            actuals: dict[str, Optional[ValueState]],
                             pos: Pos, fresh_receiver: bool) -> None:
         summary = self.callee_summary(callee)
         if not summary:
             return
-        by_name = {a.name: i for i, a in enumerate(callee.args)}
         for t in sorted(summary, key=lambda x: x.text()):
             mapped: Optional[MutationTarget]
             local: Optional[MutationTarget]
@@ -692,16 +690,14 @@ class BodyAnalyzer:
                 else:
                     mapped = name_mutation(self.method, recv, t.path)
                     local = name_mutation(self.method, recv, t.path, for_span=True)
-            elif t.root_kind == "var" and t.root_name in by_name:
-                idx = by_name[t.root_name]
-                st = arg_states[idx] if idx < len(arg_states) else None
-                formal = callee.args[idx]
+            elif t.root_kind == "var" and t.root_name in actuals:
+                st = actuals[t.root_name]
+                formal = callee.subject_type(t.root_name)
                 if st is None:
-                    mapped = local = any_target(formal.type, t.path)
+                    mapped = local = any_target(formal, t.path)
                 else:
-                    mapped = name_mutation(self.method, st, t.path, formal.type)
-                    local = name_mutation(self.method, st, t.path, formal.type,
-                                          for_span=True)
+                    mapped = name_mutation(self.method, st, t.path, formal)
+                    local = name_mutation(self.method, st, t.path, formal, for_span=True)
             else:
                 mapped = local = t
             if local is not None:
@@ -719,14 +715,9 @@ class BodyAnalyzer:
                           f"(summary hits '{target.text()}')", pos)
 
     def _apply_callee_effects(self, callee: MethodSpec, recv: Optional[ValueState],
-                              arg_states: list[Optional[ValueState]]) -> None:
-        by_name = {a.name: i for i, a in enumerate(callee.args)}
+                              actuals: dict[str, Optional[ValueState]]) -> None:
         for subject, atom, residence, removed in callee.subject_effects():
-            st: Optional[ValueState] = None
-            if subject == "this":
-                st = recv
-            elif subject in by_name:
-                st = arg_states[by_name[subject]]
+            st = recv if subject == "this" else actuals.get(subject)
             if st is None:
                 continue
             holder = self.values.get(st.variable)
@@ -798,17 +789,16 @@ def analyze_method(program: Program, unit: ClassModel, method: MethodSpec) -> Me
     return program.analyses[id(method)]
 
 
-def _summary_too_narrow(program: Program, unit: str, method: MethodSpec,
+def _summary_too_narrow(program: Program, method: MethodSpec,
                         inferred: frozenset[MutationTarget], pos: Pos) -> list[Violation]:
     """One violation at `pos` per inferred mutation the declared summary
     misses."""
-    declared = program.effective_summary(method)
-    var_types = {a.name: a.type for a in method.args}
+    unit = method.declared_in
     return [Violation(E_SUM, "SummaryTooNarrow",
                       f"'{unit}.{method.name}' mutates '{t.text()}' "
                       f"but does not declare it", pos, unit)
-            for t in program.summary_covers(declared, inferred,
-                                            unit, var_types)]
+            for t in program.summary_covers(program.effective_summary(method),
+                                            inferred, method)]
 
 
 def query_contexts(program: Program, unit: ClassModel, method: MethodSpec) -> list[QueryContext]:
@@ -880,7 +870,6 @@ def check_override(program: Program, sub: MethodSpec, sup: MethodSpec) -> list[V
     sub_summary = program.effective_summary(sub)
     sup_summary = program.effective_summary(sup)
     sub_unit = program.units.get(sub.declared_in)
-    var_types = {a.name: a.type for a in sub.args}
     for t in sorted(sub_summary, key=lambda x: x.text()):
         own_field = _own_field_head(sub_unit, t)
         if own_field is not None:
@@ -888,8 +877,7 @@ def check_override(program: Program, sub: MethodSpec, sup: MethodSpec) -> list[V
                 violate("B2", f"override mutates '{t.text()}' through field "
                               f"'{own_field.name}', which is not strictly unique")
             continue
-        if not any(program.target_covers(d, t, sub.declared_in, var_types)
-                   for d in sup_summary):
+        if not any(program.target_covers(d, t, sub) for d in sup_summary):
             violate("B2", f"override adds mutation '{t.text()}' not declared above")
 
     # B2 (residence): effects declared above must reside in the same or
@@ -900,7 +888,7 @@ def check_override(program: Program, sub: MethodSpec, sup: MethodSpec) -> list[V
         sub_res = sub_effects.get((subject, atom))
         if sub_res is None:
             continue  # reported as B1 if genuinely lost
-        subject_ty = sub.subject_type(subject, sub.declared_in)
+        subject_ty = sub.subject_type(subject)
         if not sup_res:
             if sub_res:
                 violate("B2", f"effect '{atom.text()}' gained a residence "
@@ -1030,5 +1018,5 @@ def check_program(program: Program) -> list[Violation]:
                 continue
             analysis = analyze_method(program, unit, m)
             out.extend(analysis.violations)
-            out.extend(_summary_too_narrow(program, cname, m, analysis.inferred, m.pos))
+            out.extend(_summary_too_narrow(program, m, analysis.inferred, m.pos))
     return out

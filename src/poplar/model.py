@@ -263,6 +263,14 @@ class Transition(Value):
 Condition = Union[Invariant, AddLabel, Transition]
 
 
+def residence_text(paths: tuple[ResourcePath, ...]) -> str:
+    """A residence as sources and `.assume` entries spell it: ` [*a.b, c]`,
+    or nothing when there is none."""
+    if not paths:
+        return ""
+    return " [*" + ", ".join(".".join(p) for p in paths) + "]"
+
+
 class Conjunct(Value):
     """Conditions attached to one subject: ``this``, ``result`` or an
     argument name."""
@@ -645,12 +653,12 @@ class MethodSpec:
                 return a
         return None
 
-    def subject_type(self, subject: str, this_type: str) -> Optional[str]:
-        """The type a condition subject names: `this_type` for `this`, the
-        return type for `result`, else the type of the first parameter of
-        that name, or None when there is none."""
+    def subject_type(self, subject: str) -> Optional[str]:
+        """The type a name denotes in every annotation of this member:
+        `declared_in` for `this`, the return type for `result`, else the
+        type of the first parameter of that name, or None when there is none."""
         if subject == "this":
-            return this_type
+            return self.declared_in
         if subject == "result":
             return self.return_type
         arg = self.arg_named(subject)
@@ -760,12 +768,14 @@ def _is_effect(cond: Condition) -> bool:
 
 
 class ExternalDecl:
-    """Annotations declared for a method of another type."""
+    """Annotations that the class `declared_in` writes for a method of
+    another type. `method` holds them; it is declared in the type it
+    annotates and bears its target's return type, so its `this` and
+    `result` are the target's, and its labels and protocols resolve in
+    `declared_in`'s scope."""
 
-    def __init__(self, target_type: str,
-                 method: MethodSpec,  # annotations only, body is None
+    def __init__(self, method: MethodSpec,  # annotations only, body is None
                  declared_in: str = "", pos: Optional[Pos] = None):
-        self.target_type = target_type
         self.method = method
         self.declared_in = declared_in
         self.pos = Pos() if pos is None else pos
@@ -993,13 +1003,14 @@ class Program:
         # declaration, so anything else is unknown.
         return False
 
-    def target_root_type(self, target: MutationTarget, this_type: str,
-                         var_types: dict[str, str]) -> Optional[str]:
-        if target.root_kind == ROOT_THIS:
-            return this_type
+    def target_root_type(self, target: MutationTarget,
+                         method: MethodSpec) -> Optional[str]:
+        """The type of a target's root object in `method`: `T` for `any(T)`,
+        else what `method` types `this` or the parameter by."""
         if target.root_kind == ROOT_ANY:
             return target.root_name
-        return var_types.get(target.root_name)
+        return method.subject_type(ROOT_THIS if target.root_kind == ROOT_THIS
+                                   else target.root_name)
 
     def path_ancestors(self, root_type: str, path: ResourcePath) -> Iterator[ResourcePath]:
         """`path`, then each ancestor up to the object root `()` in the
@@ -1022,11 +1033,12 @@ class Program:
             path = prefix + tuple(fld.managed_resource or ()) if fld is not None else prefix
 
     def target_covers(self, declared: MutationTarget, t: MutationTarget,
-                      this_type: str, var_types: dict[str, str]) -> bool:
-        """Whether `declared` accounts for mutation `t`: same object (or an
-        any(T) generalization of it) and an ancestor-or-equal resource."""
-        t_type = self.target_root_type(t, this_type, var_types)
-        d_type = self.target_root_type(declared, this_type, var_types)
+                      method: MethodSpec) -> bool:
+        """Whether `declared` accounts for mutation `t`, both named in
+        `method`: same object (or an any(T) generalization of it) and an
+        ancestor-or-equal resource."""
+        t_type = self.target_root_type(t, method)
+        d_type = self.target_root_type(declared, method)
         if t_type is None or d_type is None:
             return False
         if declared.root_kind == ROOT_ANY:
@@ -1042,11 +1054,11 @@ class Program:
 
     def summary_covers(self, declared: frozenset[MutationTarget],
                        inferred: frozenset[MutationTarget],
-                       this_type: str, var_types: dict[str, str]) -> list[MutationTarget]:
-        """Targets of `inferred` that no declared target accounts for."""
+                       method: MethodSpec) -> list[MutationTarget]:
+        """Targets of `inferred`, named in `method`, that none declared covers."""
         missing = []
         for t in sorted(inferred, key=lambda x: x.text()):
-            if not any(self.target_covers(d, t, this_type, var_types) for d in declared):
+            if not any(self.target_covers(d, t, method) for d in declared):
                 missing.append(t)
         return missing
 

@@ -274,13 +274,14 @@ class Parser:
     def parse_external(self, owner: str) -> ExternalDecl:
         pos = self.expect("keyword", "external").pos
         target = self.expect_ident().text
+        # Declared in the type it annotates; the resolver sets its return type.
         if self.accept("."):
-            method = MethodSpec(self.expect_ident().text, owner, "void", (), pos=pos)
+            method = MethodSpec(self.expect_ident().text, target, "void", (), pos=pos)
         else:
-            method = MethodSpec(target, owner, target, (), is_constructor=True, pos=pos)
+            method = MethodSpec(target, target, target, (), is_constructor=True, pos=pos)
         self.parse_signature(method)
         self.expect(";")
-        return ExternalDecl(target, method, owner, pos)
+        return ExternalDecl(method, owner, pos)
 
     def parse_params(self) -> tuple[ArgDecl, ...]:
         args: list[ArgDecl] = []

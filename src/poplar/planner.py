@@ -437,7 +437,6 @@ class Planner:
         self.rejected_threats = 0
         self.bound: Optional[int] = None  # set by `_solve`
         self.enclosing_summary = program.effective_summary(ctx.method)
-        self.enclosing_var_types = {a.name: a.type for a in ctx.method.args}
         self.spans = [s for s in ctx.spans if s.protected_resource]
         self.goal = ctx.query.goal
         self._check_with_names()
@@ -773,8 +772,7 @@ class Planner:
         if self.cfg.summary_rewrite_policy == "rewrite":
             return True
         for t in spec.any_targets:
-            if not any(self.program.target_covers(d, t, self.ctx.unit,
-                                                  self.enclosing_var_types)
+            if not any(self.program.target_covers(d, t, self.ctx.method)
                        for d in self.enclosing_summary):
                 return False
         return True
@@ -991,10 +989,8 @@ class Planner:
             return False
         visible = self.visible_targets(plan)
         if self.cfg.summary_rewrite_policy == "reject":
-            var_types = dict(self.enclosing_var_types)
-            missing = self.program.summary_covers(
-                self.enclosing_summary, frozenset(visible), self.ctx.unit, var_types)
-            if missing:
+            if self.program.summary_covers(self.enclosing_summary, frozenset(visible),
+                                           self.ctx.method):
                 return False
         for action in plan.real_actions():
             for t in self._action_targets(plan, action, for_span=True):

@@ -12,7 +12,7 @@ from .model import (
     ExprStmt, Expr, FieldAccessExpr, FieldDecl, Invariant,
     LiteralExpr, MethodSpec, NameExpr, NewExpr, ProtectStmt, Query,
     QueryStmt, ResourceNode, ReturnStmt, Stmt, SuperExpr, ThisExpr, Transition,
-    UniquenessKind, VarDeclStmt,
+    UniquenessKind, VarDeclStmt, residence_text,
 )
 
 INDENT = "    "
@@ -57,19 +57,13 @@ def render_query(q: Query) -> str:
     return text
 
 
-def _residence(paths) -> str:
-    if not paths:
-        return ""
-    return " [*" + ", ".join(".".join(p) for p in paths) + "]"
-
-
 def render_condition(c: Condition) -> str:
     if isinstance(c, Invariant):
         return c.atom.text()
     if isinstance(c, AddLabel):
-        return "+" + c.atom.text() + _residence(c.residence)
+        return "+" + c.atom.text() + residence_text(c.residence)
     if isinstance(c, Transition):
-        return f"{c.owner}.{c.protocol}@{c.source}->{c.target}" + _residence(c.residence)
+        return f"{c.owner}.{c.protocol}@{c.source}->{c.target}" + residence_text(c.residence)
     raise TypeError(f"unknown condition {c!r}")
 
 
@@ -231,8 +225,9 @@ def render_unit(units: list[ClassModel], plain: bool = False) -> str:
             lines.extend(_render_method(m, 1, plain))
         if not plain:
             for ex in u.externals:
-                target = ex.method.name if ex.method.is_constructor else f"{ex.target_type}.{ex.method.name}"
-                head = INDENT + "external " + target
+                head = INDENT + "external " + ex.method.declared_in
+                if not ex.method.is_constructor:
+                    head += "." + ex.method.name
                 head += "(" + ", ".join(
                     (a.uniqueness.keyword + " " if a.uniqueness is not UniquenessKind.NORMAL else "")
                     + f"{a.type} {a.name}" for a in ex.method.args) + ")"

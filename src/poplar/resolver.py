@@ -123,14 +123,19 @@ class Resolver:
                 self.error(path, m.pos,
                            f"duplicate {what} '{m.name}/{len(m.args)}' in '{model.name}'")
             keys.add(m.key)
-            self._resolve_method(path, m, model.name, model.name)
+            self._resolve_method(path, m, model.name)
         for ex in model.externals:
-            self._resolve_method(path, ex.method, model.name, ex.target_type)
+            # An overlay's `result` is its target's; its labels resolve here.
+            target = self.program.declared_method(ex.method.declared_in, ex.method.name,
+                                                  len(ex.method.args), ex.method.is_constructor)
+            if target is not None:
+                ex.method.return_type = target.return_type
+            self._resolve_method(path, ex.method, model.name)
             # An overlay merges conditions only; its summary is checked, then dropped.
             ex.method.local_mutations = ex.method.mutates = ()
 
-    def _resolve_method(self, path: str, m: MethodSpec, scope: str, this_type: str) -> None:
-        """Bind the method's annotation names in place."""
+    def _resolve_method(self, path: str, m: MethodSpec, scope: str) -> None:
+        """Bind the method's annotation names in place, labels in `scope`."""
         seen: set[str] = set()
         for a in m.args:
             if a.name in seen:
@@ -142,18 +147,17 @@ class Resolver:
                 self.error(path, a.pos, f"unknown type '{a.type}' in parameter '{a.name}'")
         m.result_labels = self._resolve_labels(path, m.pos, m.result_labels, scope,
                                                m.return_type)
-        m.conjuncts = tuple(self._resolve_conjunct(path, cj, scope, m, this_type)
+        m.conjuncts = tuple(self._resolve_conjunct(path, cj, scope, m)
                             for cj in m.conjuncts)
-        m.optional_groups = tuple(tuple(self._resolve_conjunct(path, cj, scope, m, this_type)
+        m.optional_groups = tuple(tuple(self._resolve_conjunct(path, cj, scope, m)
                                         for cj in group)
                                   for group in m.optional_groups)
         for p, pos in m.local_mutations:
-            if not self.program.resolve_resource_path(this_type, p):
+            if not self.program.resolve_resource_path(m.declared_in, p):
                 self.error(path, pos, f"unknown resource '{'.'.join(p)}' in [!] list")
         m.local_mutations = tuple(p for p, _ in m.local_mutations)
         m.mutates = tuple(t for t in
-                          (self._resolve_target(path, rt, this_type, m)
-                           for rt in m.mutates)
+                          (self._resolve_target(path, rt, m) for rt in m.mutates)
                           if t is not None)
 
     def _resolve_labels(self, path: str, pos: Pos, names: tuple[str, ...], scope: str,
@@ -162,8 +166,8 @@ class Resolver:
         return tuple(a for a in atoms if a is not None)
 
     def _resolve_conjunct(self, path: str, cj: P.RawConjunct, scope: str,
-                          m: MethodSpec, this_type: str) -> Conjunct:
-        sub_type = m.subject_type(cj.subject, this_type)
+                          m: MethodSpec) -> Conjunct:
+        sub_type = m.subject_type(cj.subject)
         if sub_type is None and cj.subject not in ("this", "result"):
             self.error(path, cj.pos, f"unknown condition subject '{cj.subject}'")
         conditions = []
@@ -250,11 +254,11 @@ class Resolver:
             return None
         return candidates[0]
 
-    def _resolve_target(self, path: str, rt: P.RawTarget, this_type: str,
+    def _resolve_target(self, path: str, rt: P.RawTarget,
                         m: MethodSpec) -> Optional[MutationTarget]:
         if rt.root == "this":
             t = this_target(tuple(rt.path))
-            if not self.program.resolve_resource_path(this_type, t.path):
+            if not self.program.resolve_resource_path(m.declared_in, t.path):
                 self.error(path, rt.pos, f"unknown resource '{t.text()}'")
                 return None
             return t
@@ -272,7 +276,7 @@ class Resolver:
             if not self.program.resolve_resource_path(arg.type, t.path):
                 self.error(path, rt.pos, f"unknown resource '{t.text()}'")
             return t
-        fld = self.program.find_field(this_type, rt.name)
+        fld = self.program.find_field(m.declared_in, rt.name)
         if fld is not None:
             t = this_target((rt.name,) + tuple(rt.path))
             if rt.path and not self.program.resolve_resource_path(fld.type, tuple(rt.path)):
@@ -280,7 +284,7 @@ class Resolver:
             return t
         # A bare resource of the declaring class.
         t = this_target((rt.name,) + tuple(rt.path))
-        if self.program.resolve_resource_path(this_type, t.path):
+        if self.program.resolve_resource_path(m.declared_in, t.path):
             return t
         self.error(path, rt.pos, f"unresolved mutation target '{rt.name}'")
         return None
@@ -296,18 +300,18 @@ def overlay_externals(program: Program) -> Program:
         unit = program.units[cname]
         for ex in unit.externals:
             path = program.unit_paths.get(cname, "<unknown>")
-            target_unit = program.units.get(ex.target_type)
-            if target_unit is None:
+            annotated = ex.method.declared_in
+            if annotated not in program.units:
                 sink.error(path, ex.pos.line, ex.pos.col, E_RES,
-                           f"external names unknown type '{ex.target_type}'")
+                           f"external names unknown type '{annotated}'")
                 continue
-            target = program.declared_method(ex.target_type, ex.method.name,
+            target = program.declared_method(annotated, ex.method.name,
                                              len(ex.method.args), ex.method.is_constructor)
             if target is None or [a.type for a in target.args] != \
                     [a.type for a in ex.method.args]:
                 sink.error(path, ex.pos.line, ex.pos.col, E_RES,
                            f"dangling external: no method matches "
-                           f"'{ex.target_type}.{ex.method.name}"
+                           f"'{annotated}.{ex.method.name}"
                            f"({', '.join(a.type for a in ex.method.args)})'")
                 continue
             conflict = _overlay_conflict(program, ex)
@@ -323,7 +327,7 @@ def overlay_externals(program: Program) -> Program:
 def _overlay_conflict(program: Program, ex: ExternalDecl) -> Optional[str]:
     """A transition on a protocol whose carriers exclude the subject type."""
     for cj in ex.method.every_conjunct():
-        sub_type = ex.method.subject_type(cj.subject, ex.target_type)
+        sub_type = ex.method.subject_type(cj.subject)
         for cond in cj.conditions:
             proto: Optional[tuple[str, str]] = None
             if isinstance(cond.after, StateAtom):

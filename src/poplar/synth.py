@@ -13,7 +13,7 @@ from .model import (
     AssignStmt, BlockStmt, CallExpr, ClassModel, Expr, ExprStmt,
     FieldAccessExpr, FieldDecl, MethodSpec, MutationTarget, NameExpr, NewExpr,
     Program, ProtectStmt, QueryStmt, Stmt, UniquenessKind, VarDeclStmt,
-    can_override_arg, can_override_return,
+    can_override_arg, can_override_return, residence_text,
 )
 
 if TYPE_CHECKING:  # the planner is imported only by the commands that plan
@@ -188,13 +188,12 @@ def _widen_summary(program: Program, method: MethodSpec,
     does not cover into the mutates clause."""
     extra: list[MutationTarget] = []
     declared = program.effective_summary(method)
-    var_types = {a.name: a.type for a in method.args}
     for sol in solutions.values():
         if sol.result.ctx.method is not method:
             continue
         for t in sorted(sol.result.solution_targets, key=lambda x: x.text()):
-            if not any(program.target_covers(d, t, method.declared_in, var_types)
-                       for d in declared) and t not in extra:
+            if not any(program.target_covers(d, t, method) for d in declared) \
+                    and t not in extra:
                 extra.append(t)
     if not extra:
         return method.mutates
@@ -264,19 +263,13 @@ def fingerprint_sources(sources: list[tuple[str, str]]) -> str:
     return h.hexdigest()
 
 
-def _residence_suffix(residence) -> str:
-    if not residence:
-        return ""
-    return " [*" + ", ".join(".".join(p) for p in residence) + "]"
-
-
 def method_pre_entries(m: MethodSpec, group: Optional[int]) -> tuple[str, ...]:
     entries = [f"{s} {a.text()}" for s, a in m.subject_preconditions(group)]
     return tuple(sorted(set(entries)))
 
 
 def method_post_entries(m: MethodSpec, group: Optional[int]) -> tuple[str, ...]:
-    entries = {f"{s} {atom.text()}{_residence_suffix(residence)}"
+    entries = {f"{s} {atom.text()}{residence_text(residence)}"
                for s, atom, residence in m.postconditions(group)}
     return tuple(sorted(entries))
 
@@ -364,7 +357,8 @@ def parse_assumptions(text: str, path: str) -> list[IntegrationAssumptions]:
     """The queries of one `.assume` file. Each query's header lines and each
     record's ten lines must carry the README's keys in its order, the
     header's `corpus` must be a sha256 hex digest, and a record's `kind`,
-    `group`, `return-uniqueness` and `arg-kinds` must parse;
+    `group`, `return-uniqueness` and `arg-kinds` must parse, the last
+    with one entry per parameter of its `signature`;
     the first deviation raises `MalformedAssumptions`, positioned at it."""
     out: list[IntegrationAssumptions] = []
     blocks = text.strip().split("\n\n\n")
@@ -436,10 +430,20 @@ def _record(values: tuple[str, ...]) -> AssumptionRecord:
             raise _bad_value("arg-kinds", f"unknown uniqueness kind '{kindword}' for "
                                           f"argument '{name}'",
                              arg_kinds.index(entry) + len(name) + 1)
+    if len(entries) != _signature_arity(signature):
+        raise _bad_value("arg-kinds", f"{len(entries)} argument kinds for the "
+                         f"{_signature_arity(signature)} parameters of '{signature}'")
     return AssumptionRecord(
         type=type_, member=member, kind=kind, signature=signature, group=group_index,
         return_uniqueness=return_uniqueness, arg_kinds=entries,
         mutates=_split(mutates), pre=_split(pre), post=_split(post))
+
+
+def _signature_arity(signature: str) -> int:
+    """The count of the parameter types a record's `signature` names; a
+    field read's names none."""
+    params = signature.partition("(")[2].partition(")")[0]
+    return params.count(",") + 1 if params else 0
 
 
 def _split(raw: str) -> tuple[str, ...]:
@@ -496,10 +500,8 @@ def check_compat(assumed: IntegrationAssumptions,
                 bad(label, "postcondition-weakened",
                     "field lost labels the solution relied on")
             continue
-        # The arity is the count of the parameter types the signature names.
-        params = rec.signature.partition("(")[2].partition(")")[0]
         member = program.declared_method(rec.type, rec.member,
-                                         params.count(",") + 1 if params else 0,
+                                         _signature_arity(rec.signature),
                                          constructor=rec.kind == "ctor")
         if member is None or member.signature() != rec.signature:
             bad(label, "member-missing", "no method matches the assumed signature")

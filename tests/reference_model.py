@@ -194,7 +194,7 @@ def find_member(program, rec):
 def find_target_method(program, ex):
     """The method an external overlays: the first of its kind and name
     with exactly its parameter types."""
-    unit = program.units[ex.target_type]
+    unit = program.units[ex.method.declared_in]
     want = [a.type for a in ex.method.args]
     pool = [m for m in unit.methods
             if m.is_constructor == ex.method.is_constructor

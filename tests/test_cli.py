@@ -330,6 +330,33 @@ def test_an_overlay_names_the_parameters_of_its_target_by_position(tmp_path,
         Path("out", "f.pop").read_text()
 
 
+def test_an_overlay_types_result_by_its_target(tmp_path, monkeypatch, capsys):
+    """`external T.m()` names no return type; its `result` is `m`'s."""
+    monkeypatch.chdir(tmp_path)
+    Path("a.pop").write_text("""class Box {
+    labels full;
+
+    Box();
+    Box make();
+}
+
+class Annot {
+    external Box.make()
+        result: +full;
+}
+
+class User {
+    void run() {
+        Box b = #produce(Box, full);
+    }
+}
+""")
+    assert run(["check", "a.pop"], capsys) == (0, "", "")
+    assert run(["synth", "a.pop", "--out", "out"], capsys) == (0, "", "")
+    assert "        Box v1 = new Box();\n        Box b = v1.make();\n" in \
+        Path("out", "a.pop").read_text()
+
+
 class TestSynth:
     def test_full_tree(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -1090,7 +1117,14 @@ def test_transform_of_a_unique_local_synthesizes_the_handwritten_call(tmp_path, 
     (("socket",), ("socket",),
      "server.assume", "arg-kinds=bindPoint=normal", "arg-kinds=bindPoint=bogus",
      "22:21", "unknown uniqueness kind 'bogus' for argument 'bindPoint'"),
-], ids=["return-uniqueness", "group", "kind", "arg-kinds"])
+    (("socket",), ("socket",),
+     "server.assume", "arg-kinds=bindPoint=normal", "arg-kinds=",
+     "22:11", "0 argument kinds for the 1 parameters of 'void bind(SocketAddress)'"),
+    (("socket",), ("socket",),
+     "server.assume", "arg-kinds=bindPoint=normal", "arg-kinds=bindPoint=normal; c=normal",
+     "22:11", "2 argument kinds for the 1 parameters of 'void bind(SocketAddress)'"),
+], ids=["return-uniqueness", "group", "kind", "arg-kinds", "arg-kinds-missing",
+        "arg-kinds-extra"])
 def test_malformed_assumption_field_is_a_positioned_syntax_error(
         tmp_path, capsys, synth_dirs, upgrade_dirs, assume, old, new, where, message):
     """The first occurrence of `old` in the stored file becomes `new`; the

@@ -56,6 +56,22 @@ class TestInferSummary:
         assert inferred == frozenset({var_target("s", ("connState",)),
                                       var_target("s", ("data",))})
 
+    def test_each_parameter_maps_under_its_own_formal_type(self):
+        """A normal actual generalizes to any(T) of the parameter that the
+        callee's summary names, not of another one."""
+        prog = load([], [("put.pop", """
+class Box { resources r; Box(); }
+class Bag { resources r; Bag(); }
+class Filler {
+    Filler();
+    void put(Box a, Bag b) mutates a.r, b.r:;
+    void go(Box x, Bag y) { put(x, y); }
+}
+""")])
+        unit, m = unit_method(prog, "Filler", "go")
+        assert inferred_summary(prog, unit, m) == frozenset(
+            {any_target("Box", ("r",)), any_target("Bag", ("r",))})
+
     def test_empty_body(self):
         prog = load([SOCKET_FILE], [("util.pop", "class U { void nop() { } }")])
         unit, m = unit_method(prog, "U", "nop")
@@ -157,12 +173,11 @@ class TestGeneralizeSummary:
     def test_monotone_under_target_order(self):
         prog = load([SOCKET_FILE])
         summary = frozenset({var_target("s", ("connState",))})
-        var_types = {"mySock": "Socket"}
         renamed = var_target("mySock", ("connState",))
         for kind in K:
             out = self.at_call_site(summary, "mySock", kind)
-            assert any(prog.target_covers(d, renamed, "Socket", var_types)
-                       for d in out), kind
+            caller = MethodSpec("call", "Socket", "void", (ArgDecl(kind, "Socket", "mySock"),))
+            assert any(prog.target_covers(d, renamed, caller) for d in out), kind
 
 
 class TestUniqueness:
@@ -766,6 +781,27 @@ class User {
     }
 }
 """
+
+
+def test_a_call_adds_its_effects_on_a_parameter_to_the_actual():
+    prog = load([], [("fill.pop", """
+class Box { labels full; Box(); }
+class Filler {
+    Filler();
+    void fill(Bag g, Box b) b: +full;
+}
+class Bag { Bag(); }
+class User {
+    void run(Filler f, Bag g) {
+        Box x = new Box();
+        f.fill(g, x);
+        Box y = #produce(Box, full);
+    }
+}
+""")])
+    [ctx] = all_query_contexts(prog)
+    assert (ctx.values["x"].labels, ctx.values["g"].labels) == \
+        ({LabelAtom("Box", "full")}, set())
 
 
 def test_a_query_sees_each_value_as_it_was_at_the_query():

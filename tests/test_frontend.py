@@ -504,7 +504,7 @@ CORPUS_TEXTS = [(str(f.relative_to(CORPUS)), f.read_text(encoding="utf-8"))
 # sha256 of every parse below, positions included: the model the front end
 # builds from the corpus and from two generated benchmark trees, and the
 # error (or model) from each corpus file cut at seven points.
-PARSE_GOLDEN = "14de9985ca319cb5708b7ea3de010ec4599dbad17a19f096ea2c4fdee94d5f7c"
+PARSE_GOLDEN = "26a7e6842791355eaaf24a2a991d298071b6337378bec56c783998ff83f0ea16"
 
 
 def parse_outcome(text):

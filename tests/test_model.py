@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from poplar.model import (
-    ARG_FLOW, AddLabel, Conjunct, Invariant, LabelAtom, MutationTarget, NameExpr,
-    Pos, StateAtom, ThisExpr, Transition, UniquenessKind, any_target, can_flow,
-    can_override_arg, can_override_return, flow_consumes, this_target,
-    var_target,
+    ARG_FLOW, AddLabel, ArgDecl, Conjunct, Invariant, LabelAtom, MethodSpec,
+    MutationTarget, NameExpr, Pos, StateAtom, ThisExpr, Transition, UniquenessKind,
+    any_target, can_flow, can_override_arg, can_override_return, flow_consumes,
+    this_target, var_target,
 )
 
 from conftest import SOCKET, SWING, TD14, load
@@ -16,14 +16,20 @@ from conftest import SOCKET, SWING, TD14, load
 K = UniquenessKind
 
 
-def closure(prog, targets, this_type, var_types):
+def closure(prog, targets, method):
     """Upward closure: every target plus all its ancestors to the root."""
     out = set()
     for t in targets:
-        root_type = prog.target_root_type(t, this_type, var_types)
+        root_type = prog.target_root_type(t, method)
         out.update([t] if root_type is None else
                    (t.with_path(p) for p in prog.path_ancestors(root_type, t.path)))
     return frozenset(out)
+
+
+def method_in(declared_in, **params):
+    """A bodiless `void m(...)` of `declared_in` with `params` (name=type)."""
+    return MethodSpec("m", declared_in, "void",
+                      tuple(ArgDecl(K.NORMAL, t, n) for n, t in params.items()))
 
 
 class TestArgumentFlow:
@@ -122,20 +128,26 @@ class TestTargets:
         prog = load(SWING)
         declared = this_target(("panel",))
         inferred = this_target(("panel", "contents"))
-        assert prog.target_covers(declared, inferred, "SmartFrame", {})
+        assert prog.target_covers(declared, inferred, method_in("SmartFrame"))
 
     def test_cover_respects_roots(self):
         prog = load(SOCKET)
-        var_types = {"a": "Socket", "b": "Socket"}
         assert not prog.target_covers(var_target("a", ("connState",)),
                                       var_target("b", ("connState",)),
-                                      "NetworkServer", var_types)
+                                      method_in("NetworkServer", a="Socket", b="Socket"))
 
     def test_any_covers_named_of_subtype(self):
         prog = load(SOCKET)
         declared = any_target("Socket", ("connState",))
         named = var_target("s", ("connState",))
-        assert prog.target_covers(declared, named, "NetworkServer", {"s": "Socket"})
+        assert prog.target_covers(declared, named, method_in("NetworkServer", s="Socket"))
+
+    def test_an_any_root_is_typed_by_its_type_not_the_method(self):
+        prog = load(SWING)
+        declared = any_target("SmartFrame", ("appearance",))
+        inferred = any_target("SmartFrame", ("panel",))
+        assert prog.target_root_type(inferred, method_in("Object")) == "SmartFrame"
+        assert prog.target_covers(declared, inferred, method_in("Object"))
 
     def test_closure_idempotent_on_corpus_targets(self):
         prog = load(SWING)
@@ -143,17 +155,16 @@ class TestTargets:
             unit = prog.units[cname]
             for m in unit.methods:
                 targets = prog.effective_summary(m)
-                var_types = {a.name: a.type for a in m.args}
-                once = closure(prog, targets, cname, var_types)
-                twice = closure(prog, once, cname, var_types)
+                once = closure(prog, targets, m)
+                twice = closure(prog, once, m)
                 assert once == twice
 
     @given(st.lists(st.sampled_from(["connState", "data"]), max_size=2))
     def test_closure_idempotent_generated(self, path):
         prog = load(SOCKET)
         targets = frozenset({this_target(tuple(path))})
-        once = closure(prog, targets, "Socket", {})
-        assert once == closure(prog, once, "Socket", {})
+        once = closure(prog, targets, method_in("Socket"))
+        assert once == closure(prog, once, method_in("Socket"))
 
 
 PUT_TREE = """
@@ -214,12 +225,21 @@ class TestRenamed:
                 put.optional_groups, put.mutates) == before
 
     def test_subject_type(self, put):
-        assert put.subject_type("this", "Other") == "Other"
-        assert put.subject_type("result", "Other") == "Box"
-        assert (put.subject_type("a", "Other"), put.subject_type("b", "Other")) == \
-            ("Box", "Bag")
-        assert put.subject_type("nobody", "Other") is None
-        assert put.renamed(["b", "a"]).subject_type("a", "Other") == "Bag"
+        assert put.subject_type("this") == "Filler"
+        assert put.subject_type("result") == "Box"
+        assert (put.subject_type("a"), put.subject_type("b")) == ("Box", "Bag")
+        assert put.subject_type("nobody") is None
+        assert put.renamed(["b", "a"]).subject_type("a") == "Bag"
+
+    def test_an_overlay_types_this_and_result_as_its_target(self):
+        prog = load([], [("put.pop", PUT_TREE + """
+class Annot { labels (Box) seen; external Filler.put(Box x, Bag y) result: seen; }
+""")])
+        assert not prog.diagnostics.has_errors
+        [ex] = prog.units["Annot"].externals
+        assert (ex.method.declared_in, ex.declared_in) == ("Filler", "Annot")
+        assert (ex.method.subject_type("this"), ex.method.subject_type("result"),
+                ex.method.subject_type("x")) == ("Filler", "Box", "Box")
 
 
 class TestGoals:

@@ -110,7 +110,7 @@ def test_declared_member_lookup_agrees_with_the_scans_it_replaced(tree):
                 continue  # the overlay pass did not run
             target = ref.find_target_method(program, ex)
             assert target is program.declared_method(
-                ex.target_type, ex.method.name, len(ex.method.args), ex.method.is_constructor)
+                ex.method.declared_in, ex.method.name, len(ex.method.args), ex.method.is_constructor)
             assert target is not None and u.name in target.merged_externals
 
 
