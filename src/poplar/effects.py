@@ -48,8 +48,8 @@ class ValueState:
                  fresh: bool = False,  # created by `new` inside this method
                  is_field: bool = False,
                  field_path: Optional[ResourcePath] = None,  # managed field provenance
-                 labels: Optional[set[Atom]] = None,
-                 residence: Optional[dict[Atom, tuple[ResourcePath, ...]]] = None,
+                 # Each atom that holds on the value, with the resources it resides in.
+                 facts: Optional[dict[Atom, tuple[ResourcePath, ...]]] = None,
                  consumed: bool = False, declared_order: int = 0,
                  alias_of: Optional[str] = None):
         self.variable = variable
@@ -58,8 +58,7 @@ class ValueState:
         self.fresh = fresh
         self.is_field = is_field
         self.field_path = field_path
-        self.labels = set() if labels is None else labels
-        self.residence = {} if residence is None else residence
+        self.facts = {} if facts is None else facts
         self.consumed = consumed
         self.declared_order = declared_order
         # The in-scope variable whose object a local was bound to (`Box c = a;`),
@@ -256,14 +255,10 @@ class BodyAnalyzer:
                                              declared_order=self._next_order())
         for subject, atom in m.subject_preconditions():
             if subject in self.values:
-                self.values[subject].labels.add(atom)
+                self.values[subject].facts[atom] = ()
         for fname, fld in sorted(self.program.managed_fields(self.unit.name).items()):
-            if fname in self.values:
-                continue
-            v = ValueState(fname, fld.type, fld.uniqueness, is_field=True,
-                           field_path=(fname,), declared_order=self._next_order())
-            v.labels.update(fld.labels)
-            self.values[fname] = v
+            if fname not in self.values:
+                self.values[fname] = _field_state(fld, self._next_order())
 
     # -- callee summaries -----------------------------------------------------
 
@@ -318,8 +313,7 @@ class BodyAnalyzer:
             st.fresh = value.fresh and value.variable.startswith("<")
             st.is_field = False
             st.field_path = value.field_path
-            st.labels = set(value.labels)
-            st.residence = dict(value.residence)
+            st.facts = dict(value.facts)
             if value is self.values.get(value.variable) and not value.is_field:
                 st.alias_of = value.alias_of or value.variable
         for other in self.values.values():
@@ -360,14 +354,10 @@ class BodyAnalyzer:
                                             and isinstance(target.receiver, ThisExpr)):
             # The field now holds the assigned object; track it.
             if fld.managed:
-                st = ValueState(fld.name, fld.type, fld.uniqueness, is_field=True,
-                                field_path=(fld.name,),
-                                declared_order=self.values.get(fld.name, ValueState(fld.name, fld.type)).declared_order
-                                or self._next_order())
-                if value is not None:
-                    st.labels = set(value.labels)
-                    st.residence = dict(value.residence)
-                self.values[fld.name] = st
+                old = self.values.get(fld.name)
+                st = self.values[fld.name] = _field_state(
+                    fld, old.declared_order if old is not None else self._next_order())
+                st.facts = {} if value is None else dict(value.facts)
 
     def _field_of(self, target: Expr) -> Optional[FieldDecl]:
         if isinstance(target, NameExpr):
@@ -464,8 +454,7 @@ class BodyAnalyzer:
             else:
                 value = ValueState(s.var, fld.type, fresh=True)
                 if goal is not None:
-                    value.labels.add(goal)
-                    value.residence[goal] = residence
+                    value.facts[goal] = residence
                 self._store_field(fld, NameExpr(s.var, pos), value, pos)
             holder = s.var
         elif query.kind == "produce" and s.var is not None:
@@ -475,18 +464,16 @@ class BodyAnalyzer:
             st.fresh = True
             st.kind = KIND.NORMAL  # a plain declaration site carries no kind
             if goal is not None:
-                st.labels.add(goal)
-                st.residence[goal] = residence
+                st.facts[goal] = residence
             holder = s.var
         elif query.kind == "transform" and query.target_var in self.values:
             st = self.values[query.target_var]
             if goal is not None:
                 if isinstance(goal, StateAtom):
-                    st.labels = {a for a in st.labels
-                                 if not (isinstance(a, StateAtom)
-                                         and (a.owner, a.protocol) == (goal.owner, goal.protocol))}
-                st.labels.add(goal)
-                st.residence[goal] = residence
+                    st.facts = {a: r for a, r in st.facts.items()
+                                if not (isinstance(a, StateAtom)
+                                        and (a.owner, a.protocol) == (goal.owner, goal.protocol))}
+                st.facts[goal] = residence
             holder = query.target_var
         else:
             holder = s.var or query.target_var or ""
@@ -526,7 +513,7 @@ class BodyAnalyzer:
                 return st
             fld = self.program.find_field(self.unit.name, e.name)
             if fld is not None:
-                return self._field_value(fld)
+                return _field_state(fld)
             if e.name in self.program.units:
                 return ValueState(e.name, f"<class {e.name}>")
             self._violate(E_UNIQ, "IllegalFlow", f"unknown name '{e.name}'", pos)
@@ -545,12 +532,6 @@ class BodyAnalyzer:
                           f"'{st.variable}' was passed by destructive read and may "
                           f"not be used again", pos)
 
-    def _field_value(self, fld: FieldDecl) -> ValueState:
-        st = ValueState(fld.name, fld.type, fld.uniqueness, is_field=True,
-                        field_path=(fld.name,) if fld.managed else None)
-        st.labels.update(fld.labels)
-        return st
-
     def _field_access(self, e: FieldAccessExpr, pos: Pos) -> Optional[ValueState]:
         recv = e.receiver
         if isinstance(recv, ThisExpr):
@@ -560,7 +541,7 @@ class BodyAnalyzer:
                               f"unknown field 'this.{e.field}'", pos)
                 return None
             tracked = self.values.get(e.field)
-            return tracked if tracked is not None else self._field_value(fld)
+            return tracked if tracked is not None else _field_state(fld)
         if isinstance(recv, NameExpr) and recv.name in self.program.units \
                 and recv.name not in self.values:
             # Static read through the class name.
@@ -569,9 +550,8 @@ class BodyAnalyzer:
                 self._violate(E_UNIQ, "IllegalFlow",
                               f"unknown static field '{recv.name}.{e.field}'", pos)
                 return None
-            st = ValueState(f"{recv.name}.{e.field}", fld.type)
-            st.labels.update(fld.labels)
-            return st
+            return ValueState(f"{recv.name}.{e.field}", fld.type,
+                              facts=dict.fromkeys(fld.labels, ()))
         recv_state = self._eval(recv, pos)
         if recv_state is None:
             return None
@@ -580,9 +560,8 @@ class BodyAnalyzer:
             self._violate(E_UNIQ, "IllegalFlow",
                           f"type '{recv_state.type}' has no field '{e.field}'", pos)
             return None
-        st = ValueState(f"{recv_state.variable}.{e.field}", fld.type, fld.uniqueness)
-        st.labels.update(fld.labels)
-        return st
+        return ValueState(f"{recv_state.variable}.{e.field}", fld.type, fld.uniqueness,
+                          facts=dict.fromkeys(fld.labels, ()))
 
     def _new(self, e: NewExpr, pos: Pos) -> Optional[ValueState]:
         ctor = self.program.declared_method(e.type, e.type, len(e.args), constructor=True)
@@ -598,9 +577,7 @@ class BodyAnalyzer:
                 self._eval(a, pos)
             return st
         self._invoke(ctor, None, e.args, pos, fresh_receiver=True)
-        for atom, residence in ctor.result_atoms():
-            st.labels.add(atom)
-            st.residence[atom] = residence
+        st.facts.update(ctor.result_atoms())
         return st
 
     def _call(self, e: CallExpr, pos: Pos) -> Optional[ValueState]:
@@ -648,11 +625,8 @@ class BodyAnalyzer:
             self._check_use(recv, pos)
         self._map_callee_summary(callee, recv, actuals, pos, fresh_receiver)
         self._apply_callee_effects(callee, recv, actuals)
-        result = ValueState("<call>", callee.return_type, callee.return_uniqueness)
-        for atom, residence in callee.result_atoms():
-            result.labels.add(atom)
-            result.residence[atom] = residence
-        return result
+        return ValueState("<call>", callee.return_type, callee.return_uniqueness,
+                          facts=dict(callee.result_atoms()))
 
     def _flow_check(self, st: ValueState, actual: Expr, param_kind: UniquenessKind,
                     param_name: str, pos: Pos) -> None:
@@ -723,9 +697,8 @@ class BodyAnalyzer:
             holder = self.values.get(st.variable)
             target = holder if holder is not None else st
             if removed is not None:
-                target.labels.discard(removed)
-            target.labels.add(atom)
-            target.residence[atom] = residence
+                target.facts.pop(removed, None)
+            target.facts[atom] = residence
 
 
 def _alias_compatible(program: Program, a: str, b: str) -> bool:
@@ -738,7 +711,14 @@ def _alias_root(values: dict[str, ValueState], name: str) -> str:
 
 
 def _copy_state(v: ValueState) -> ValueState:
-    return replace(v, labels=set(v.labels), residence=dict(v.residence))
+    return replace(v, facts=dict(v.facts))
+
+
+def _field_state(fld: FieldDecl, declared_order: int = 0) -> ValueState:
+    """The value of `this`'s field `fld`, carrying the field's labels."""
+    return ValueState(fld.name, fld.type, fld.uniqueness, is_field=True,
+                      field_path=(fld.name,) if fld.managed else None,
+                      facts=dict.fromkeys(fld.labels, ()), declared_order=declared_order)
 
 
 def _is_null(e: Optional[Expr]) -> bool:

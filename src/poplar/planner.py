@@ -12,7 +12,7 @@ built once per Program.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import Frozen, setfield
 from .config import SearchConfig
@@ -394,7 +394,7 @@ class ActionIndex:
         return program.action_index
 
 
-def can_substitute(program: Program, value_type: str, value_labels: set,
+def can_substitute(program: Program, value_type: str, value_labels: Iterable[Atom],
                    need_type: str, need_labels: set) -> bool:
     """An existing value stands in for a requirement when its type is a
     subtype and its labels are a superset."""
@@ -445,8 +445,8 @@ class Planner:
         self._context: dict[tuple, list[Candidate]] = {}
         self._fresh: dict[tuple, list[Candidate]] = {}
         self._existing = [
-            (st.type, frozenset(st.labels), st.kind,
-             frozenset(p for paths in st.residence.values() for p in paths))
+            (st.type, frozenset(st.facts), st.kind,
+             frozenset(p for paths in st.facts.values() for p in paths))
             for st in ctx.values.values() if not st.consumed]
 
     # -- setup -------------------------------------------------------------
@@ -520,7 +520,7 @@ class Planner:
         zero: set = set()
         for st in self.ctx.values.values():
             zero |= self.program.supertypes(st.type)
-            zero |= st.labels
+            zero.update(st.facts)
         cone = self.index.cone(self.goal)
         inf = float("inf")
         cost = [0 if fact in zero else inf for fact, _ in cone]
@@ -608,7 +608,7 @@ class Planner:
 
         if obj.ctx_name is not None:
             st = self.ctx.values.get(obj.ctx_name)
-            if cond.atom is None or (st is not None and cond.atom in st.labels):
+            if cond.atom is None or (st is not None and cond.atom in st.facts):
                 found.append(("ctx", obj.ctx_name, -1))
         elif obj.producer is not None:
             atoms = plan.actions[obj.producer].spec.result_atom_set
@@ -660,10 +660,10 @@ class Planner:
                                    key=lambda kv: kv[1].declared_order):
                 if st.consumed or (st.variable == "this" and st.fresh):
                     continue
-                if not can_substitute(self.program, st.type, st.labels,
+                if not can_substitute(self.program, st.type, st.facts,
                                       need_type, need_labels):
                     continue
-                sig = (st.type, frozenset(st.labels))
+                sig = (st.type, frozenset(st.facts))
                 if sig in offered:
                     continue  # equivalent values: earliest declaration wins
                 offered.append(sig)
@@ -716,6 +716,10 @@ class Planner:
         return ways
 
     def _useful_result(self, spec: ActionSpec) -> bool:
+        """Whether a new action's result offers anything over the in-scope
+        values (`useful`). An action the with-clause names always does."""
+        if not spec.names.isdisjoint(self.ctx.query.with_names):
+            return True
         residence: list[ResourcePath] = []
         for _, res in spec.result_atoms:
             residence.extend(res)
@@ -787,7 +791,7 @@ class Planner:
             if p.objects[cond.oid].ctx_name is None:
                 self._bind_ctx(p, cond.oid, cand.ctx_name)
             st = self.ctx.values.get(cand.ctx_name)
-            residence = tuple(st.residence.get(cond.atom, ())) if st and cond.atom else ()
+            residence = tuple(st.facts.get(cond.atom, ())) if st and cond.atom else ()
             return self._commit_link(p, CausalLink(START, cond, consumer, residence))
         if cand.kind == "link":
             residence = self._effect_residence(p.actions[cand.producer].spec, cond.atom)

@@ -183,7 +183,7 @@ class Resolver:
             atom = self._resolve_label_ref(path, rc.pos, rc.name, scope, sub_type)
             return Invariant(atom) if atom is not None else None
         if rc.kind == "invariant-state":
-            proto = self._resolve_protocol_ref(path, rc.pos, rc.name, scope)
+            proto = self._resolve_protocol_ref(path, rc.pos, rc.name, scope, sub_type)
             if proto is None:
                 return None
             return Invariant(StateAtom(proto.owner, proto.name, rc.source))
@@ -196,7 +196,7 @@ class Resolver:
         if rc.kind == "add":
             if "@" in rc.name or rc.source:
                 # +p@s: a state established on a fresh value.
-                proto = self._resolve_protocol_ref(path, rc.pos, rc.name, scope)
+                proto = self._resolve_protocol_ref(path, rc.pos, rc.name, scope, sub_type)
                 if proto is None:
                     return None
                 return AddLabel(StateAtom(proto.owner, proto.name, rc.source), residence)
@@ -205,7 +205,7 @@ class Resolver:
                 return None
             return AddLabel(atom, residence)
         if rc.kind == "transition":
-            proto = self._resolve_protocol_ref(path, rc.pos, rc.name, scope)
+            proto = self._resolve_protocol_ref(path, rc.pos, rc.name, scope, sub_type)
             if proto is None:
                 return None
             return Transition(proto.owner, proto.name, rc.source, rc.target, residence)
@@ -222,28 +222,26 @@ class Resolver:
                        ", ".join(a.text() for a in sorted(candidates, key=lambda a: a.owner)))
             return None
         atom = candidates[0]
-        if sub_type is not None:
-            self._check_carrier(path, pos, atom, sub_type)
+        u = self.program.units.get(atom.owner)
+        for ld in () if u is None else u.labels:
+            if atom.name in ld.names:
+                self._check_carrier(path, pos, "label", atom.owner, atom.name,
+                                    ld.carriers, sub_type)
+                break
         return atom
 
-    def _check_carrier(self, path: str, pos: Pos, atom: LabelAtom, sub_type: str) -> None:
-        decl_carriers: Optional[tuple[str, ...]] = None
-        u = self.program.units.get(atom.owner)
-        if u is None:
-            return
-        for ld in u.labels:
-            if atom.name in ld.names:
-                decl_carriers = ld.carriers or (atom.owner,)
-                break
-        if decl_carriers is None:
-            return
-        if not any(self.program.is_subtype(sub_type, c) for c in decl_carriers):
-            self.error(path, pos,
-                       f"label '{atom.text()}' does not apply to type '{sub_type}' "
-                       f"(carriers: {', '.join(decl_carriers)})")
+    def _check_carrier(self, path: str, pos: Pos, what: str, owner: str, name: str,
+                       carriers: tuple[str, ...], sub_type: Optional[str]) -> None:
+        """A label or protocol applies to a subject of a subtype of one of
+        its carriers (its declaring type when it names none)."""
+        carriers = carriers or (owner,)
+        if sub_type is not None and \
+                not any(self.program.is_subtype(sub_type, c) for c in carriers):
+            self.error(path, pos, f"{what} '{owner}.{name}' does not apply to type "
+                                  f"'{sub_type}' (carriers: {', '.join(carriers)})")
 
-    def _resolve_protocol_ref(self, path: str, pos: Pos, name: str,
-                              scope: str) -> Optional[ProtocolDecl]:
+    def _resolve_protocol_ref(self, path: str, pos: Pos, name: str, scope: str,
+                              sub_type: Optional[str]) -> Optional[ProtocolDecl]:
         candidates = self.program.resolve_protocol(name, scope)
         if not candidates:
             self.error(path, pos, f"unresolved protocol '{name}'")
@@ -252,7 +250,10 @@ class Resolver:
         if len(firsts) > 1:
             self.error(path, pos, f"ambiguous protocol '{name}'")
             return None
-        return candidates[0]
+        proto = candidates[0]
+        self._check_carrier(path, pos, "protocol", proto.owner, proto.name,
+                            proto.carriers, sub_type)
+        return proto
 
     def _resolve_target(self, path: str, rt: P.RawTarget,
                         m: MethodSpec) -> Optional[MutationTarget]:
@@ -314,36 +315,10 @@ def overlay_externals(program: Program) -> Program:
                            f"'{annotated}.{ex.method.name}"
                            f"({', '.join(a.type for a in ex.method.args)})'")
                 continue
-            conflict = _overlay_conflict(program, ex)
-            if conflict:
-                sink.error(path, ex.pos.line, ex.pos.col, E_RES, conflict)
-                continue
             _merge_external(target, ex)
     _collect_protocol_states(program)
     _validate_queries(program)
     return program
-
-
-def _overlay_conflict(program: Program, ex: ExternalDecl) -> Optional[str]:
-    """A transition on a protocol whose carriers exclude the subject type."""
-    for cj in ex.method.every_conjunct():
-        sub_type = ex.method.subject_type(cj.subject)
-        for cond in cj.conditions:
-            proto: Optional[tuple[str, str]] = None
-            if isinstance(cond.after, StateAtom):
-                proto = (cond.after.owner, cond.after.protocol)
-            if proto is None or sub_type is None:
-                continue
-            owner_unit = program.units.get(proto[0])
-            if owner_unit is None:
-                continue
-            for pd in owner_unit.protocols:
-                if pd.name == proto[1]:
-                    carriers = pd.carriers or (pd.owner,)
-                    if not any(program.is_subtype(sub_type, c) for c in carriers):
-                        return (f"conflicting overlay: protocol '{proto[1]}' cannot be "
-                                f"carried by '{sub_type}' (carriers: {', '.join(carriers)})")
-    return None
 
 
 def _merge_external(target: MethodSpec, ex: ExternalDecl) -> None:

@@ -358,7 +358,7 @@ def parse_assumptions(text: str, path: str) -> list[IntegrationAssumptions]:
     record's ten lines must carry the README's keys in its order, the
     header's `corpus` must be a sha256 hex digest, and a record's `kind`,
     `group`, `return-uniqueness` and `arg-kinds` must parse, the last
-    with one entry per parameter of its `signature`;
+    with one entry per parameter of its `signature`, each named once;
     the first deviation raises `MalformedAssumptions`, positioned at it."""
     out: list[IntegrationAssumptions] = []
     blocks = text.strip().split("\n\n\n")
@@ -423,19 +423,24 @@ def _record(values: tuple[str, ...]) -> AssumptionRecord:
     if return_uniqueness not in _KIND_ORDER:
         raise _bad_value("return-uniqueness",
                          f"unknown uniqueness kind '{return_uniqueness}'")
-    entries = _split(arg_kinds)
-    for entry in entries:
-        name, _, kindword = entry.partition("=")
-        if kindword not in _KIND_ORDER:
-            raise _bad_value("arg-kinds", f"unknown uniqueness kind '{kindword}' for "
-                                          f"argument '{name}'",
-                             arg_kinds.index(entry) + len(name) + 1)
+    entries: dict[str, str] = {}  # argument name -> its entry
+    at = 0  # the offset of each entry in the value
+    for entry in arg_kinds.split("; "):
+        if entry:
+            name, _, kindword = entry.partition("=")
+            if kindword not in _KIND_ORDER:
+                raise _bad_value("arg-kinds", f"unknown uniqueness kind '{kindword}' for "
+                                              f"argument '{name}'", at + len(name) + 1)
+            if name in entries:
+                raise _bad_value("arg-kinds", f"argument '{name}' is named twice", at)
+            entries[name] = entry
+        at += len(entry) + 2
     if len(entries) != _signature_arity(signature):
         raise _bad_value("arg-kinds", f"{len(entries)} argument kinds for the "
                          f"{_signature_arity(signature)} parameters of '{signature}'")
     return AssumptionRecord(
         type=type_, member=member, kind=kind, signature=signature, group=group_index,
-        return_uniqueness=return_uniqueness, arg_kinds=entries,
+        return_uniqueness=return_uniqueness, arg_kinds=tuple(entries.values()),
         mutates=_split(mutates), pre=_split(pre), post=_split(post))
 
 

@@ -21,6 +21,37 @@ SWING = ["swing/toolkit.pop", "swing/widgets.pop", "swing/frames.pop"]
 SWING_QUERY = ["swing/toolkit.pop", "swing/widgets.pop", "swing_query/frames.pop"]
 RECORDSET = ["recordset/records.pop"]
 
+# `b` is armed (`p@1->2`, residing in `s`) and disarmed (`p@2->3`) before
+# `fill` gives it `full` in `r`; the query asks for another full Box.
+ARMED_TREE = """class Box {
+    protocols p;
+    resources r, s;
+    labels full;
+
+    Box()
+        result: +p@1;
+    void arm()
+        this: p@1->2 [*s];
+    void disarm()
+        this: p@2->3;
+    void fill() [!r]
+        this: +full [*r];
+    static Box make()
+        result: +full [*r];
+}
+
+class User {
+    void run() {
+        Box b = new Box();
+        b.arm();
+        b.disarm();
+        b.fill();
+        Box c = #produce(Box, full) with make;
+    }
+}
+"""
+ARMING = "        b.arm();\n        b.disarm();\n"
+
 
 def stored(x):
     """The attributes `x` stores, by name: its own slots, or its `__dict__`."""

@@ -82,7 +82,7 @@ def initial_state(ctx: QueryContext) -> State:
     for name, st in sorted(ctx.values.items()):
         if st.variable == "this" and st.fresh:
             continue
-        values.append(OValue(name, st.type, frozenset(st.labels), st.kind, st.fresh))
+        values.append(OValue(name, st.type, frozenset(st.facts), st.kind, st.fresh))
     return _canon(values)
 
 

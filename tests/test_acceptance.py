@@ -97,7 +97,7 @@ def _replay_all_linearizations(prog, res, ctx):
                        None)
             if oid is None:
                 continue
-            for atom in st.labels:
+            for atom in st.facts:
                 if isinstance(atom, StateAtom):
                     states[(oid, (atom.owner, atom.protocol))] = atom.state
         for aid in perm:

@@ -23,7 +23,7 @@ from poplar.model import this_target
 from poplar.resolver import load_program
 from poplar.synth import splice_program
 
-from conftest import CORPUS, SWING_QUERY, TD14, TD15, inferred_summary
+from conftest import ARMED_TREE, ARMING, CORPUS, SWING_QUERY, TD14, TD15, inferred_summary
 from test_frontend import edited_corpus_file
 
 
@@ -132,13 +132,11 @@ class TestCheck:
         code, out, _ = run(["check", path], capsys)
         assert code == 1
         assert out.splitlines() == [f"{path}:{line}" for line in (
-            "14:5: error: E-RES: external names unknown type 'Nowhere'",
-            "16:5: error: E-RES: dangling external: no method matches 'Conn.missing(int)'",
-            "18:5: error: E-RES: conflicting overlay: protocol 'wire' cannot be "
-            "carried by 'Conn' (carriers: Wire)",
-            "24:9: error: E-RES: unknown type 'Nowhere' in #produce",
-            "25:9: error: E-RES: #transform names unknown variable 'ghost'",
-            "26:9: error: E-RES: no protocol or label matches goal 'nonsense'",
+            "12:5: error: E-RES: external names unknown type 'Nowhere'",
+            "14:5: error: E-RES: dangling external: no method matches 'Conn.missing(int)'",
+            "19:9: error: E-RES: unknown type 'Nowhere' in #produce",
+            "20:9: error: E-RES: #transform names unknown variable 'ghost'",
+            "21:9: error: E-RES: no protocol or label matches goal 'nonsense'",
         )]
 
     def test_local_alias_of_a_unique_value_breaks_its_span(self, capsys):
@@ -355,6 +353,49 @@ class User {
     assert run(["synth", "a.pop", "--out", "out"], capsys) == (0, "", "")
     assert "        Box v1 = new Box();\n        Box b = v1.make();\n" in \
         Path("out", "a.pop").read_text()
+
+
+def test_a_with_clause_selects_an_action_the_usefulness_filter_would_drop(
+        tmp_path, monkeypatch, capsys):
+    """`b` already holds `full` in `r`, so `make` offers nothing new, but the
+    with-clause names it. The answer does not depend on whether `b` once
+    held a state that resided in `s`."""
+    monkeypatch.chdir(tmp_path)
+    unarmed = ARMED_TREE.replace(ARMING, "")
+    for tree, text in (("armed", ARMED_TREE), ("unarmed", unarmed)):
+        Path(tree).mkdir()
+        Path(tree, "t.pop").write_text(text)
+        assert run(["synth", tree, "--out", f"out/{tree}"], capsys) == (0, "", "")
+        assert "        b.fill();\n        Box c = Box.make();\n" in \
+            Path("out", tree, "t.pop").read_text()
+
+
+def test_a_protocols_carriers_bind_in_methods_and_overlays_alike(tmp_path, monkeypatch,
+                                                                 capsys):
+    """A state, a `+p@s` and a transition on a type outside the protocol's
+    carriers are refused in a method as in an `external` overlay."""
+    monkeypatch.chdir(tmp_path)
+    Path("a.pop").write_text("""class Conn {
+    Conn();
+    void open();
+    void flip()
+        this: wire@a->b;
+    void hold()
+        this: wire@a;
+    static Conn make()
+        result: +wire@a;
+}
+
+class Wire {
+    protocols(Wire) wire;
+
+    external Conn.open()
+        this: wire@a->b;
+}
+""")
+    refused = "error: E-RES: protocol 'Wire.wire' does not apply to type 'Conn' (carriers: Wire)"
+    assert run(["check", "a.pop"], capsys) == (1, "".join(
+        f"a.pop:{at}: {refused}\n" for at in ("5:15", "7:15", "9:17", "16:15")), "")
 
 
 class TestSynth:
@@ -1123,8 +1164,11 @@ def test_transform_of_a_unique_local_synthesizes_the_handwritten_call(tmp_path, 
     (("socket",), ("socket",),
      "server.assume", "arg-kinds=bindPoint=normal", "arg-kinds=bindPoint=normal; c=normal",
      "22:11", "2 argument kinds for the 1 parameters of 'void bind(SocketAddress)'"),
+    (("socket",), ("socket",),
+     "server.assume", "arg-kinds=bindPoint=normal", "arg-kinds=bindPoint=normal; bindPoint=unique",
+     "22:29", "argument 'bindPoint' is named twice"),
 ], ids=["return-uniqueness", "group", "kind", "arg-kinds", "arg-kinds-missing",
-        "arg-kinds-extra"])
+        "arg-kinds-extra", "arg-kinds-twice"])
 def test_malformed_assumption_field_is_a_positioned_syntax_error(
         tmp_path, capsys, synth_dirs, upgrade_dirs, assume, old, new, where, message):
     """The first occurrence of `old` in the stored file becomes `new`; the

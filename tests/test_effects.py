@@ -14,8 +14,8 @@ from poplar.model import (
 )
 
 from conftest import (
-    CORPUS, RECORDSET, SOCKET, SWING, SWING_QUERY, TD14, TD15, TD_BOTH,
-    all_query_contexts, inferred_summary, load, load_raw, walk_violations,
+    ARMED_TREE, ARMING, CORPUS, RECORDSET, SOCKET, SWING, SWING_QUERY, TD14, TD15,
+    TD_BOTH, all_query_contexts, inferred_summary, load, load_raw, walk_violations,
 )
 
 K = UniquenessKind
@@ -800,13 +800,54 @@ class User {
 }
 """)])
     [ctx] = all_query_contexts(prog)
-    assert (ctx.values["x"].labels, ctx.values["g"].labels) == \
-        ({LabelAtom("Box", "full")}, set())
+    assert (ctx.values["x"].facts, ctx.values["g"].facts) == \
+        ({LabelAtom("Box", "full"): ()}, {})
 
 
 def test_a_query_sees_each_value_as_it_was_at_the_query():
     """The walk goes on after a query, so the query keeps a copy of each
-    value's labels and residence: `fillQ` after it does not move `full`."""
+    value's facts: `fillQ` after it does not move `full`."""
     [ctx] = all_query_contexts(load([], [("t.pop", SNAPSHOT_TREE)]))
     full = LabelAtom("Box", "full")
-    assert (ctx.values["b"].labels, ctx.values["b"].residence) == ({full}, {full: (("r",),)})
+    assert ctx.values["b"].facts == {full: (("r",),)}
+
+
+def test_a_call_drops_the_state_it_leaves_and_its_residence():
+    """`arm` gives `b` `p@2` in `s`; `disarm` moves it on to `p@3`, which
+    resides nowhere, so no fact of `b` resides in `s` any more."""
+    [ctx] = all_query_contexts(load([], [("t.pop", ARMED_TREE)]))
+    assert ctx.values["b"].facts == {StateAtom("Box", "p", "3"): (),
+                                     LabelAtom("Box", "full"): (("r",),)}
+
+
+def test_a_transform_leaves_its_target_only_the_goal_state():
+    tree = ARMED_TREE.replace(ARMING + "        b.fill();\n", "        #transform(b, p@2);\n")
+    [_, ctx] = all_query_contexts(load([], [("t.pop", tree)]))
+    assert ctx.values["b"].facts == {StateAtom("Box", "p", "2"): (("s",),)}
+
+
+@pytest.mark.xfail(strict=True, reason="the walk keeps one record of facts per name, "
+                   "so a call through one name of an object leaves its other names as "
+                   "they were")
+@pytest.mark.parametrize("bind, other", [("Box c = b;", "c"), ("f = b;", "f")],
+                         ids=["local", "field"])
+def test_a_call_through_one_name_of_an_object_moves_its_other_names(bind, other):
+    [ctx] = all_query_contexts(load([], [("t.pop", ARMED_TREE.replace(
+        "class User {\n", "class User {\n    Box f;\n    User();\n").replace(
+        "void run() {", "void run() mutates f: {").replace(
+        ARMING, f"        {bind}\n        {other}.arm();\n"))]))
+    assert ctx.values["b"].facts == ctx.values[other].facts
+
+
+def test_a_managed_field_starts_with_its_declared_labels():
+    [ctx] = all_query_contexts(load([], [("t.pop", """
+class Box { labels full; Box(); }
+class Holder {
+    Box f + full;
+    Holder();
+    void run() mutates f: {
+        Box y = #produce(Box, full);
+    }
+}
+""")]))
+    assert ctx.values["f"].facts == {LabelAtom("Box", "full"): ()}

@@ -16,8 +16,8 @@ from poplar.planner import (
 )
 
 from conftest import (
-    RECORDSET, SOCKET, SWING_QUERY, TD14, TD15, TD_BOTH, all_query_contexts,
-    load, oracle_answers, query_id, query_in, walk_violations,
+    ARMED_TREE, ARMING, RECORDSET, SOCKET, SWING_QUERY, TD14, TD15, TD_BOTH,
+    all_query_contexts, load, oracle_answers, query_id, query_in, walk_violations,
 )
 
 K = UniquenessKind
@@ -123,7 +123,7 @@ class TestSoundness:
             # Forward-simulate protocol states per object.
             states: dict[tuple[int, tuple], str] = {}
             for name, st in ctx.values.items():
-                for atom in st.labels:
+                for atom in st.facts:
                     if isinstance(atom, StateAtom):
                         oid = next((o.oid for o in plan.objects.values()
                                     if o.ctx_name == name), None)
@@ -330,6 +330,18 @@ class TestVariableReuse:
         existing = [("Socket", frozenset(), K.UNIQUE, frozenset(eres))]
         assert useful(("Socket", frozenset(), K.UNIQUE, frozenset(cres)),
                       existing) is expected
+
+    @pytest.mark.parametrize("arming", [ARMING, ""], ids=["armed", "unarmed"])
+    def test_an_in_scope_value_offers_the_residence_of_the_facts_it_holds(
+            self, arming, cfg):
+        """`b` holds `full` in `r`, as `make`'s result would; a state that it
+        held in `s` before does not make that result new."""
+        tree = ARMED_TREE.replace(ARMING, arming).replace(" with make", "")
+        prog = load([], [("t.pop", tree)])
+        [ctx] = all_query_contexts(prog)
+        planner = Planner(prog, ctx, cfg)
+        [make] = [s for s in planner.index.universe if s.member == "make"]
+        assert not planner._useful_result(make)
 
 
 class TestThreats:
