@@ -622,6 +622,42 @@ class TestInputs:
                              if command == "synth" else [command, str(tree)], capsys)
         assert (code, out, err) == (0, "", "")
 
+    @staticmethod
+    def edge_tree(root: Path) -> Path:
+        """A tree whose names test discovery's order and filters."""
+        tree = root / "t"
+        for d in ("a", "a-b", "d.pop", "sub/deep"):
+            (tree / d).mkdir(parents=True)
+        for f in ("a/x.pop", "a-b/x.pop", "d.pop/inner.pop", "sub/deep/y.pop",
+                  "sub/b.pop", "m.pop", "z.POP", ".pop", "notes.txt"):
+            (tree / f).write_text("class C { }\n")
+        (tree / "link.pop").symlink_to(tree / "m.pop")
+        (tree / "broken.pop").symlink_to(tree / "nowhere.pop")
+        (tree / "dirlink").symlink_to(tree / "sub", target_is_directory=True)
+        (tree / "dirlink.pop").symlink_to(tree / "sub", target_is_directory=True)
+        return tree
+
+    EDGE_ORDER = [".pop", "a/x.pop", "a-b/x.pop", "d.pop/inner.pop", "link.pop", "m.pop",
+                  "sub/b.pop", "sub/deep/y.pop"]
+
+    def test_sources_are_found_in_path_order_through_file_links_only(self, tmp_path):
+        """Paths sort by component, so `a/` comes before `a-b/`. A link to a
+        file counts; a broken link, a linked directory, a directory named
+        `*.pop` and another suffix's case do not."""
+        tree = self.edge_tree(tmp_path)
+        assert [name for name, _ in _collect_sources([str(tree)])] == \
+            [str(tree / f) for f in self.EDGE_ORDER]
+
+    @pytest.mark.parametrize("arg", [".", "./", "t/../t"])
+    def test_a_found_source_is_named_as_its_directory_was_spelled(self, tmp_path,
+                                                                  monkeypatch, arg):
+        """Names reach diagnostics and query ids, so a leading `./` is dropped
+        and a `..` kept, as `Path` spells them."""
+        tree = self.edge_tree(tmp_path)
+        monkeypatch.chdir(tree if arg.startswith(".") else tmp_path)
+        assert [name for name, _ in _collect_sources([arg])] == \
+            [str(Path(arg) / f) for f in self.EDGE_ORDER]
+
     def test_an_unreadable_source_is_a_usage_error_naming_it(self, tmp_path, capsys,
                                                              monkeypatch):
         src = tmp_path / "a.pop"
