@@ -2,11 +2,13 @@
 
 Exit codes: 0 clean, 1 violations or planning failures, 2 usage errors.
 Diagnostics print one per line as `path:line:col: error: code: message`.
+`main` returns the exit code; `run`, the process entry, ends the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -62,12 +64,45 @@ def _write(path: Path, text: str) -> None:
         raise ValueError(f"{path}: cannot write: {e.strerror}") from None
 
 
+def _unwritable_stdout(e: OSError) -> ValueError:
+    return ValueError(f"<stdout>: cannot write: {e.strerror}")
+
+
+def _print(text: str) -> None:
+    """Print a line of a command's output. A stdout that cannot be written
+    is a usage error, as an output file is in `_write`."""
+    try:
+        print(text)
+    except OSError as e:
+        raise _unwritable_stdout(e) from None
+
+
+def _find_sources(top: str) -> list[Path]:
+    """The `.pop` files under directory `top`, in `Path` order: by path
+    component, so that `a/x.pop` comes before `a-b/x.pop`. A link to a file
+    counts; a linked directory is not entered."""
+    found: list[Path] = []
+    pending = [top]
+    while pending:
+        d = pending.pop()
+        try:
+            with os.scandir(d) as entries:
+                for entry in entries:
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append(entry.path)
+                    elif entry.name.endswith(".pop") and entry.is_file():
+                        found.append(Path(entry.path))
+        except OSError as e:
+            raise ValueError(f"{Path(d)}: cannot read: {e.strerror}") from None
+    return sorted(found)
+
+
 def _collect_sources(paths: list[str]) -> list[tuple[str, str]]:
     sources = []
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            sources.extend(_read_source(f) for f in sorted(p.rglob("*.pop")) if f.is_file())
+            sources.extend(_read_source(f) for f in _find_sources(raw))
         elif p.is_file():
             sources.append(_read_source(p))
         else:
@@ -112,7 +147,7 @@ def cmd_check(args) -> int:
     _config(args, args.paths)  # a malformed config fails here as in synth
     program = load_program(sources)
     if program.diagnostics.has_errors:
-        print(program.diagnostics.render())
+        _print(program.diagnostics.render())
         return 1
     violations = check_program(program)
     sink = DiagnosticSink()
@@ -120,7 +155,7 @@ def cmd_check(args) -> int:
         path = program.unit_paths.get(v.unit, "<unknown>")
         sink.error(path, v.pos.line, v.pos.col, v.code, v.text())
     if sink.items:
-        print(sink.render())
+        _print(sink.render())
         return 1
     return 0
 
@@ -177,12 +212,12 @@ def cmd_synth(args) -> int:
     cfg = _config(args, args.paths)
     program = load_program(sources)
     if program.diagnostics.has_errors:
-        print(program.diagnostics.render())
+        _print(program.diagnostics.render())
         return 1
     solutions, per_path, failures = _solve_tree(program, cfg)
     if failures:
         sink = DiagnosticSink(failures)
-        print(sink.render())
+        _print(sink.render())
         return 1
     spliced = synth.splice_program(program, solutions)
     plain = synth.render_plain(spliced)
@@ -216,25 +251,25 @@ def cmd_verify_upgrade(args) -> int:
     _config(args, args.paths)  # a malformed config fails here as in synth
     program = load_program(sources)
     if program.diagnostics.has_errors:
-        print(program.diagnostics.render())
+        _print(program.diagnostics.render())
         return 1
     texts = [_read_source(f) for f in sorted(assume_dir.glob("*.assume")) if f.is_file()]
     try:
         files = [synth.parse_assumptions(text, path) for path, text in texts]
     except synth.MalformedAssumptions as e:
-        print(e.diagnostic.render())
+        _print(e.diagnostic.render())
         return 1
     failed = False
     for queries in files:
         for assumed in queries:
             problems = synth.check_compat(assumed, program)
             if not problems:
-                print(f"ok {assumed.query_id}")
+                _print(f"ok {assumed.query_id}")
             else:
                 failed = True
                 for p in problems:
-                    print(f"incompatible {assumed.query_id}: {p.member}: "
-                          f"{p.rule}: {p.message}")
+                    _print(f"incompatible {assumed.query_id}: {p.member}: "
+                           f"{p.rule}: {p.message}")
     return 1 if failed else 0
 
 
@@ -244,7 +279,7 @@ def cmd_explain(args) -> int:
     cfg = _config(args, args.paths)
     program = load_program(sources)
     if program.diagnostics.has_errors:
-        print(program.diagnostics.render())
+        _print(program.diagnostics.render())
         return 1
     wanted = args.explain
     matches = [ctx for _, _, contexts in _all_query_contexts(program) for ctx in contexts
@@ -261,13 +296,13 @@ def cmd_explain(args) -> int:
         result = plan_query(program, target, cfg)
     except PlanFailure as e:
         path = program.unit_paths.get(target.unit, "<unknown>")
-        print(Diagnostic(path, target.pos.line, target.pos.col, E_PLAN,
-                         f"{type(e).__name__}: {e.message}").render())
+        _print(Diagnostic(path, target.pos.line, target.pos.col, E_PLAN,
+                          f"{type(e).__name__}: {e.message}").render())
         if e.bound is not None:
-            print(f"lower bound: {e.bound}")
-        print(f"explored plans: {e.explored}\nrejected threats: {e.rejected_threats}")
+            _print(f"lower bound: {e.bound}")
+        _print(f"explored plans: {e.explored}\nrejected threats: {e.rejected_threats}")
         return 1
-    print(render_plan(result))
+    _print(render_plan(result))
     if args.dot:
         _write(Path(args.dot), render_dot(result))
     return 0
@@ -332,5 +367,24 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry of `poplar` and of `python -m poplar.cli`: `main`,
+    then flush the output and end the process without the interpreter's
+    teardown, which would only free what the ending process holds. A stdout
+    that cannot be written is exit 2 here too."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as e:
+        if code != 2:  # else `main` has reported an error, this one perhaps
+            print(f"error: {_unwritable_stdout(e)}", file=sys.stderr)
+            code = 2
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass  # there is nowhere left to report it
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -658,6 +658,21 @@ class TestInputs:
         assert [name for name, _ in _collect_sources([arg])] == \
             [str(Path(arg) / f) for f in self.EDGE_ORDER]
 
+    def test_an_unlistable_directory_is_a_usage_error_naming_it(self, tmp_path, capsys,
+                                                               monkeypatch):
+        tree = self.edge_tree(tmp_path)
+        listing = os.scandir
+
+        def refuse(path):
+            if Path(path) == tree / "sub" / "deep":
+                raise PermissionError(13, "Permission denied", path)
+            return listing(path)
+
+        monkeypatch.setattr(os, "scandir", refuse)
+        code, out, err = run(["check", str(tree)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {tree / 'sub' / 'deep'}: cannot read: Permission denied\n"
+
     def test_an_unreadable_source_is_a_usage_error_naming_it(self, tmp_path, capsys,
                                                              monkeypatch):
         src = tmp_path / "a.pop"
@@ -758,6 +773,71 @@ class TestEntryPoint:
             [sys.executable, "-m", "poplar.cli", "frobnicate"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+    @staticmethod
+    def with_stdout(argv, stdout, unbuffered, entry=("-m", "poplar.cli")):
+        """Run the entry with `stdout`. Buffered, a small output fails at
+        `run`'s last flush; unbuffered, at the command's own print."""
+        env = dict(os.environ, PYTHONPATH=str(Path(poplar.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run([sys.executable, *entry, *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, env=env, text=True)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["at-exit", "in-command"])
+    def test_a_closed_pipe_for_stdout_is_a_usage_error(self, unbuffered):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.with_stdout(["check", c("bad_summary")], write, unbuffered)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == \
+            (2, "error: <stdout>: cannot write: Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["at-exit", "in-command"])
+    def test_a_full_device_for_stdout_is_a_usage_error(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = self.with_stdout(["check", c("bad_summary")], full, unbuffered)
+        assert (proc.returncode, proc.stderr) == \
+            (2, "error: <stdout>: cannot write: No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_the_declared_script_entry_reports_an_unwritable_stdout(self):
+        """`[project.scripts]` names the entry the installed `poplar` runs."""
+        pyproject = (Path(poplar.__file__).parents[2] / "pyproject.toml").read_text()
+        module, func = pyproject.split('\npoplar = "', 1)[1].split('"', 1)[0].split(":")
+        assert (module, func) == ("poplar.cli", "run")
+        script = f"import sys; from {module} import {func}; sys.exit({func}())"
+        with open("/dev/full", "w") as full:
+            proc = self.with_stdout(["check", c("bad_summary")], full, False,
+                                    entry=("-c", script))
+        assert (proc.returncode, proc.stderr) == \
+            (2, "error: <stdout>: cannot write: No space left on device\n")
+
+    def test_main_in_process_returns_and_leaves_the_collector_as_it_was(self, capsys):
+        import gc
+        before = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
+        assert main(["check", c("bad_summary")]) == 1
+        assert main(["frobnicate"]) == 2
+        assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == before
+
+    def test_only_run_ends_the_process(self):
+        """`os._exit` is called once in the package, in `cli.run`."""
+        def exits(node):
+            return sum(isinstance(n, ast.Attribute) and n.attr == "_exit"
+                       for n in ast.walk(node))
+        found = {}
+        for path in sorted(Path(poplar.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            found[path.name] = exits(tree)
+            if path.name == "cli.py":
+                (run_def,) = [n for n in tree.body
+                              if isinstance(n, ast.FunctionDef) and n.name == "run"]
+                assert exits(run_def) == 1
+        assert {name: n for name, n in found.items() if n} == {"cli.py": 1}
 
 
 class TestExplainExamples:
