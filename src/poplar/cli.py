@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from .config import SearchConfig, config_from_tree, parse_precedence
+from .config import SearchConfig, config_from_tree, parse_precedence, read_utf8
 from .diagnostics import Diagnostic, DiagnosticSink, E_PLAN
 from .model import ClassModel, MethodSpec, Program
 from .resolver import load_program
@@ -48,13 +48,7 @@ def plan_query(program: Program, ctx: QueryContext, cfg: SearchConfig):
 
 
 def _read_source(path: Path) -> tuple[str, str]:
-    try:
-        return str(path), path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not UTF-8: byte 0x{e.object[e.start]:02x} "
-                         f"at offset {e.start} ({e.reason})") from None
-    except OSError as e:
-        raise ValueError(f"{path}: cannot read: {e.strerror}") from None
+    return str(path), read_utf8(path)
 
 
 def _write(path: Path, text: str) -> None:

@@ -28,18 +28,56 @@ class SearchConfig:
             raise ValueError("summary rewrite policy must be 'reject' or 'rewrite'")
 
 
-def load_config_file(path: Path) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment."""
-    out: dict[str, str] = {}
-    for raw_line in path.read_text().splitlines():
+# Each key of a `poplar.cfg` line, with the SearchConfig argument it sets.
+CONFIG_KEYS = {"budget": "plan_budget", "max-len": "max_plan_length",
+               "rewrite-summaries": "summary_rewrite_policy",
+               "precedence": "api_precedence"}
+BOOLEANS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
+
+
+def read_utf8(path: Path) -> str:
+    """The text of a file. One that is not UTF-8 or cannot be read is a
+    ValueError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8: byte 0x{e.object[e.start]:02x} "
+                         f"at offset {e.start} ({e.reason})") from None
+    except OSError as e:
+        raise ValueError(f"{path}: cannot read: {e.strerror}") from None
+
+
+def load_config_file(path: Path) -> dict:
+    """The SearchConfig arguments of a file's `key = value` lines; '#'
+    starts a comment. A malformed line is a ValueError naming the file and
+    the line."""
+    values: dict = {}
+    for n, raw_line in enumerate(read_utf8(path).splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line: {raw_line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+        if line:
+            try:
+                key, value = _config_entry(line)
+            except ValueError as e:
+                raise ValueError(f"{path}:{n}: {e}") from None
+            values[CONFIG_KEYS[key]] = value
+    return values
+
+
+def _config_entry(line: str) -> tuple[str, object]:
+    key, eq, value = (part.strip() for part in line.partition("="))
+    if not eq:
+        raise ValueError(f"expected 'key = value', not {line!r}")
+    if key not in CONFIG_KEYS:
+        raise ValueError(f"unknown key {key!r} (keys: {', '.join(CONFIG_KEYS)})")
+    if key == "precedence":
+        return key, parse_precedence(value.split(","))
+    if key == "rewrite-summaries":
+        if value.lower() not in BOOLEANS:
+            raise ValueError(f"{key} must be one of {', '.join(BOOLEANS)}, not {value!r}")
+        return key, "rewrite" if BOOLEANS[value.lower()] else "reject"
+    if not value.isdecimal() or int(value) <= 0:
+        raise ValueError(f"{key} must be a positive integer, not {value!r}")
+    return key, int(value)
 
 
 def parse_precedence(entries: list[str]) -> dict[str, int]:
@@ -59,20 +97,8 @@ def parse_precedence(entries: list[str]) -> dict[str, int]:
 
 def config_from_tree(root: Path, overrides: dict | None = None) -> SearchConfig:
     """Build a SearchConfig from a tree's poplar.cfg plus explicit overrides."""
-    values: dict = {}
     cfg_path = root / "poplar.cfg"
-    if cfg_path.is_file():
-        raw = load_config_file(cfg_path)
-        if "budget" in raw:
-            values["plan_budget"] = int(raw["budget"])
-        if "max-len" in raw:
-            values["max_plan_length"] = int(raw["max-len"])
-        if "rewrite-summaries" in raw:
-            values["summary_rewrite_policy"] = (
-                "rewrite" if raw["rewrite-summaries"].lower() in ("1", "true", "yes")
-                else "reject")
-        if "precedence" in raw:
-            values["api_precedence"] = parse_precedence(raw["precedence"].split(","))
+    values = load_config_file(cfg_path) if cfg_path.is_file() else {}
     if overrides:
         merged_prec = dict(values.get("api_precedence", {}))
         merged_prec.update(overrides.pop("api_precedence", {}))

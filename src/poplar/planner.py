@@ -401,28 +401,6 @@ def can_substitute(program: Program, value_type: str, value_labels: Iterable[Ato
     return program.is_subtype(value_type, need_type) and need_labels <= set(value_labels)
 
 
-# Uniqueness kinds from the weakest promise to the strongest.
-KIND_STRENGTH = {KIND.NORMAL: 0, KIND.MAINTAIN_RETAINS: 1, KIND.MAINTAIN: 2,
-                 KIND.UNIQUE_RETAINS: 3, KIND.UNIQUE: 4}
-
-
-def useful(candidate: tuple[str, frozenset, UniquenessKind, frozenset],
-           existing: list[tuple[str, frozenset, UniquenessKind, frozenset]]) -> bool:
-    """Whether a new value offers anything over the existing ones: a new
-    type, a new type/label combination, a stronger uniqueness kind, or a
-    residence set other than the combination's (a first, smaller or
-    different one)."""
-    ctype, clabels, ckind, cres = candidate
-    if not any(e[0] == ctype for e in existing):
-        return True
-    for etype, elabels, ekind, eres in existing:
-        if etype == ctype and clabels <= elabels:
-            if KIND_STRENGTH[ckind] > KIND_STRENGTH[ekind]:
-                return True  # stronger kind for an existing combination
-            return bool(cres) and cres != eres
-    return True  # new type/label combination
-
-
 # ---------------------------------------------------------------------------
 # The planner
 # ---------------------------------------------------------------------------
@@ -444,10 +422,6 @@ class Planner:
         # for the query (`_context_candidates`, `_fresh_candidates`).
         self._context: dict[tuple, list[Candidate]] = {}
         self._fresh: dict[tuple, list[Candidate]] = {}
-        self._existing = [
-            (st.type, frozenset(st.facts), st.kind,
-             frozenset(p for paths in st.facts.values() for p in paths))
-            for st in ctx.values.values() if not st.consumed]
 
     # -- setup -------------------------------------------------------------
 
@@ -655,7 +629,6 @@ class Planner:
         if hit is None:
             hit = self._context[key] = []
             need_labels = {atom} if atom is not None else set()
-            offered: list[tuple[str, frozenset]] = []
             for name, st in sorted(self.ctx.values.items(),
                                    key=lambda kv: kv[1].declared_order):
                 if st.consumed or (st.variable == "this" and st.fresh):
@@ -663,10 +636,6 @@ class Planner:
                 if not can_substitute(self.program, st.type, st.facts,
                                       need_type, need_labels):
                     continue
-                sig = (st.type, frozenset(st.facts))
-                if sig in offered:
-                    continue  # equivalent values: earliest declaration wins
-                offered.append(sig)
                 hit.append(self._mk(Candidate("ctx", ctx_name=name)))
         return hit
 
@@ -697,14 +666,12 @@ class Planner:
         if atom is None:
             if obj.bound:
                 return []
-            return [(s, "result") for s in index.producers.get(obj.need_type, ())
-                    if self._useful_result(s)]
+            return [(s, "result") for s in index.producers.get(obj.need_type, ())]
         is_subtype = self.program.is_subtype
         ways: list[tuple[ActionSpec, str]] = []
         for spec, via in index.achievers.get(atom, ()):
             if via == "result":
-                ok = not obj.bound and is_subtype(spec.result_type, obj.need_type) \
-                    and self._useful_result(spec)
+                ok = not obj.bound and is_subtype(spec.result_type, obj.need_type)
             elif via == "this" or via in spec.slots:
                 formal = spec.method.declared_in if via == "this" else \
                     spec.method.args[spec.slots[via]].type
@@ -714,17 +681,6 @@ class Planner:
             if ok:
                 ways.append((spec, via))
         return ways
-
-    def _useful_result(self, spec: ActionSpec) -> bool:
-        """Whether a new action's result offers anything over the in-scope
-        values (`useful`). An action the with-clause names always does."""
-        if not spec.names.isdisjoint(self.ctx.query.with_names):
-            return True
-        residence: list[ResourcePath] = []
-        for _, res in spec.result_atoms:
-            residence.extend(res)
-        return useful((spec.result_type, spec.result_atom_set, KIND.UNIQUE,
-                       frozenset(residence)), self._existing)
 
     def _filter_precedence(self, cands: list[Candidate]) -> list[Candidate]:
         """Keep the fresh actions of the highest precedence tier."""
@@ -738,13 +694,9 @@ class Planner:
         return [c for c in cands if prec(c) == top]
 
     def _mk(self, c: Candidate) -> Candidate:
-        with_names = self.ctx.query.with_names
-        mentions = 1
-        if with_names and c.spec is not None:
-            names = {c.spec.owner, c.spec.member}
-            names.update(a.name for a in c.spec.result_atom_set if hasattr(a, "name"))
-            if any(n in names for n in with_names):
-                mentions = 0
+        # Actions the with-clause names are tried first.
+        mentions = 0 if c.spec is not None and \
+            not c.spec.names.isdisjoint(self.ctx.query.with_names) else 1
         kind_rank = {"ctx": 0, "link": 0, "merge": 1, "new": 2}[c.kind]
         if c.kind == "new":
             locality = self._locality(c.spec)

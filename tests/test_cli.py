@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -355,11 +356,11 @@ class User {
         Path("out", "a.pop").read_text()
 
 
-def test_a_with_clause_selects_an_action_the_usefulness_filter_would_drop(
+def test_a_with_clause_selects_an_action_whose_result_a_value_in_scope_holds(
         tmp_path, monkeypatch, capsys):
-    """`b` already holds `full` in `r`, so `make` offers nothing new, but the
-    with-clause names it. The answer does not depend on whether `b` once
-    held a state that resided in `s`."""
+    """`b` already holds `full` in `r`, as `make`'s result would, and the
+    with-clause names `make`, so the plan calls it. The answer does not
+    depend on whether `b` once held a state that resided in `s`."""
     monkeypatch.chdir(tmp_path)
     unarmed = ARMED_TREE.replace(ARMING, "")
     for tree, text in (("armed", ARMED_TREE), ("unarmed", unarmed)):
@@ -368,6 +369,40 @@ def test_a_with_clause_selects_an_action_the_usefulness_filter_would_drop(
         assert run(["synth", tree, "--out", f"out/{tree}"], capsys) == (0, "", "")
         assert "        b.fill();\n        Box c = Box.make();\n" in \
             Path("out", tree, "t.pop").read_text()
+
+
+def test_a_with_clause_ranks_an_action_that_establishes_the_label_as_an_effect(
+        tmp_path, monkeypatch, capsys):
+    """`stamped` is an effect of `fillB`, not its result, and the with-clause
+    names it: `fillB` is tried before `fillA`, so the first plan found is
+    the answer."""
+    monkeypatch.chdir(tmp_path)
+    Path("t.pop").write_text("""class Box {
+    labels full, stamped;
+
+    Box();
+    void fillA()
+        this: +full;
+    void fillB()
+        this: +full, +stamped;
+}
+
+class User {
+    User();
+
+    void run() {
+        Box b = new Box();
+        #transform(b, full) with stamped;
+    }
+}
+""")
+    code, out, _ = run(["explain", "t.pop", "--explain", "t.pop:16"], capsys)
+    assert code == 0
+    assert "  [2] Box.fillB() recv=b args=()\n" in out
+    assert "explored plans: 2\n" in out
+    assert run(["synth", "t.pop", "--out", "out"], capsys) == (0, "", "")
+    assert "        Box b = new Box();\n        b.fillB();\n" in \
+        Path("out", "t.pop").read_text()
 
 
 def test_a_protocols_carriers_bind_in_methods_and_overlays_alike(tmp_path, monkeypatch,
@@ -759,6 +794,33 @@ class TestConfig:
         code, _, _ = run(["synth", str(src), "--budget", "10000",
                           "--out", str(tmp_path / "o2")], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("text, message", [
+        (b"budget = 5\nmax_len = 1\n",
+         ":2: unknown key 'max_len' (keys: budget, max-len, rewrite-summaries, precedence)"),
+        (b"rewrite-summaries = ture\n",
+         ":1: rewrite-summaries must be one of true, false, yes, no, 1, 0, not 'ture'"),
+        (b"budget = abc\n", ":1: budget must be a positive integer, not 'abc'"),
+        (b"max-len = 0\n", ":1: max-len must be a positive integer, not '0'"),
+        (b"# a comment\n\nnonsense  # trailing\n", ":3: expected 'key = value', not 'nonsense'"),
+        (b"budget = 5\xff\n",
+         ": not UTF-8: byte 0xff at offset 10 (invalid start byte)"),
+    ], ids=["unknown-key", "boolean", "integer", "positive", "no-equals", "not-utf8"])
+    def test_a_malformed_config_is_a_usage_error_that_names_the_file(
+            self, text, message, tmp_path, capsys):
+        (tmp_path / "socket.pop").write_text((CORPUS / "socket/socket.pop").read_text())
+        cfg = tmp_path / "poplar.cfg"
+        cfg.write_bytes(text)
+        for argv in (["check", str(tmp_path)],
+                     ["synth", str(tmp_path), "--out", str(tmp_path / "o")]):
+            assert run(argv, capsys) == (2, "", f"error: {cfg}{message}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_a_malformed_precedence_line_names_its_line(self, tmp_path):
+        (tmp_path / "poplar.cfg").write_text("budget = 5\nprecedence = Date\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path / 'poplar.cfg'}:2: bad precedence entry 'Date'")):
+            config_from_tree(tmp_path)
 
 
 class TestEntryPoint:

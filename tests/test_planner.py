@@ -8,19 +8,17 @@ import pytest
 import oracle
 from poplar.config import SearchConfig
 from poplar.effects import query_contexts
-from poplar.model import StateAtom, UniquenessKind
+from poplar.model import StateAtom
 from poplar.planner import (
     NoSolution, Planner, WithUnsatisfiable,
     can_substitute, detect_stagnation, plan_query,
-    render_dot, render_plan, useful,
+    render_dot, render_plan,
 )
 
 from conftest import (
-    ARMED_TREE, ARMING, RECORDSET, SOCKET, SWING_QUERY, TD14, TD15, TD_BOTH,
+    RECORDSET, SOCKET, SWING_QUERY, TD14, TD15, TD_BOTH,
     all_query_contexts, load, oracle_answers, query_id, query_in, walk_violations,
 )
-
-K = UniquenessKind
 
 
 def action_labels(result):
@@ -296,52 +294,6 @@ class TestVariableReuse:
     def test_can_substitute_subtype(self):
         prog = load(SWING_QUERY)
         assert can_substitute(prog, "MenuFrame", set(), "SmartFrame", set())
-
-    def test_useful_new_type(self):
-        prog = load(SOCKET)
-        assert useful(("Socket", frozenset(), K.UNIQUE, frozenset()),
-                      [("SocketAddress", frozenset(), K.NORMAL, frozenset())])
-
-    def test_useless_duplicate(self):
-        prog = load(SOCKET)
-        existing = [("Socket", frozenset(), K.UNIQUE, frozenset())]
-        assert not useful(("Socket", frozenset(), K.UNIQUE, frozenset()),
-                          existing)
-
-    def test_useful_stronger_kind(self):
-        prog = load(SOCKET)
-        existing = [("Socket", frozenset(), K.NORMAL, frozenset())]
-        assert useful(("Socket", frozenset(), K.UNIQUE, frozenset()),
-                      existing)
-
-    @pytest.mark.parametrize("cres,eres,expected", [
-        ((), (), False),                      # both empty
-        ((), (("a",),), False),               # no residence against one
-        ((("a",),), (), True),                # a first residence
-        ((("a",),), (("a",),), False),        # equal
-        ((("a",),), (("a",), ("b",)), True),  # subset
-        ((("a",), ("b",)), (("a",),), True),  # superset
-        ((("a",),), (("b",),), True),         # disjoint
-        ((("a",), ("b",)), (("b",), ("c",)), True),  # overlapping
-    ])
-    def test_useful_residence_relations(self, cres, eres, expected):
-        """With the type, labels and kind equal, a candidate is useful when
-        its residence set is non-empty and differs from the existing one."""
-        existing = [("Socket", frozenset(), K.UNIQUE, frozenset(eres))]
-        assert useful(("Socket", frozenset(), K.UNIQUE, frozenset(cres)),
-                      existing) is expected
-
-    @pytest.mark.parametrize("arming", [ARMING, ""], ids=["armed", "unarmed"])
-    def test_an_in_scope_value_offers_the_residence_of_the_facts_it_holds(
-            self, arming, cfg):
-        """`b` holds `full` in `r`, as `make`'s result would; a state that it
-        held in `s` before does not make that result new."""
-        tree = ARMED_TREE.replace(ARMING, arming).replace(" with make", "")
-        prog = load([], [("t.pop", tree)])
-        [ctx] = all_query_contexts(prog)
-        planner = Planner(prog, ctx, cfg)
-        [make] = [s for s in planner.index.universe if s.member == "make"]
-        assert not planner._useful_result(make)
 
 
 class TestThreats:

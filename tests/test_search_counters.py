@@ -51,7 +51,7 @@ GOLDEN = {
     ("default", "swing_query", "MenuFrame.installCommand:55"): (23, 0, 6),
     ("default", "swing_query", "ToolbarFrame.installCommand:69"): (15, 0, 6),
     ("default", "recordset", "RecordSet.setInverseSorting:48"): (2, 0, 1),
-    ("default", "witness", "Workshop.refine:25"): (4, 0, 1),
+    ("default", "witness", "Workshop.refine:25"): (5, 0, 1),
     ("default", "witness", "Workshop.refine:28"): (4, 0, 2),
     ("default", "threats", "Sealer.run:27"): (16, 2, 5),
     ("default", "shapes", "Client.run:30"): (5, 0, 1),
@@ -65,7 +65,7 @@ GOLDEN = {
     ("len4", "swing_query", "MenuFrame.installCommand:55"): (0, 0, "NoSolution"),
     ("len4", "swing_query", "ToolbarFrame.installCommand:69"): (0, 0, "NoSolution"),
     ("len4", "recordset", "RecordSet.setInverseSorting:48"): (2, 0, 1),
-    ("len4", "witness", "Workshop.refine:25"): (4, 0, 1),
+    ("len4", "witness", "Workshop.refine:25"): (5, 0, 1),
     ("len4", "witness", "Workshop.refine:28"): (4, 0, 2),
     ("len4", "threats", "Sealer.run:27"): (6, 1, "NoSolution"),
     ("len4", "shapes", "Client.run:30"): (5, 0, 1),
@@ -105,8 +105,7 @@ def scan_achievers(planner, obj, atom):
         rt = spec.result_type
         if not obj.bound and rt is not None and program.is_subtype(rt, obj.need_type):
             if atom is None or atom in {a for a, _ in spec.result_atoms}:
-                if planner._useful_result(spec):
-                    ways.append("result")
+                ways.append("result")
         if atom is not None and spec.method is not None:
             for subject, added, _, _ in spec.effects:
                 if added != atom:
