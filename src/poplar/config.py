@@ -49,16 +49,23 @@ def read_utf8(path: Path) -> str:
 
 def load_config_file(path: Path) -> dict:
     """The SearchConfig arguments of a file's `key = value` lines; '#'
-    starts a comment. A malformed line is a ValueError naming the file and
-    the line."""
+    starts a comment. `precedence` lines add up in file order, as repeated
+    `--precedence` flags do; any other key may be set once. A malformed or
+    repeated line is a ValueError naming the file and the line."""
     values: dict = {}
+    set_on: dict[str, int] = {}  # the line that set each key
     for n, raw_line in enumerate(read_utf8(path).splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
         if line:
             try:
                 key, value = _config_entry(line)
+                if key == "precedence":
+                    value = {**values.get("api_precedence", {}), **value}
+                elif key in set_on:
+                    raise ValueError(f"{key!r} is already set on line {set_on[key]}")
             except ValueError as e:
                 raise ValueError(f"{path}:{n}: {e}") from None
+            set_on[key] = n
             values[CONFIG_KEYS[key]] = value
     return values
 

@@ -7,9 +7,9 @@ parser is total per file: the first error aborts the file with a
 positioned SyntaxIssue.
 
 The parser reads its tokens by plain index: the list ends in three `eof`s,
-so a lookahead of up to two never needs a bound. A token carries its line
-and column as ints, and `Token.pos` builds a `Pos` from them on each read;
-the parser reads it once for each position that a node or a SyntaxIssue
+so a lookahead of up to two never needs a bound. A token is the lexer's
+tuple `(kind, text, line, col)`, read as `t[0]` and `t[1]`; the parser
+builds a `Pos(t[2], t[3])` only for a position that a node or a SyntaxIssue
 keeps.
 """
 
@@ -113,39 +113,44 @@ class Parser:
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[self.i + ahead]
 
+    def here(self) -> Pos:
+        """The position of the next token."""
+        t = self.tokens[self.i]
+        return Pos(t[2], t[3])
+
     def next(self) -> Token:
         t = self.tokens[self.i]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.i += 1
         return t
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
         t = self.tokens[self.i]
-        return t.kind == kind and (text is None or t.text == text)
+        return t[0] == kind and (text is None or t[1] == text)
 
     def at_keyword(self, word: str) -> bool:
         t = self.tokens[self.i]
-        return t.kind == "keyword" and t.text == word
+        return t[0] == "keyword" and t[1] == word
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         t = self.tokens[self.i]
-        if t.kind != kind or (text is not None and t.text != text):
+        if t[0] != kind or (text is not None and t[1] != text):
             want = text or kind
-            got = t.text or t.kind
-            raise SyntaxIssue(f"expected '{want}', found '{got}'", t.pos)
+            got = t[1] or t[0]
+            raise SyntaxIssue(f"expected '{want}', found '{got}'", Pos(t[2], t[3]))
         self.i += 1
         return t
 
     def expect_ident(self) -> Token:
         t = self.tokens[self.i]
-        if t.kind != "ident":
-            raise SyntaxIssue(f"expected identifier, found '{t.text or t.kind}'", t.pos)
+        if t[0] != "ident":
+            raise SyntaxIssue(f"expected identifier, found '{t[1] or t[0]}'", Pos(t[2], t[3]))
         self.i += 1
         return t
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
         t = self.tokens[self.i]
-        if t.kind == kind and (text is None or t.text == text):
+        if t[0] == kind and (text is None or t[1] == text):
             self.i += 1
             return t
         return None
@@ -154,16 +159,16 @@ class Parser:
         """The value of an int token. The lexer takes any `str.isdigit` run,
         and some of those characters, such as '²', are not decimal digits."""
         try:
-            return int(t.text)
+            return int(t[1])
         except ValueError:
-            raise SyntaxIssue(f"invalid integer literal '{t.text}'", t.pos) from None
+            raise SyntaxIssue(f"invalid integer literal '{t[1]}'", Pos(t[2], t[3])) from None
 
     def nest(self) -> None:
         """Enter the level that the token just taken opens."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise SyntaxIssue(f"nesting deeper than {MAX_NESTING} levels",
-                              self.tokens[self.i - 1].pos)
+            t = self.tokens[self.i - 1]
+            raise SyntaxIssue(f"nesting deeper than {MAX_NESTING} levels", Pos(t[2], t[3]))
 
     # -- entry ---------------------------------------------------------------
 
@@ -174,27 +179,27 @@ class Parser:
         return decls
 
     def parse_type_decl(self) -> ClassModel:
-        pos = self.peek().pos
+        pos = self.here()
         is_abstract = self.accept("keyword", "abstract") is not None
         if self.accept("keyword", "interface"):
             is_interface = True
         else:
             self.expect("keyword", "class")
             is_interface = False
-        name = self.expect_ident().text
+        name = self.expect_ident()[1]
         superclass = None
         interfaces: list[str] = []
         if self.accept("keyword", "extends"):
             if is_interface:
-                interfaces.append(self.expect_ident().text)
+                interfaces.append(self.expect_ident()[1])
                 while self.accept(","):
-                    interfaces.append(self.expect_ident().text)
+                    interfaces.append(self.expect_ident()[1])
             else:
-                superclass = self.expect_ident().text
+                superclass = self.expect_ident()[1]
         if self.accept("keyword", "implements"):
-            interfaces.append(self.expect_ident().text)
+            interfaces.append(self.expect_ident()[1])
             while self.accept(","):
-                interfaces.append(self.expect_ident().text)
+                interfaces.append(self.expect_ident()[1])
         decl = ClassModel(name, superclass, tuple(interfaces), is_interface, pos=pos)
         self.expect("{")
         while not self.accept("}"):
@@ -206,33 +211,34 @@ class Parser:
 
     def parse_member(self, decl: ClassModel) -> None:
         t = self.tokens[self.i]
-        if t.kind != "keyword" or t.text in MEMBER_MODIFIERS:
+        if t[0] != "keyword" or t[1] in MEMBER_MODIFIERS:
             self.parse_field_or_method(decl)
-        elif t.text == "labels":
+        elif t[1] == "labels":
             pos, carriers, names = self.parse_carried_names()
             decl.labels.append(LabelDecl(decl.name, carriers, names, pos))
-        elif t.text == "protocols":
+        elif t[1] == "protocols":
             pos, carriers, names = self.parse_carried_names()
             decl.protocols.extend(ProtocolDecl(decl.name, carriers, n, (), pos) for n in names)
-        elif t.text == "resources":
+        elif t[1] == "resources":
             decl.resources += self.parse_resources()
-        elif t.text == "external":
+        elif t[1] == "external":
             decl.externals.append(self.parse_external(decl.name))
-        elif t.text == "precedence":
+        elif t[1] == "precedence":
             self.next()
             decl.precedence = self.int_value(self.expect("int"))
             self.expect(";")
         else:
-            raise SyntaxIssue(f"unknown annotation keyword '{t.text}'", t.pos)
+            raise SyntaxIssue(f"unknown annotation keyword '{t[1]}'", Pos(t[2], t[3]))
 
     def parse_carried_names(self) -> tuple[Pos, tuple[str, ...], tuple[str, ...]]:
         """A `labels` or `protocols` line: the keyword's position, the
         carrier types and the declared names."""
-        pos = self.next().pos
+        pos = self.here()
+        self.next()
         carriers = self.parse_carrier_list()
-        names = [self.expect_ident().text]
+        names = [self.expect_ident()[1]]
         while self.accept(","):
-            names.append(self.expect_ident().text)
+            names.append(self.expect_ident()[1])
         self.expect(";")
         return pos, carriers, tuple(names)
 
@@ -247,9 +253,9 @@ class Parser:
 
     def parse_type_name(self) -> str:
         t = self.peek()
-        if t.kind == "ident":
-            return self.next().text
-        raise SyntaxIssue(f"expected type name, found '{t.text or t.kind}'", t.pos)
+        if t[0] == "ident":
+            return self.next()[1]
+        raise SyntaxIssue(f"expected type name, found '{t[1] or t[0]}'", Pos(t[2], t[3]))
 
     def parse_resources(self) -> tuple[ResourceNode, ...]:
         self.expect("keyword", "resources")
@@ -260,7 +266,7 @@ class Parser:
         return tuple(out)
 
     def parse_resource_def(self) -> ResourceNode:
-        name = self.expect_ident().text
+        name = self.expect_ident()[1]
         if not self.accept("{"):
             return ResourceNode(name)
         self.nest()
@@ -272,11 +278,12 @@ class Parser:
         return ResourceNode(name, tuple(children))
 
     def parse_external(self, owner: str) -> ExternalDecl:
-        pos = self.expect("keyword", "external").pos
-        target = self.expect_ident().text
+        pos = self.here()
+        self.expect("keyword", "external")
+        target = self.expect_ident()[1]
         # Declared in the type it annotates; the resolver sets its return type.
         if self.accept("."):
-            method = MethodSpec(self.expect_ident().text, target, "void", (), pos=pos)
+            method = MethodSpec(self.expect_ident()[1], target, "void", (), pos=pos)
         else:
             method = MethodSpec(target, target, target, (), is_constructor=True, pos=pos)
         self.parse_signature(method)
@@ -290,50 +297,50 @@ class Parser:
         while True:
             kind = UniquenessKind.NORMAL
             t = self.peek()
-            if t.kind == "keyword" and t.text in UNIQUENESS_KEYWORDS:
-                kind = UNIQUENESS_KEYWORDS[self.next().text]
+            if t[0] == "keyword" and t[1] in UNIQUENESS_KEYWORDS:
+                kind = UNIQUENESS_KEYWORDS[self.next()[1]]
             ty = self.parse_type_name()
             name = self.expect_ident()
-            args.append(ArgDecl(kind, ty, name.text, name.pos))
+            args.append(ArgDecl(kind, ty, name[1], Pos(name[2], name[3])))
             if not self.accept(","):
                 break
         return tuple(args)
 
     def parse_field_or_method(self, decl: ClassModel) -> None:
-        pos = self.peek().pos
+        pos = self.here()
         is_static = is_final = is_abstract = False
         managed = False
         managed_resource: Optional[tuple[str, ...]] = None
         kind = UniquenessKind.NORMAL
         while True:
             t = self.peek()
-            if t.kind != "keyword":
+            if t[0] != "keyword":
                 break
-            if t.text == "static":
+            if t[1] == "static":
                 self.next()
                 is_static = True
-            elif t.text == "final":
+            elif t[1] == "final":
                 self.next()
                 is_final = True
-            elif t.text == "abstract":
+            elif t[1] == "abstract":
                 self.next()
                 is_abstract = True
-            elif t.text == "managed":
+            elif t[1] == "managed":
                 self.next()
                 managed = True
                 if self.accept("("):
                     managed_resource = tuple(self.parse_dotted_path())
                     self.expect(")")
-            elif t.text in UNIQUENESS_KEYWORDS:
+            elif t[1] in UNIQUENESS_KEYWORDS:
                 self.next()
-                kind = UNIQUENESS_KEYWORDS[t.text]
+                kind = UNIQUENESS_KEYWORDS[t[1]]
             else:
                 break
         result_labels = self.parse_dotted_names() if self.accept("+") else ()
         first = self.parse_type_name()
         # A constructor is the bare class name followed by a parameter list.
         is_ctor = self.at("(") and first == decl.name and not result_labels
-        name = first if is_ctor else self.expect_ident().text
+        name = first if is_ctor else self.expect_ident()[1]
         if is_ctor or self.at("("):
             method = MethodSpec(name, decl.name, first, (), is_ctor, is_abstract,
                                 is_static, kind, result_labels, pos=pos)
@@ -363,12 +370,12 @@ class Parser:
         groups: list[tuple[RawConjunct, ...]] = []
         while True:
             t = self.peek()
-            if t.kind in ("{", ";", "eof"):
+            if t[0] in ("{", ";", "eof"):
                 break
-            if t.kind == ",":
+            if t[0] == ",":
                 self.next()
                 continue
-            if t.kind == "[":
+            if t[0] == "[":
                 self.next()
                 self.expect("!")
                 local_mutations.append(self.parse_local_mutation())
@@ -384,7 +391,7 @@ class Parser:
                     mutates.append(self.parse_target())
                 self.expect(":")
                 continue
-            if t.kind == "(":
+            if t[0] == "(":
                 self.next()
                 group = [self.parse_conjunct()]
                 while self.accept(","):
@@ -397,7 +404,7 @@ class Parser:
                 conjuncts.append(self.parse_conjunct())
                 continue
             raise SyntaxIssue(
-                f"unknown annotation keyword '{t.text or t.kind}'", t.pos)
+                f"unknown annotation keyword '{t[1] or t[0]}'", Pos(t[2], t[3]))
         method.local_mutations = tuple(local_mutations)
         method.mutates = tuple(mutates)
         method.conjuncts = tuple(conjuncts)
@@ -405,27 +412,27 @@ class Parser:
 
     def _at_conjunct_start(self) -> bool:
         t = self.peek()
-        if t.kind == "ident" or (t.kind == "keyword" and t.text in ("this", "result")):
-            return self.peek(1).kind == ":"
+        if t[0] == "ident" or (t[0] == "keyword" and t[1] in ("this", "result")):
+            return self.peek(1)[0] == ":"
         return False
 
     def parse_conjunct(self) -> RawConjunct:
         t = self.peek()
-        if t.kind == "keyword" and t.text in ("this", "result"):
-            subject = self.next().text
+        if t[0] == "keyword" and t[1] in ("this", "result"):
+            subject = self.next()[1]
         else:
-            subject = self.expect_ident().text
-        pos = t.pos
+            subject = self.expect_ident()[1]
+        pos = Pos(t[2], t[3])
         self.expect(":")
         conditions = [self.parse_condition()]
         while self.at(","):
             # A comma either continues this conjunct or starts the next
             # clause; a following `name:` or `(` belongs to the caller.
             nxt = self.peek(1)
-            if nxt.kind == "(":
+            if nxt[0] == "(":
                 break
-            if (nxt.kind == "ident" or (nxt.kind == "keyword" and nxt.text in ("this", "result"))) \
-                    and self.peek(2).kind == ":":
+            if (nxt[0] == "ident" or (nxt[0] == "keyword" and nxt[1] in ("this", "result"))) \
+                    and self.peek(2)[0] == ":":
                 break
             self.next()
             conditions.append(self.parse_condition())
@@ -435,7 +442,7 @@ class Parser:
         t = self.peek()
         if self.accept("+"):
             name = self.parse_dotted_name()
-            cond = RawCondition("add", name, pos=t.pos)
+            cond = RawCondition("add", name, pos=Pos(t[2], t[3]))
             if self.accept("@"):
                 cond.source = self.parse_state_name()
             cond.residence = self.parse_residence()
@@ -445,20 +452,20 @@ class Parser:
             source = self.parse_state_name()
             if self.accept("->"):
                 target = self.parse_state_name()
-                cond = RawCondition("transition", name, source, target, pos=t.pos)
+                cond = RawCondition("transition", name, source, target, pos=Pos(t[2], t[3]))
                 cond.residence = self.parse_residence()
                 return cond
-            return RawCondition("invariant-state", name, source, pos=t.pos)
-        return RawCondition("invariant-label", name, pos=t.pos)
+            return RawCondition("invariant-state", name, source, pos=Pos(t[2], t[3]))
+        return RawCondition("invariant-label", name, pos=Pos(t[2], t[3]))
 
     def parse_state_name(self) -> str:
         t = self.peek()
-        if t.kind in ("ident", "int"):
-            return self.next().text
-        raise SyntaxIssue(f"expected protocol state, found '{t.text or t.kind}'", t.pos)
+        if t[0] in ("ident", "int"):
+            return self.next()[1]
+        raise SyntaxIssue(f"expected protocol state, found '{t[1] or t[0]}'", Pos(t[2], t[3]))
 
     def parse_residence(self) -> list[list[str]]:
-        if not (self.at("[") and self.peek(1).kind == "*"):
+        if not (self.at("[") and self.peek(1)[0] == "*"):
             return []
         self.next()
         self.next()
@@ -472,28 +479,28 @@ class Parser:
         t = self.peek()
         if self.accept("keyword", "this"):
             self.expect(".")
-            return RawTarget("this", "", self.parse_dotted_path(), t.pos)
+            return RawTarget("this", "", self.parse_dotted_path(), Pos(t[2], t[3]))
         if self.accept("keyword", "any"):
             self.expect("(")
             ty = self.parse_type_name()
             self.expect(")")
             self.expect(".")
-            return RawTarget("any", ty, self.parse_dotted_path(), t.pos)
-        name = self.expect_ident().text
+            return RawTarget("any", ty, self.parse_dotted_path(), Pos(t[2], t[3]))
+        name = self.expect_ident()[1]
         path: list[str] = []
         if self.accept("."):
             path = self.parse_dotted_path()
-        return RawTarget("name", name, path, t.pos)
+        return RawTarget("name", name, path, Pos(t[2], t[3]))
 
     def parse_local_mutation(self) -> tuple[tuple[str, ...], Pos]:
         """One `[!]` path, with the position of its first name."""
-        pos = self.peek().pos
+        pos = self.here()
         return tuple(self.parse_dotted_path()), pos
 
     def parse_dotted_path(self) -> list[str]:
-        parts = [self.expect_ident().text]
+        parts = [self.expect_ident()[1]]
         while self.accept("."):
-            parts.append(self.expect_ident().text)
+            parts.append(self.expect_ident()[1])
         return parts
 
     def parse_dotted_name(self) -> str:
@@ -518,51 +525,51 @@ class Parser:
 
     def parse_statement(self) -> Stmt:
         t = self.peek()
-        if t.kind == "{":
+        if t[0] == "{":
             self.next()
-            return BlockStmt(self.parse_statements(), pos=t.pos)
+            return BlockStmt(self.parse_statements(), pos=Pos(t[2], t[3]))
         if self.at_keyword("protect"):
             self.next()
-            var = self.expect_ident().text
+            var = self.expect_ident()[1]
             self.expect(".")
             path = tuple(self.parse_dotted_path())
             self.expect("{")
             body = self.parse_statements()
-            return ProtectStmt(var, path, body, pos=t.pos)
+            return ProtectStmt(var, path, body, pos=Pos(t[2], t[3]))
         if self.at_keyword("return"):
             self.next()
             value = None if self.at(";") else self.parse_expr()
             self.expect(";")
-            return ReturnStmt(value, pos=t.pos)
-        if t.kind == "#":
-            return self.parse_query_site(t.pos)
+            return ReturnStmt(value, pos=Pos(t[2], t[3]))
+        if t[0] == "#":
+            return self.parse_query_site(Pos(t[2], t[3]))
         # Local declaration: two identifiers in a row.
-        if t.kind == "ident" and self.peek(1).kind == "ident":
-            ty = self.next().text
-            name = self.expect_ident().text
+        if t[0] == "ident" and self.peek(1)[0] == "ident":
+            ty = self.next()[1]
+            name = self.expect_ident()[1]
             init: Optional[Expr] = None
             if self.accept("="):
                 if self.at("#"):
-                    return self.parse_query_site(t.pos, name, ty)
+                    return self.parse_query_site(Pos(t[2], t[3]), name, ty)
                 init = self.parse_expr()
             self.expect(";")
-            return VarDeclStmt(ty, name, init, pos=t.pos)
+            return VarDeclStmt(ty, name, init, pos=Pos(t[2], t[3]))
         expr = self.parse_expr()
         if self.accept("="):
             if not isinstance(expr, (NameExpr, FieldAccessExpr)):
-                raise SyntaxIssue("assignment target must be a variable or field", t.pos)
+                raise SyntaxIssue("assignment target must be a variable or field", Pos(t[2], t[3]))
             if self.at("#"):
                 if not isinstance(expr, NameExpr):
                     raise SyntaxIssue("a query's value can only be assigned to a variable",
-                                      t.pos)
-                return self.parse_query_site(t.pos, expr.name)
+                                      Pos(t[2], t[3]))
+                return self.parse_query_site(Pos(t[2], t[3]), expr.name)
             value = self.parse_expr()
             self.expect(";")
-            return AssignStmt(expr, value, pos=t.pos)
+            return AssignStmt(expr, value, pos=Pos(t[2], t[3]))
         if not isinstance(expr, (CallExpr, NewExpr, FieldAccessExpr)):
-            raise SyntaxIssue("expression statement must be a call or field access", t.pos)
+            raise SyntaxIssue("expression statement must be a call or field access", Pos(t[2], t[3]))
         self.expect(";")
-        return ExprStmt(expr, pos=t.pos)
+        return ExprStmt(expr, pos=Pos(t[2], t[3]))
 
     def parse_query_site(self, pos: Pos, var: Optional[str] = None,
                          type_name: Optional[str] = None) -> QueryStmt:
@@ -573,8 +580,9 @@ class Parser:
         return QueryStmt(query, span, var, type_name, pos)
 
     def parse_query(self) -> Query:
-        pos = self.expect("#").pos
-        kw = self.expect_ident().text
+        pos = self.here()
+        self.expect("#")
+        kw = self.expect_ident()[1]
         if kw not in ("produce", "transform"):
             raise SyntaxIssue(f"unknown query kind '#{kw}'", pos)
         self.expect("(")
@@ -583,7 +591,7 @@ class Parser:
         if kw == "produce":
             produce_type = self.parse_type_name()
         else:
-            target_var = self.expect_ident().text
+            target_var = self.expect_ident()[1]
         self.expect(",")
         goal = self.parse_goal_text()
         self.expect(")")
@@ -591,7 +599,7 @@ class Parser:
         return Query(kw, produce_type, target_var, goal, with_names, pos)
 
     def parse_goal_text(self) -> str:
-        text = self.expect_ident().text
+        text = self.expect_ident()[1]
         while True:
             if self.accept("."):
                 text += "." + self.parse_state_name()
@@ -607,37 +615,37 @@ class Parser:
 
     def parse_primary(self) -> Expr:
         t = self.peek()
-        if t.kind == "int":
+        if t[0] == "int":
             self.next()
-            return LiteralExpr("int", self.int_value(t), t.pos)
-        if t.kind == "string":
+            return LiteralExpr("int", self.int_value(t), Pos(t[2], t[3]))
+        if t[0] == "string":
             self.next()
-            return LiteralExpr("string", t.text, t.pos)
+            return LiteralExpr("string", t[1], Pos(t[2], t[3]))
         if self.accept("keyword", "true"):
-            return LiteralExpr("bool", True, t.pos)
+            return LiteralExpr("bool", True, Pos(t[2], t[3]))
         if self.accept("keyword", "false"):
-            return LiteralExpr("bool", False, t.pos)
+            return LiteralExpr("bool", False, Pos(t[2], t[3]))
         if self.accept("keyword", "null"):
-            return LiteralExpr("null", None, t.pos)
+            return LiteralExpr("null", None, Pos(t[2], t[3]))
         if self.accept("keyword", "new"):
             ty = self.parse_type_name()
             self.expect("(")
             args = self.parse_args()
             self.expect(")")
-            return NewExpr(ty, args, t.pos)
+            return NewExpr(ty, args, Pos(t[2], t[3]))
         if self.accept("keyword", "this"):
-            return ThisExpr(t.pos)
+            return ThisExpr(Pos(t[2], t[3]))
         if self.accept("keyword", "super"):
-            return SuperExpr(t.pos)
-        if t.kind == "ident":
+            return SuperExpr(Pos(t[2], t[3]))
+        if t[0] == "ident":
             self.next()
             if self.at("("):
                 self.next()
                 args = self.parse_args()
                 self.expect(")")
-                return CallExpr(None, t.text, args, t.pos)
-            return NameExpr(t.text, t.pos)
-        raise SyntaxIssue(f"expected expression, found '{t.text or t.kind}'", t.pos)
+                return CallExpr(None, t[1], args, Pos(t[2], t[3]))
+            return NameExpr(t[1], Pos(t[2], t[3]))
+        raise SyntaxIssue(f"expected expression, found '{t[1] or t[0]}'", Pos(t[2], t[3]))
 
     def parse_postfix(self, expr: Expr) -> Expr:
         while self.at("."):
@@ -646,9 +654,9 @@ class Parser:
             if self.accept("("):
                 args = self.parse_args()
                 self.expect(")")
-                expr = CallExpr(expr, name.text, args, name.pos)
+                expr = CallExpr(expr, name[1], args, Pos(name[2], name[3]))
             else:
-                expr = FieldAccessExpr(expr, name.text, name.pos)
+                expr = FieldAccessExpr(expr, name[1], Pos(name[2], name[3]))
         return expr
 
     def parse_args(self) -> list[Expr]:

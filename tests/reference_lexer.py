@@ -1,13 +1,14 @@
 """The character-at-a-time tokenizer that `poplar.lexer.tokenize` replaced,
-kept as the reference for the equivalence test. It builds the same Token
-and LexError values and must not be used outside the tests."""
+kept as the reference for the equivalence tests. It builds the same
+`(kind, text, line, col)` tuples and LexError values, and must not be used
+outside the tests."""
 
 from poplar.lexer import KEYWORDS, PUNCT, LexError, Token
 from poplar.model import Pos
 
 
 def token(kind: str, text: str, pos: Pos) -> Token:
-    return Token(kind, text, pos.line, pos.col)
+    return (kind, text, pos.line, pos.col)
 
 
 def tokenize(text: str) -> list[Token]:

@@ -816,6 +816,35 @@ class TestConfig:
             assert run(argv, capsys) == (2, "", f"error: {cfg}{message}\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("budget = 1\nbudget = 10000\n", ":2: 'budget' is already set on line 1"),
+        ("max-len = 4\n# again\nmax-len = 12\n", ":3: 'max-len' is already set on line 1"),
+        ("budget = 5\nrewrite-summaries = no\nrewrite-summaries = yes\n",
+         ":3: 'rewrite-summaries' is already set on line 2"),
+    ], ids=["budget", "max-len", "rewrite-summaries"])
+    def test_a_repeated_key_is_a_usage_error_that_names_both_lines(
+            self, text, message, tmp_path, capsys):
+        (tmp_path / "socket.pop").write_text((CORPUS / "socket/socket.pop").read_text())
+        cfg = tmp_path / "poplar.cfg"
+        cfg.write_text(text)
+        for argv in (["check", str(tmp_path)],
+                     ["synth", str(tmp_path), "--out", str(tmp_path / "o")]):
+            assert run(argv, capsys) == (2, "", f"error: {cfg}{message}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_precedence_lines_add_up_as_repeated_flags_do(self, tmp_path, capsys):
+        for name in ("common/timeanddate.pop", "timedate14/date.pop",
+                     "timedate15/calendar.pop", "client/timeutils.pop"):
+            (tmp_path / Path(name).name).write_text((CORPUS / name).read_text())
+        (tmp_path / "poplar.cfg").write_text(
+            "precedence = Calendar=10, Date=3\nprecedence = Date=1\n")
+        assert config_from_tree(tmp_path).api_precedence == {"Calendar": 10, "Date": 1}
+        assert run(["check", str(tmp_path)], capsys) == (0, "", "")
+        code, _, _ = run(["synth", str(tmp_path), "--out", str(tmp_path / "o")], capsys)
+        assert code == 0
+        text = (tmp_path / "o" / "timeutils.pop").read_text()
+        assert "new Calendar()" in text and "new Date()" not in text
+
     def test_a_malformed_precedence_line_names_its_line(self, tmp_path):
         (tmp_path / "poplar.cfg").write_text("budget = 5\nprecedence = Date\n")
         with pytest.raises(ValueError, match=re.escape(

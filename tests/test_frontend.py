@@ -530,7 +530,7 @@ def test_parse_of_corpus_and_generated_trees_is_golden():
 def token_starts(text):
     """The offset of each token of `text`, its `eof` last."""
     line_starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
-    return [line_starts[t.pos.line - 1] + t.pos.col - 1 for t in tokenize(text)]
+    return [line_starts[line - 1] + col - 1 for _, _, line, col in tokenize(text)]
 
 
 @st.composite
