@@ -3,9 +3,11 @@
 Everything the later phases consume lives here: declarations (classes,
 fields, methods, labels, protocols, resources, externals), the condition
 vocabulary that every layer reads on `MethodSpec`, mutation targets with
-their upward closure, and the uniqueness lattices. The source printer, used for
-round-tripping and for emitting annotation-stripped output, lives in
-`printer.py`.
+their upward closure, and the uniqueness lattices. `printer.py` renders
+the annotation-free text that `synth` writes.
+
+Syntax nodes (statements, expressions, declarations) compare by identity;
+the condition vocabulary compares by value (`Value`).
 
 Model objects are immutable by convention once resolution has finished;
 they are shared freely between concurrent checks.
@@ -26,28 +28,11 @@ STRING = "String"
 PRIMITIVES = frozenset({"int", "boolean", "byte", "void"})
 
 
-class Record:
-    """Field equality: two records of one class are equal when their
-    `_compared` fields, taken in order as a tuple, are. A record can change,
-    so it has no hash."""
-
-    __slots__ = ()
-    _compared: tuple[str, ...] = ()
-    __hash__ = None  # type: ignore[assignment]
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return tuple(map(self.__getattribute__, self._compared)) == \
-            tuple(map(other.__getattribute__, self._compared))
-
-
-class Pos(Record):
+class Pos:
     """A 1-based source position. Every node keeps one, so it has slots;
     it is immutable by convention, like the rest of the model."""
 
     __slots__ = ("line", "col")
-    _compared = ("line", "col")
 
     def __init__(self, line: int = 0, col: int = 0):
         self.line = line
@@ -195,8 +180,8 @@ ResourcePath = tuple[str, ...]
 
 # Every condition reads the same way for a call: the atom it needs `before`
 # (None for none), the atom that holds `after`, the atom it `removed` (None
-# for none) and the `residence` of what it establishes. Only the printer
-# looks at a condition's class.
+# for none) and the `residence` of what it establishes. No layer looks at a
+# condition's class.
 
 class Invariant(Value):
     """Holds before the call and still holds after it."""
@@ -336,34 +321,30 @@ def any_target(type_name: str, path: ResourcePath = ()) -> MutationTarget:
 # Statements and expressions (kept syntactic; names resolve via Program)
 # ---------------------------------------------------------------------------
 
-class NameExpr(Record):
+class NameExpr:
     """A variable, field or type name."""
-
-    _compared = ("name",)
 
     def __init__(self, name: str, pos: Optional[Pos] = None):
         self.name = name
         self.pos = Pos() if pos is None else pos
 
 
-class ThisExpr(Record):
+class ThisExpr:
     """`this`."""
 
     def __init__(self, pos: Optional[Pos] = None):
         self.pos = Pos() if pos is None else pos
 
 
-class SuperExpr(Record):
+class SuperExpr:
     """`super`, as the receiver of a call."""
 
     def __init__(self, pos: Optional[Pos] = None):
         self.pos = Pos() if pos is None else pos
 
 
-class LiteralExpr(Record):
+class LiteralExpr:
     """An int, string, boolean or null literal."""
-
-    _compared = ("kind", "value")
 
     def __init__(self, kind: str,  # "int" | "string" | "bool" | "null"
                  value: object, pos: Optional[Pos] = None):
@@ -372,10 +353,8 @@ class LiteralExpr(Record):
         self.pos = Pos() if pos is None else pos
 
 
-class NewExpr(Record):
+class NewExpr:
     """`new T(args)`."""
-
-    _compared = ("type", "args")
 
     def __init__(self, type: str, args: list[Expr], pos: Optional[Pos] = None):
         self.type = type
@@ -383,10 +362,8 @@ class NewExpr(Record):
         self.pos = Pos() if pos is None else pos
 
 
-class CallExpr(Record):
+class CallExpr:
     """`receiver.method(args)`, or `method(args)` on `this`."""
-
-    _compared = ("receiver", "method", "args")
 
     def __init__(self, receiver: Optional[Expr],  # None for unqualified calls on this
                  method: str, args: list[Expr], pos: Optional[Pos] = None):
@@ -396,10 +373,8 @@ class CallExpr(Record):
         self.pos = Pos() if pos is None else pos
 
 
-class FieldAccessExpr(Record):
+class FieldAccessExpr:
     """`receiver.field`."""
-
-    _compared = ("receiver", "field")
 
     def __init__(self, receiver: Expr, field: str, pos: Optional[Pos] = None):
         self.receiver = receiver
@@ -410,10 +385,8 @@ class FieldAccessExpr(Record):
 Expr = Union[NameExpr, ThisExpr, SuperExpr, LiteralExpr, NewExpr, CallExpr, FieldAccessExpr]
 
 
-class Query(Record):
+class Query:
     """A `#produce` or `#transform` query."""
-
-    _compared = ("kind", "produce_type", "target_var", "goal_text", "with_names", "goal")
 
     def __init__(self, kind: str,  # "produce" | "transform"
                  produce_type: Optional[str], target_var: Optional[str], goal_text: str,
@@ -428,10 +401,8 @@ class Query(Record):
         self.goal = goal  # bound by the resolver
 
 
-class VarDeclStmt(Record):
+class VarDeclStmt:
     """`T name = init;`"""
-
-    _compared = ("type", "name", "init")
 
     def __init__(self, type: str, name: str, init: Optional[Expr],
                  pos: Optional[Pos] = None):
@@ -441,10 +412,8 @@ class VarDeclStmt(Record):
         self.pos = Pos() if pos is None else pos
 
 
-class AssignStmt(Record):
+class AssignStmt:
     """`target = value;`"""
-
-    _compared = ("target", "value")
 
     def __init__(self, target: Expr,  # NameExpr or FieldAccessExpr
                  value: Expr, pos: Optional[Pos] = None):
@@ -453,32 +422,26 @@ class AssignStmt(Record):
         self.pos = Pos() if pos is None else pos
 
 
-class ExprStmt(Record):
+class ExprStmt:
     """An expression evaluated for its effects."""
-
-    _compared = ("expr",)
 
     def __init__(self, expr: Expr, pos: Optional[Pos] = None):
         self.expr = expr
         self.pos = Pos() if pos is None else pos
 
 
-class ReturnStmt(Record):
+class ReturnStmt:
     """`return value;`"""
-
-    _compared = ("value",)
 
     def __init__(self, value: Optional[Expr], pos: Optional[Pos] = None):
         self.value = value
         self.pos = Pos() if pos is None else pos
 
 
-class QueryStmt(Record):
+class QueryStmt:
     """A query site, `#q`, `x = #q` or `T x = #q`, with its protection span.
     `var` is the local that takes the goal value; `type` is set when the
     statement declares it."""
-
-    _compared = ("query", "span", "var", "type")
 
     def __init__(self, query: Query, span: Optional[list[Stmt]] = None,
                  var: Optional[str] = None, type: Optional[str] = None,
@@ -490,10 +453,8 @@ class QueryStmt(Record):
         self.pos = Pos() if pos is None else pos
 
 
-class ProtectStmt(Record):
+class ProtectStmt:
     """`protect var.resource { body }`."""
-
-    _compared = ("var", "resource", "body")
 
     def __init__(self, var: str, resource: ResourcePath, body: list[Stmt],
                  pos: Optional[Pos] = None):
@@ -503,10 +464,8 @@ class ProtectStmt(Record):
         self.pos = Pos() if pos is None else pos
 
 
-class BlockStmt(Record):
+class BlockStmt:
     """`{ body }`."""
-
-    _compared = ("body",)
 
     def __init__(self, body: list[Stmt], pos: Optional[Pos] = None):
         self.body = body
@@ -555,10 +514,8 @@ class FieldDecl:
         self.pos = Pos() if pos is None else pos
 
 
-class LabelDecl(Record):
+class LabelDecl:
     """One `labels` line: label names and the types that carry them."""
-
-    _compared = ("owner", "carriers", "names")
 
     def __init__(self, owner: str,
                  carriers: tuple[str, ...],  # empty = the declaring type itself
@@ -570,22 +527,19 @@ class LabelDecl(Record):
 
 
 class ProtocolDecl:
-    """A protocol and its states, in first-seen order."""
+    """One protocol of a `protocols` line and the types that carry it. Its
+    states are not declared: a condition names each one where it uses it."""
 
     def __init__(self, owner: str, carriers: tuple[str, ...], name: str,
-                 states: tuple[str, ...] = (),  # in declaration/first-seen order
                  pos: Optional[Pos] = None):
         self.owner = owner
         self.carriers = carriers
         self.name = name
-        self.states = states
         self.pos = Pos() if pos is None else pos
 
 
-class ResourceNode(Record):
+class ResourceNode:
     """A resource and the resources nested in it."""
-
-    _compared = ("name", "children")
 
     def __init__(self, name: str, children: tuple[ResourceNode, ...] = ()):
         self.name = name
@@ -616,7 +570,6 @@ class MethodSpec:
                  conjuncts: tuple[Conjunct, ...] = (),
                  optional_groups: tuple[tuple[Conjunct, ...], ...] = (),
                  body: Optional[list[Stmt]] = None,
-                 merged_externals: tuple[str, ...] = (),  # classes whose overlays merged in
                  pos: Optional[Pos] = None):
         self.name = name
         self.declared_in = declared_in
@@ -632,7 +585,6 @@ class MethodSpec:
         self.conjuncts = conjuncts
         self.optional_groups = optional_groups
         self.body = body
-        self.merged_externals = merged_externals
         self.pos = Pos() if pos is None else pos
 
     @property

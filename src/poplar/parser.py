@@ -22,7 +22,7 @@ from .model import (
     ArgDecl, AssignStmt, BlockStmt, CallExpr, ClassModel, Expr, ExprStmt,
     ExternalDecl, FieldAccessExpr, FieldDecl, LabelDecl, LiteralExpr,
     MethodSpec, NameExpr, NewExpr, Pos, ProtectStmt, ProtocolDecl, Query,
-    QueryStmt, Record, ResourceNode, ReturnStmt, Stmt, SuperExpr, ThisExpr,
+    QueryStmt, ResourceNode, ReturnStmt, Stmt, SuperExpr, ThisExpr,
     UniquenessKind, VarDeclStmt,
 )
 
@@ -51,10 +51,8 @@ class SyntaxIssue(Exception):
 
 # -- annotation forms whose names bind only once every unit is parsed --------
 
-class RawCondition(Record):
+class RawCondition:
     """One condition of a conjunct, before its names resolve."""
-
-    _compared = ("kind", "name", "source", "target", "residence", "pos")
 
     def __init__(self, kind: str,  # "invariant-label" | "invariant-state" | "add" | "transition"
                  name: str,  # label or protocol reference text (possibly qualified)
@@ -68,10 +66,8 @@ class RawCondition(Record):
         self.pos = Pos() if pos is None else pos
 
 
-class RawConjunct(Record):
+class RawConjunct:
     """A subject and its conditions, before resolution."""
-
-    _compared = ("subject", "conditions", "pos")
 
     def __init__(self, subject: str, conditions: list[RawCondition],
                  pos: Optional[Pos] = None):
@@ -80,10 +76,8 @@ class RawConjunct(Record):
         self.pos = Pos() if pos is None else pos
 
 
-class RawTarget(Record):
+class RawTarget:
     """A `mutates` target, before resolution."""
-
-    _compared = ("root", "name", "path", "pos")
 
     def __init__(self, root: str,  # "this" | "any" | "name"
                  name: str,  # type name for any, variable/field name otherwise
@@ -218,7 +212,7 @@ class Parser:
             decl.labels.append(LabelDecl(decl.name, carriers, names, pos))
         elif t[1] == "protocols":
             pos, carriers, names = self.parse_carried_names()
-            decl.protocols.extend(ProtocolDecl(decl.name, carriers, n, (), pos) for n in names)
+            decl.protocols.extend(ProtocolDecl(decl.name, carriers, n, pos) for n in names)
         elif t[1] == "resources":
             decl.resources += self.parse_resources()
         elif t[1] == "external":

@@ -278,7 +278,7 @@ class PlanResult:
     """A closed plan for one query, with its search counters."""
 
     def __init__(self, plan: Plan, ctx: QueryContext, goal: Atom, bound: int,
-                 explored: int, rejected_threats: int, chosen_groups: dict[int, int],
+                 explored: int, rejected_threats: int,
                  solution_targets: frozenset = frozenset()):
         self.plan = plan
         self.ctx = ctx
@@ -286,7 +286,6 @@ class PlanResult:
         self.bound = bound
         self.explored = explored
         self.rejected_threats = rejected_threats
-        self.chosen_groups = chosen_groups
         self.solution_targets = solution_targets
 
     def action_count(self) -> int:
@@ -459,10 +458,8 @@ class Planner:
 
     def plan(self) -> PlanResult:
         plan = self._solve()
-        groups = {a.aid: a.spec.group for a in plan.real_actions()
-                  if a.spec and a.spec.group is not None}
         return PlanResult(plan, self.ctx, self.goal, self.bound,
-                          self.explored, self.rejected_threats, groups,
+                          self.explored, self.rejected_threats,
                           frozenset(self.visible_targets(plan)))
 
     def _solve(self) -> Plan:

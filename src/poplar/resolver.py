@@ -316,7 +316,6 @@ def overlay_externals(program: Program) -> Program:
                            f"({', '.join(a.type for a in ex.method.args)})'")
                 continue
             _merge_external(target, ex)
-    _collect_protocol_states(program)
     _validate_queries(program)
     return program
 
@@ -326,25 +325,6 @@ def _merge_external(target: MethodSpec, ex: ExternalDecl) -> None:
     target.conjuncts += tuple(cj for cj in overlay.conjuncts
                               if cj not in target.conjuncts)
     target.optional_groups += overlay.optional_groups
-    target.merged_externals += (ex.declared_in,)
-
-
-def _collect_protocol_states(program: Program) -> None:
-    """Fill each protocol's state list from usage, in first-seen order, with
-    one walk over the conditions that buckets states by (owner, protocol)."""
-    # dict keys keep insertion order, so each bucket is an ordered set.
-    states: dict[tuple[str, str], dict[str, None]] = {}
-    for cname in sorted(program.units):
-        for m in program.units[cname].methods:
-            for cj in m.every_conjunct():
-                for cond in cj.conditions:
-                    for atom in (cond.before, cond.after):
-                        if isinstance(atom, StateAtom):
-                            states.setdefault((atom.owner, atom.protocol),
-                                              {})[atom.state] = None
-    for unit in program.units.values():
-        for pd in unit.protocols:
-            pd.states = tuple(states.get((pd.owner, pd.name), ()))
 
 
 def _validate_queries(program: Program) -> None:
@@ -406,10 +386,9 @@ def parse_sources(sources: list[tuple[str, str]], sink: DiagnosticSink) -> list[
     return parsed
 
 
-def load_program(sources: list[tuple[str, str]],
-                 sink: Optional[DiagnosticSink] = None) -> Program:
+def load_program(sources: list[tuple[str, str]]) -> Program:
     """Parse, resolve and overlay a set of sources."""
-    sink = sink if sink is not None else DiagnosticSink()
+    sink = DiagnosticSink()
     parsed = parse_sources(sources, sink)
     program = Resolver(parsed, sink).resolve()
     if not sink.has_errors:

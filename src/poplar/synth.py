@@ -20,11 +20,7 @@ if TYPE_CHECKING:  # the planner is imported only by the commands that plan
     from .planner import PlanResult
 
 
-class SynthError(Exception):
-    pass
-
-
-class UnsolvedQueryRemains(SynthError):
+class UnsolvedQueryRemains(Exception):
     pass
 
 
@@ -212,7 +208,7 @@ def render_plain(program: Program) -> dict[str, str]:
         by_path.setdefault(path, []).append(unit)
     out = {}
     for path in sorted(by_path):
-        out[path] = printer.render_unit(by_path[path], plain=True)
+        out[path] = printer.render_unit(by_path[path])
     return out
 
 
@@ -500,6 +496,10 @@ def check_compat(assumed: IntegrationAssumptions,
             signature, post = field_read_entries(fld) if fld is not None else (None, ())
             if signature != rec.signature:
                 bad(label, "member-missing", "field missing or signature changed")
+                continue
+            # A plan reads only static fields (`planner.action_universe`).
+            if not fld.is_static:
+                bad(label, "member-missing", "field is no longer static")
                 continue
             if not set(rec.post) <= set(post):
                 bad(label, "postcondition-weakened",

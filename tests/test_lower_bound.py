@@ -46,7 +46,9 @@ def outcome(program, ctx, cfg):
     except PlanFailure as e:
         return type(e).__name__, None
     steps = [(a.spec.key, a.receiver, a.args, a.result) for a in result.plan.linearize()]
-    return (steps, result.chosen_groups), planner.bound
+    groups = {a.aid: a.spec.group for a in result.plan.real_actions()
+              if a.spec.group is not None}
+    return (steps, groups), planner.bound
 
 
 def deep_sources(seed):

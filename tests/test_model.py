@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from poplar.model import (
     ARG_FLOW, AddLabel, ArgDecl, Conjunct, Invariant, LabelAtom, MethodSpec,
-    MutationTarget, NameExpr, Pos, StateAtom, ThisExpr, Transition, UniquenessKind,
+    MutationTarget, StateAtom, Transition, UniquenessKind,
     any_target, can_flow, can_override_arg, can_override_return, flow_consumes,
     this_target, var_target,
 )
@@ -342,12 +342,3 @@ class TestValueSemantics:
         assert Invariant(atom) != AddLabel(atom)
         assert Invariant(atom).__eq__(AddLabel(atom)) is NotImplemented
         assert len({Invariant(atom), AddLabel(atom)}) == 2
-
-    def test_syntax_record_compares_fields_not_positions(self):
-        assert NameExpr("x", Pos(1, 2)) == NameExpr("x", Pos(3, 4))
-        assert NameExpr("x") != NameExpr("y")
-        assert NameExpr("x").__eq__(ThisExpr()) is NotImplemented
-        assert Pos(1, 2) == Pos(1, 2) != Pos(1, 3)
-        for record in (Pos(1, 2), NameExpr("x"), ThisExpr()):
-            with pytest.raises(TypeError):
-                hash(record)

@@ -43,7 +43,8 @@ class TestPlans:
         assert action_labels(res) == ["new Calendar()",
                                       "read Calendar.HOUR_OF_DAY",
                                       "Calendar.get() (option 1)"]
-        assert list(res.chosen_groups.values()) == [0]
+        assert [a.spec.group for a in res.plan.real_actions()
+                if a.spec.group is not None] == [0]
 
     def test_goal_already_satisfied_reuses_variable(self, cfg):
         prog = load([], [("a.pop", """

@@ -70,7 +70,7 @@ class TestEmission:
         res = plan_query(prog, ctx, cfg)
         pool = synth.NamePool(synth.method_declared_names(ctx.method))
         stmts = synth.emit_statements(res, pool, "hour", "int")
-        rendered = [printer._render_stmt(s, 0, True)[0] for s in stmts]
+        rendered = [printer._render_stmt(s, 0)[0] for s in stmts]
         assert rendered == ["Date v1 = new Date();", "int hour = v1.getHour();"]
 
     def test_calendar_statements_use_constructed_type(self, cfg):
@@ -79,7 +79,7 @@ class TestEmission:
         res = plan_query(prog, ctx, cfg)
         pool = synth.NamePool(synth.method_declared_names(ctx.method))
         stmts = synth.emit_statements(res, pool, "hour", "int")
-        rendered = [printer._render_stmt(s, 0, True)[0] for s in stmts]
+        rendered = [printer._render_stmt(s, 0)[0] for s in stmts]
         assert rendered == ["Calendar v1 = new Calendar();",
                             "int v2 = Calendar.HOUR_OF_DAY;",
                             "int hour = v1.get(v2);"]
@@ -102,7 +102,7 @@ class Client {
         res = plan_query(prog, ctx, cfg)
         pool = synth.NamePool(synth.method_declared_names(ctx.method))
         stmts = synth.emit_statements(res, pool, "t", "Thing")
-        rendered = [printer._render_stmt(s, 0, True)[0] for s in stmts]
+        rendered = [printer._render_stmt(s, 0)[0] for s in stmts]
         assert rendered == ["Thing t = ready;"]
 
     def test_taken_v_indices_are_skipped(self, cfg):
@@ -118,7 +118,7 @@ class Shadow implements TimeAndDate {
         res = plan_query(prog, ctx, cfg)
         pool = synth.NamePool(synth.method_declared_names(ctx.method))
         stmts = synth.emit_statements(res, pool, "hour", "int")
-        rendered = [printer._render_stmt(s, 0, True)[0] for s in stmts]
+        rendered = [printer._render_stmt(s, 0)[0] for s in stmts]
         assert rendered == ["Date v2 = new Date();", "int hour = v2.getHour();"]
 
 
@@ -150,7 +150,6 @@ class TimeUtils implements TimeAndDate {
         _, _, plain = splice_and_render(SWING_QUERY, cfg)
         for path, text in plain.items():
             decls = parse_unit(text)
-            joined = printer.render_unit
             assert decls  # parses
             assert "#" not in text and "labels" not in text.split("{")[0]
 
@@ -431,7 +430,7 @@ class TestSharedValues:
         ctx = query_in(prog, "ToolbarFrame", "installCommand")
         res = plan_query(prog, ctx, cfg)
         stmts = synth.emit_statements(res, synth.NamePool({"command"}))
-        rendered = [printer._render_stmt(s, 0, True)[0] for s in stmts]
+        rendered = [printer._render_stmt(s, 0)[0] for s in stmts]
         title_calls = [line for line in rendered if "getTitle" in line]
         assert len(title_calls) == 1  # one title read feeds both constructors
         assert any("new JMenuItem(v1)" in line for line in rendered)
