@@ -8,6 +8,7 @@ Diagnostics print one per line as `path:line:col: error: code: message`.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -365,7 +366,16 @@ def run() -> None:
     """The process entry of `poplar` and of `python -m poplar.cli`: `main`,
     then flush the output and end the process without the interpreter's
     teardown, which would only free what the ending process holds. A stdout
-    that cannot be written is exit 2 here too."""
+    that cannot be written is exit 2 here too.
+
+    Nearly every object a command makes belongs to its `Program`, which
+    lives until the process ends, so collecting at the default threshold
+    would only rescan live objects. The raised threshold still collects a
+    long search's cyclic garbage, once every 100,000 net allocations, where
+    `gc.disable()` would let it grow with `--budget`. `main` leaves the
+    collector as it is: the tests and the benchmark's traced pass call it
+    in process."""
+    gc.set_threshold(100_000, 50, 100)
     code = main()
     try:
         sys.stdout.flush()

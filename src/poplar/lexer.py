@@ -53,14 +53,17 @@ _TOKEN_TEXT = "|".join((
     r'"(?:[^"\\\n]|\\.)*"',
 ))
 _END = r"(?://[^\n]*)?\Z"
-# Anything else, for `_irregular`: an ASCII digit run that a word character
-# continues, an unterminated string or block comment, or one character. The
-# first three take their whole run, so that the scan, which goes on right
-# after this group, never fails the same long alternative again one
-# character later: the lexer stays linear in its input.
-_OTHER = "|".join((r"[0-9]+(?=\w)", r'"(?:[^"\\\n]|\\.)*', r"/\*[\s\S]*", r"[\s\S]"))
+# Anything else, for `_irregular`: a run of word characters that no token
+# alternative took (it starts outside ASCII, or is a digit run that a word
+# goes on from), an unterminated string or block comment, or one character.
+# The first three take their whole run, so that the scan, which goes on right
+# after this group, never fails the same long alternative again one character
+# later, and a run of non-ASCII letters is one match: the lexer stays linear
+# in its input.
+_OTHER = "|".join((r"\w+", r'"(?:[^"\\\n]|\\.)*', r"/\*[\s\S]*", r"[\s\S]"))
 _TOKEN = re.compile(f"({_SKIP})(?:({_TOKEN_TEXT})|{_END}|({_OTHER}))")
 _ESCAPE = re.compile(r"\\(.)")
+_DECIMALS = re.compile(r"\d*")
 
 
 class LexError(Exception):
@@ -97,15 +100,17 @@ def tokenize(text: str) -> list[Token]:
                     kind, token = "string", _string_value(token)
             append((kind, token, line, col))
         elif other:
-            tok, end = _irregular(text, i, other, line, i - line_start + 1)
-            append(tok)
-            # The scan went on right after `other`. Skip its matches up to the
-            # token's end: inside a run of word characters and "[]" the
-            # matches end where the token does.
-            i += len(other)
-            while i < end:
+            # A run of word characters holds one token, or two: an int and
+            # the word that goes on from it.
+            stop = i + len(other)
+            while i < stop:
+                tok, i = _irregular(text, i, stop, line, i - line_start + 1)
+                append(tok)
+            # The scan went on right after `other`. Skip the matches of an
+            # array type name's "[]".
+            while stop < i:
                 _, token, other = next(matches)
-                i += len(token) + len(other)
+                stop += len(token) + len(other)
         else:  # the end of the text
             break
     append(("eof", "", line, i - line_start + 1))
@@ -119,24 +124,24 @@ def _string_value(token: str) -> str:
     return body
 
 
-def _irregular(text: str, i: int, other: str, line: int, col: int) -> tuple[Token, int]:
-    """The token at `i`, where the pattern took only `other`, and its end."""
-    c = other[0]
-    j = i + len(other)
+def _irregular(text: str, i: int, stop: int, line: int, col: int) -> tuple[Token, int]:
+    """The token at `i`, where the pattern's `other` group ends at `stop`,
+    and its end."""
+    c = text[i]
     if c.isdigit():
-        while j < len(text) and text[j].isdigit():
-            j += 1
+        j = stop
+        if not text[i:stop].isdigit():  # a word goes on from the digits
+            j = _DECIMALS.match(text, i).end()  # `\d` is not every digit: `²`
+            while text[j].isdigit():
+                j += 1
         return ("int", text[i:j], line, col), j
-    if c.isalpha():
-        while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-            j += 1
-        if text.startswith("[]", j):
-            j += 2
+    if c.isalpha() or c == "_":  # `\w` is exactly how a word goes on
+        j = stop + 2 if text.startswith("[]", stop) else stop
         word = text[i:j]
         return ("keyword" if word in KEYWORDS else "ident", word, line, col), j
     pos = Pos(line, col)
     if c == '"':
         raise LexError("unterminated string literal", pos)
-    if other.startswith("/*"):
+    if text.startswith("/*", i):
         raise LexError("unterminated block comment", pos)
     raise LexError(f"unexpected character {c!r}", pos)

@@ -720,16 +720,15 @@ def _is_effect(cond: Condition) -> bool:
 
 
 class ExternalDecl:
-    """Annotations that the class `declared_in` writes for a method of
+    """Annotations that a class, in its `externals`, writes for a method of
     another type. `method` holds them; it is declared in the type it
     annotates and bears its target's return type, so its `this` and
-    `result` are the target's, and its labels and protocols resolve in
-    `declared_in`'s scope."""
+    `result` are the target's, and its labels and protocols resolve in the
+    writing class's scope."""
 
     def __init__(self, method: MethodSpec,  # annotations only, body is None
-                 declared_in: str = "", pos: Optional[Pos] = None):
+                 pos: Optional[Pos] = None):
         self.method = method
-        self.declared_in = declared_in
         self.pos = Pos() if pos is None else pos
 
 

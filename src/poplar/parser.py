@@ -216,7 +216,7 @@ class Parser:
         elif t[1] == "resources":
             decl.resources += self.parse_resources()
         elif t[1] == "external":
-            decl.externals.append(self.parse_external(decl.name))
+            decl.externals.append(self.parse_external())
         elif t[1] == "precedence":
             self.next()
             decl.precedence = self.int_value(self.expect("int"))
@@ -271,7 +271,7 @@ class Parser:
         self.depth -= 1
         return ResourceNode(name, tuple(children))
 
-    def parse_external(self, owner: str) -> ExternalDecl:
+    def parse_external(self) -> ExternalDecl:
         pos = self.here()
         self.expect("keyword", "external")
         target = self.expect_ident()[1]
@@ -282,7 +282,7 @@ class Parser:
             method = MethodSpec(target, target, target, (), is_constructor=True, pos=pos)
         self.parse_signature(method)
         self.expect(";")
-        return ExternalDecl(method, owner, pos)
+        return ExternalDecl(method, pos)
 
     def parse_params(self) -> tuple[ArgDecl, ...]:
         args: list[ArgDecl] = []

@@ -1003,8 +1003,7 @@ class TestEntryPoint:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
     def test_the_declared_script_entry_reports_an_unwritable_stdout(self):
         """`[project.scripts]` names the entry the installed `poplar` runs."""
-        pyproject = (Path(poplar.__file__).parents[2] / "pyproject.toml").read_text()
-        module, func = pyproject.split('\npoplar = "', 1)[1].split('"', 1)[0].split(":")
+        module, func = self.declared_script_entry()
         assert (module, func) == ("poplar.cli", "run")
         script = f"import sys; from {module} import {func}; sys.exit({func}())"
         with open("/dev/full", "w") as full:
@@ -1012,6 +1011,40 @@ class TestEntryPoint:
                                     entry=("-c", script))
         assert (proc.returncode, proc.stderr) == \
             (2, "error: <stdout>: cannot write: No space left on device\n")
+
+    @staticmethod
+    def declared_script_entry():
+        """The `module:function` that `[project.scripts]` names for `poplar`."""
+        pyproject = (Path(poplar.__file__).parents[2] / "pyproject.toml").read_text()
+        return pyproject.split('\npoplar = "', 1)[1].split('"', 1)[0].split(":")
+
+    # A `main` that reports the collector's state, which the entry then runs.
+    GC_STUB = ("import gc, sys\n"
+               "def stub(argv=None):\n"
+               "    print(gc.isenabled(), gc.get_threshold())\n"
+               "    return 0\n")
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_the_process_entry_raises_the_collectors_threshold(self, entry):
+        if entry == "module":
+            # `python -m` runs the module as `__main__`: swap that module's
+            # `main` for the stub as its `run` starts.
+            script = self.GC_STUB + (
+                "import runpy\n"
+                "def swap(frame, event, arg):\n"
+                "    if event == 'call' and frame.f_code.co_name == 'run' \\\n"
+                "            and frame.f_globals['__name__'] == '__main__':\n"
+                "        frame.f_globals['main'] = stub\n"
+                "sys.setprofile(swap)\n"
+                "runpy.run_module('poplar.cli', run_name='__main__', alter_sys=True)\n")
+        else:
+            module, func = self.declared_script_entry()
+            script = self.GC_STUB + (
+                f"import {module} as entry\n"
+                "entry.main = stub\n"
+                f"entry.{func}()\n")
+        proc = self.with_stdout([], subprocess.PIPE, False, entry=("-c", script))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True (100000, 50, 100)\n", "")
 
     def test_main_in_process_returns_and_leaves_the_collector_as_it_was(self, capsys):
         import gc

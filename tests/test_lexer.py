@@ -107,6 +107,7 @@ LINEAR_INPUTS = {
     "digits then a letter": "1" * 200_000 + "a",
     "digits run into letters": "12abc " * 33_334,
     "superscript twos": "²" * 200_000,
+    "accented letters": "é" * 200_000,
     "accented names": "é1 " * 66_667,
     "unterminated string": '"' + "a" * 200_000,
     "unterminated string of escaped quotes": '"' + '\\"' * 100_000,
@@ -121,6 +122,23 @@ def test_lexing_takes_linear_time(name):
     got = outcome(tokenize, text)
     assert time.perf_counter() - start < 2.0
     assert got == outcome(reference_lexer.tokenize, text)
+
+
+def best_time(text):
+    """The least of five timings of `tokenize(text)`, in seconds."""
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        tokenize(text)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+@pytest.mark.parametrize("run", ["é", "²"], ids=["accented letters", "superscript twos"])
+def test_a_run_of_non_ascii_word_characters_costs_about_what_an_ascii_run_does(run):
+    """A run of word characters is one match of the pattern, whatever its
+    characters: one match per character took over 100 times as long."""
+    assert best_time(run * 200_000) < 20 * best_time("a" * 200_000)
 
 
 def test_word_characters_are_exactly_isalnum_and_underscore():
