@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from .config import SearchConfig, config_from_tree, parse_precedence, read_utf8
+from .config import SearchConfig, config_from_tree, parse_precedence, read_utf8, stat_mode
 from .diagnostics import Diagnostic, DiagnosticSink, E_PLAN
 from .model import ClassModel, MethodSpec, Program
 from .resolver import load_program
@@ -48,13 +49,9 @@ def plan_query(program: Program, ctx: QueryContext, cfg: SearchConfig):
     return plan_query(program, ctx, cfg)
 
 
-def _read_source(path: Path) -> tuple[str, str]:
-    return str(path), read_utf8(path)
-
-
 def _write(path: Path, text: str) -> None:
     try:
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
     except OSError as e:
         raise ValueError(f"{path}: cannot write: {e.strerror}") from None
 
@@ -72,34 +69,44 @@ def _print(text: str) -> None:
         raise _unwritable_stdout(e) from None
 
 
-def _find_sources(top: str) -> list[Path]:
-    """The `.pop` files under directory `top`, in `Path` order: by path
-    component, so that `a/x.pop` comes before `a-b/x.pop`. A link to a file
-    counts; a linked directory is not entered."""
-    found: list[Path] = []
-    pending = [top]
+def _prefix(directory: str) -> str:
+    """What `Path` puts before a name in `directory`, a path as `Path`
+    spells it: nothing in `.`, else the path and one separator."""
+    return "" if directory == "." else os.path.join(directory, "")
+
+
+def _find_sources(top: str) -> list[str]:
+    """The `.pop` files under directory `top`, named as `Path(top) / ...`
+    names them and in `Path` order: by path component, so that `a/x.pop`
+    comes before `a-b/x.pop`. A link to a file counts; a linked directory is
+    not entered."""
+    found: list[str] = []
+    pending = [str(Path(top))]
     while pending:
         d = pending.pop()
+        prefix = _prefix(d)
         try:
             with os.scandir(d) as entries:
                 for entry in entries:
                     if entry.is_dir(follow_symlinks=False):
-                        pending.append(entry.path)
+                        pending.append(prefix + entry.name)
                     elif entry.name.endswith(".pop") and entry.is_file():
-                        found.append(Path(entry.path))
+                        found.append(prefix + entry.name)
         except OSError as e:
-            raise ValueError(f"{Path(d)}: cannot read: {e.strerror}") from None
-    return sorted(found)
+            raise ValueError(f"{d}: cannot read: {e.strerror}") from None
+    found.sort(key=lambda p: p.split(os.sep))
+    return found
 
 
 def _collect_sources(paths: list[str]) -> list[tuple[str, str]]:
     sources = []
     for raw in paths:
-        p = Path(raw)
-        if p.is_dir():
-            sources.extend(_read_source(f) for f in _find_sources(raw))
-        elif p.is_file():
-            sources.append(_read_source(p))
+        name = str(Path(raw))  # the name as diagnostics and query ids give it
+        mode = stat_mode(name)
+        if stat.S_ISDIR(mode):
+            sources.extend((f, read_utf8(f)) for f in _find_sources(name))
+        elif stat.S_ISREG(mode):
+            sources.append((name, read_utf8(name)))
         else:
             raise FileNotFoundError(raw)
     if not sources:
@@ -219,7 +226,7 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as e:  # a file is in the way
+    except OSError as e:  # a file is in the way, or the parent cannot be written
         raise ValueError(f"{out_dir}: cannot make the output directory: {e.strerror}") from None
     corpus = synth.fingerprint_sources(sources)
     outputs = [(out_dir / (Path(path).stem + ".pop"), text)
@@ -237,10 +244,25 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _list_assumptions(directory: str) -> list[str]:
+    """The files named `*.assume` in `directory`, as
+    `sorted(Path(directory).glob("*.assume"))` filtered by `is_file()` names
+    and orders them: dot-files and links to files count, a directory or a
+    broken link does not, and the suffix's case counts. A directory that
+    cannot be listed is a ValueError naming it."""
+    try:
+        with os.scandir(directory) as entries:
+            names = [e.name for e in entries if e.name.endswith(".assume") and e.is_file()]
+    except OSError as e:
+        raise ValueError(f"{directory}: cannot read: {e.strerror}") from None
+    prefix = _prefix(directory)
+    return [prefix + name for name in sorted(names)]
+
+
 def cmd_verify_upgrade(args) -> int:
     from . import synth
-    assume_dir = Path(args.assumptions)
-    if not assume_dir.is_dir():
+    assume_dir = str(Path(args.assumptions))
+    if not stat.S_ISDIR(stat_mode(assume_dir)):
         raise FileNotFoundError(args.assumptions)
     sources = _collect_sources(args.paths)
     _config(args, args.paths)  # a malformed config fails here as in synth
@@ -248,7 +270,7 @@ def cmd_verify_upgrade(args) -> int:
     if program.diagnostics.has_errors:
         _print(program.diagnostics.render())
         return 1
-    texts = [_read_source(f) for f in sorted(assume_dir.glob("*.assume")) if f.is_file()]
+    texts = [(f, read_utf8(f)) for f in _list_assumptions(assume_dir)]
     try:
         files = [synth.parse_assumptions(text, path) for path, text in texts]
     except synth.MalformedAssumptions as e:

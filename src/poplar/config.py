@@ -6,6 +6,9 @@ command-line flags; flags win on conflict.
 
 from __future__ import annotations
 
+import errno
+import os
+import stat
 from pathlib import Path
 from typing import Optional
 
@@ -35,16 +38,40 @@ CONFIG_KEYS = {"budget": "plan_budget", "max-len": "max_plan_length",
 BOOLEANS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
-def read_utf8(path: Path) -> str:
-    """The text of a file. One that is not UTF-8 or cannot be read is a
-    ValueError naming it."""
+# The stat errors that `Path.is_file` and `Path.is_dir` read as "nothing
+# there" rather than raise.
+_ABSENT = frozenset((errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP))
+
+
+def stat_mode(path: str | Path) -> int:
+    """The `st_mode` of `path`, following links, or 0 where `Path.is_file`
+    and `Path.is_dir` would see nothing. Any other failure to stat is a
+    ValueError naming the path."""
     try:
-        return path.read_text(encoding="utf-8")
+        return os.stat(path).st_mode
+    except OSError as e:
+        if e.errno in _ABSENT:
+            return 0
+        raise ValueError(f"{path}: cannot read: {e.strerror}") from None
+    except ValueError:  # a name with a NUL byte names no file
+        return 0
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of a file, with line endings read as text mode reads them:
+    `\\r\\n` and a lone `\\r` become `\\n`. One that is not UTF-8 or cannot
+    be read is a ValueError naming it."""
+    try:
+        with open(path, "rb", buffering=0) as f:
+            text = f.read().decode("utf-8")
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: not UTF-8: byte 0x{e.object[e.start]:02x} "
                          f"at offset {e.start} ({e.reason})") from None
     except OSError as e:
         raise ValueError(f"{path}: cannot read: {e.strerror}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def load_config_file(path: Path) -> dict:
@@ -105,7 +132,7 @@ def parse_precedence(entries: list[str]) -> dict[str, int]:
 def config_from_tree(root: Path, overrides: dict | None = None) -> SearchConfig:
     """Build a SearchConfig from a tree's poplar.cfg plus explicit overrides."""
     cfg_path = root / "poplar.cfg"
-    values = load_config_file(cfg_path) if cfg_path.is_file() else {}
+    values = load_config_file(cfg_path) if stat.S_ISREG(stat_mode(cfg_path)) else {}
     if overrides:
         merged_prec = dict(values.get("api_precedence", {}))
         merged_prec.update(overrides.pop("api_precedence", {}))

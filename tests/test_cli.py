@@ -1,6 +1,7 @@
 """Batch driver behavior: exit codes, flags, config files, output trees."""
 
 import ast
+import builtins
 import contextlib
 import hashlib
 import importlib
@@ -817,11 +818,14 @@ class TestInputs:
                                                              monkeypatch):
         src = tmp_path / "a.pop"
         src.write_text("class A { }\n")
+        opening = builtins.open
 
-        def refuse(self, *args, **kwargs):
-            raise PermissionError(13, "Permission denied", str(self))
+        def refuse(path, *args, **kwargs):
+            if Path(path) == src:
+                raise PermissionError(13, "Permission denied", str(path))
+            return opening(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_text", refuse)
+        monkeypatch.setattr(builtins, "open", refuse)
         code, out, err = run(["check", str(tmp_path)], capsys)
         assert (code, out) == (2, "")
         assert err == f"error: {src}: cannot read: Permission denied\n"
