@@ -7,12 +7,12 @@ Diagnostics print one per line as `path:line:col: error: code: message`.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import stat
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
 from .config import SearchConfig, config_from_tree, parse_precedence, read_utf8, stat_mode
@@ -21,6 +21,8 @@ from .model import ClassModel, MethodSpec, Program
 from .resolver import load_program
 
 if TYPE_CHECKING:
+    import argparse
+
     from .effects import QueryContext
 
 # Every command imports the modules above, and the other layers only where
@@ -206,6 +208,10 @@ def _solve_tree(program: Program, cfg: SearchConfig):
     return solutions, assumptions, failures
 
 
+def _file_id(st: os.stat_result) -> tuple[int, int]:
+    return st.st_dev, st.st_ino
+
+
 def cmd_synth(args) -> int:
     # The planner is imported before the program is loaded: compiled after
     # it, the planner's code would raise the process's peak memory.
@@ -236,9 +242,19 @@ def cmd_synth(args) -> int:
                  for ctx, result in per_path[path]]
         outputs.append((out_dir / (Path(path).stem + ".assume"),
                         synth.serialize_assumptions(items)))
+    inputs = None  # each source's (device, inode), once a target exists
     for target, _ in outputs:  # nothing is written when one cannot be
-        if target.is_dir():
+        try:
+            st = os.stat(target)
+        except OSError:
+            continue  # not there, or `_write` reports why not
+        if stat.S_ISDIR(st.st_mode):
             raise ValueError(f"{target}: cannot write: Is a directory")
+        if inputs is None:
+            inputs = {_file_id(os.stat(path)): path for path, _ in sources}
+        source = inputs.get(_file_id(st))
+        if source is not None:
+            raise ValueError(f"{target}: cannot write: it is the input {source}")
     for target, text in outputs:
         _write(target, text)
     return 0
@@ -302,12 +318,10 @@ def cmd_explain(args) -> int:
     matches = [ctx for _, _, contexts in _all_query_contexts(program) for ctx in contexts
                if _id_matches(_query_id(program, ctx), wanted)]
     if not matches:
-        print(f"no query matches id '{wanted}'", file=sys.stderr)
-        return 2
+        raise ValueError(f"no query matches id '{wanted}'")
     if len(matches) > 1:
-        print(f"query id '{wanted}' matches {len(matches)} queries: " +
-              ", ".join(_query_id(program, ctx) for ctx in matches), file=sys.stderr)
-        return 2
+        raise ValueError(f"query id '{wanted}' matches {len(matches)} queries: " +
+                         ", ".join(_query_id(program, ctx) for ctx in matches))
     target = matches[0]
     try:
         result = plan_query(program, target, cfg)
@@ -325,55 +339,127 @@ def cmd_explain(args) -> int:
     return 0
 
 
+class Option:
+    """One option of a command: its flag, the attribute that holds it, and
+    what `add_argument` takes. `kind` is `int` or `str` for an option with a
+    value, "flag" for a switch and "append" for a repeatable value."""
+
+    def __init__(self, flag: str, dest: str, kind, help: str, default=None,
+                 required: bool = False, metavar: Optional[str] = None):
+        self.flag, self.dest, self.kind, self.help = flag, dest, kind, help
+        self.default, self.required, self.metavar = default, required, metavar
+
+
+_COMMON = (
+    Option("--budget", "budget", int, "explored-plan budget"),
+    Option("--max-len", "max_len", int, "maximum plan length"),
+    Option("--rewrite-summaries", "rewrite_summaries", "flag",
+           "widen enclosing summaries instead of rejecting", default=False),
+    Option("--precedence", "precedence", "append", "API precedence (repeatable)",
+           default=[], metavar="Type=N"),
+)
+
+# Each command's help, its options in the order its help lists them, and
+# the function that runs it. Every command also takes one or more `paths`.
+# `build_parser` and `parse_plain` both read this table.
+COMMANDS = {
+    "check": ("run all static checks", _COMMON, cmd_check),
+    "synth": ("solve queries and emit plain sources",
+              _COMMON + (Option("--out", "out", str, "output directory", default="out"),),
+              cmd_synth),
+    "verify-upgrade": ("check stored assumptions against new sources",
+                       (Option("--assumptions", "assumptions", str,
+                               "directory holding .assume files", required=True),)
+                       + _COMMON,
+                       cmd_verify_upgrade),
+    "explain": ("print the plan for one query",
+                _COMMON + (Option("--explain", "explain", str, "query id", required=True,
+                                  metavar="FILE:LINE"),
+                           Option("--dot", "dot", str, "also write a graph description file")),
+                cmd_explain),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: help, abbreviations, `--opt=value` forms and every
+    usage error. `main` builds it only for an argv that `parse_plain`
+    declines, since importing and building it takes a few ms a process."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="poplar",
         description="Check, synthesize and verify integration queries.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (summary, options, func) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("paths", nargs="+", help="source files or directories")
-        p.add_argument("--budget", type=int, default=None,
-                       help="explored-plan budget")
-        p.add_argument("--max-len", type=int, default=None,
-                       help="maximum plan length")
-        p.add_argument("--rewrite-summaries", action="store_true",
-                       help="widen enclosing summaries instead of rejecting")
-        p.add_argument("--precedence", action="append", default=[],
-                       metavar="Type=N", help="API precedence (repeatable)")
-
-    p_check = sub.add_parser("check", help="run all static checks")
-    common(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_synth = sub.add_parser("synth", help="solve queries and emit plain sources")
-    common(p_synth)
-    p_synth.add_argument("--out", default="out", help="output directory")
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_up = sub.add_parser("verify-upgrade",
-                          help="check stored assumptions against new sources")
-    p_up.add_argument("--assumptions", required=True,
-                      help="directory holding .assume files")
-    common(p_up)
-    p_up.set_defaults(func=cmd_verify_upgrade)
-
-    p_explain = sub.add_parser("explain", help="print the plan for one query")
-    common(p_explain)
-    p_explain.add_argument("--explain", required=True, metavar="FILE:LINE",
-                           help="query id")
-    p_explain.add_argument("--dot", default=None,
-                           help="also write a graph description file")
-    p_explain.set_defaults(func=cmd_explain)
+        for o in options:
+            if o.kind == "flag":
+                p.add_argument(o.flag, dest=o.dest, action="store_true", help=o.help)
+            elif o.kind == "append":
+                p.add_argument(o.flag, dest=o.dest, action="append", default=o.default,
+                               metavar=o.metavar, help=o.help)
+            else:
+                p.add_argument(o.flag, dest=o.dest, type=o.kind, default=o.default,
+                               required=o.required, metavar=o.metavar, help=o.help)
+        p.set_defaults(func=func)
     return parser
 
 
+def parse_plain(argv: list[str]) -> Optional[SimpleNamespace]:
+    """What `build_parser().parse_args(argv)` gives, for an argv in the
+    plain form: a command, then its options spelled exactly as `COMMANDS`
+    spells them, each value option followed by a value that does not start
+    with `-`, and one run of paths that do not either. None for any other
+    argv, and for a value that `int` refuses or a missing required option:
+    argparse parses those or reports them."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, options, func = COMMANDS[argv[0]]
+    by_flag = {o.flag: o for o in options}
+    values = {o.dest: list(o.default) if o.kind == "append" else o.default
+              for o in options}
+    paths: list[str] = []
+    ended = False  # whether an option has followed the run of paths
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if ended:
+                return None  # argparse refuses a second run of paths
+            paths.append(word)
+            continue
+        ended = bool(paths)
+        o = by_flag.get(word)
+        if o is None:
+            return None
+        if o.kind == "flag":
+            values[o.dest] = True
+            continue
+        value = next(words, "-")  # at the end, declines as a `-` value does
+        if value.startswith("-"):
+            return None
+        if o.kind == "append":
+            values[o.dest].append(value)
+        elif o.kind is int:
+            try:
+                values[o.dest] = int(value)
+            except ValueError:
+                return None
+        else:
+            values[o.dest] = value
+    if not paths or any(o.required and values[o.dest] is None for o in options):
+        return None
+    return SimpleNamespace(command=argv[0], paths=paths, func=func, **values)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parse_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
     except FileNotFoundError as e:

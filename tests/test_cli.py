@@ -614,6 +614,43 @@ class Asker implements TimeAndDate {
         assert err == f"error: {out_dir / name}: cannot write: Is a directory\n"
         assert [f.name for f in out_dir.iterdir()] == [name]
 
+    def test_out_that_holds_the_input_is_a_usage_error_and_writes_nothing(self, tmp_path,
+                                                                         capsys):
+        """`synth witness --out witness` would replace the annotated source
+        with its own annotation-free output."""
+        tree = tmp_path / "witness"
+        tree.mkdir()
+        source = tree / "witness.pop"
+        source.write_bytes((CORPUS / "witness" / "witness.pop").read_bytes())
+        code, out, err = run(["synth", str(tree), "--out", str(tree)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {source}: cannot write: it is the input {source}\n"
+        assert [f.name for f in tree.iterdir()] == ["witness.pop"]
+        assert source.read_bytes() == (CORPUS / "witness" / "witness.pop").read_bytes()
+
+    @pytest.mark.parametrize("link", [os.link, os.symlink], ids=["hard", "symbolic"])
+    def test_an_output_that_is_a_link_to_an_input_is_a_usage_error(self, tmp_path, capsys,
+                                                                    link):
+        tree, out_dir = tmp_path / "src", tmp_path / "out"
+        tree.mkdir()
+        out_dir.mkdir()
+        source = tree / "w.pop"
+        source.write_bytes((CORPUS / "witness" / "witness.pop").read_bytes())
+        link(source, out_dir / "w.pop")
+        code, out, err = run(["synth", str(tree), "--out", str(out_dir)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {out_dir / 'w.pop'}: cannot write: it is the input {source}\n"
+        assert [f.name for f in out_dir.iterdir()] == ["w.pop"]
+        assert source.read_bytes() == (CORPUS / "witness" / "witness.pop").read_bytes()
+
+    def test_an_existing_output_that_is_no_input_is_overwritten(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "witness.pop").write_text("stale\n", encoding="utf-8")
+        code, out, err = run(["synth", c("witness"), "--out", str(out_dir)], capsys)
+        assert (code, out, err) == (0, "", "")
+        assert (out_dir / "witness.pop").read_text(encoding="utf-8") != "stale\n"
+
     def test_byte_identical_across_runs(self, tmp_path, capsys):
         trees = []
         for which in ("one", "two"):
@@ -737,7 +774,7 @@ class TestExplain:
                                                                   capsys, wanted):
         code, _, err = run(["explain", *two_clients, "--explain", wanted], capsys)
         assert code == 2
-        assert f"no query matches id '{wanted}'" in err
+        assert err == f"error: no query matches id '{wanted}'\n"
 
     def test_an_id_that_matches_two_queries_names_both(self, two_clients, tmp_path,
                                                        capsys):
@@ -747,7 +784,7 @@ class TestExplain:
                            capsys)
         assert code == 2
         assert err.strip() == (
-            "query id 'timeutils.pop:3' matches 2 queries: "
+            "error: query id 'timeutils.pop:3' matches 2 queries: "
             f"{tmp_path / 'c2' / 'timeutils.pop'}:3, {tmp_path / 'c1' / 'timeutils.pop'}:3")
 
 
@@ -1591,13 +1628,15 @@ def test_assumption_file_that_loses_records_is_a_positioned_syntax_error(
 # What poplar must not load: `dataclasses`, and `inspect` with it, cost each
 # cold process more than writing the classes out does; records are copied
 # by `poplar.replace`, not by `copy`.
-UNWANTED = {"dataclasses", "inspect", "copy"}
+# A plain command line needs no `argparse`, which imports `gettext` and, at
+# its first lookup of a message catalog, `locale`.
+UNWANTED = {"dataclasses", "inspect", "copy", "argparse", "gettext", "locale"}
 
-LOADED = """import sys
+LOADED = f"""import sys
 from poplar.cli import _collect_sources, _solve_tree, main
 code = main(sys.argv[1:])
 print(" ".join(sorted(m for m in sys.modules
-                      if m.startswith("poplar.") or m in ("dataclasses", "inspect", "copy"))))
+                      if m.startswith("poplar.") or m in {sorted(UNWANTED)!r})))
 sys.exit(code)
 """
 
@@ -1651,7 +1690,7 @@ class TestImportLayers:
         return proc.returncode, set(proc.stdout.splitlines()[-1].split())
 
     def test_check_imports_the_check_path_only(self):
-        """Nor `dataclasses` or `inspect`."""
+        """Nor `dataclasses`, `inspect` or `argparse`."""
         code, modules = self.loaded(["check", c("socket")])
         assert code == 0
         assert modules == {"poplar.cli", "poplar.config", "poplar.diagnostics",
@@ -1680,6 +1719,17 @@ class TestImportLayers:
         for f in sorted(out_dir.iterdir()):
             h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
         assert h.hexdigest() == SYNTH_GOLDEN[("witness",)]
+
+    def test_explain_does_not_import_argparse(self):
+        code, modules = self.loaded(["explain", "witness", "--explain", "witness.pop:25"],
+                                    cwd=CORPUS)
+        assert code == 0 and "poplar.planner" in modules
+        assert not modules & UNWANTED
+
+    @pytest.mark.parametrize("argv", [["-h"], ["synth", "-h"]])
+    def test_help_still_comes_from_argparse(self, argv):
+        code, modules = self.loaded(argv)
+        assert code == 0 and "argparse" in modules
 
 
 # Corpus trees that check clean and ask queries; a `query_sites` file is
